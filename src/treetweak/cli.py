@@ -136,7 +136,6 @@ def _cmd_tweak(args) -> int:
             args.epsilon,
             skip_satisfied=args.allow_satisfied_skip,
             budget=args.budget,
-            workers=args.workers,
         )
         entry = {"instance_index": index, "label": inst.label}
         if isinstance(outcome, Found):
@@ -192,7 +191,6 @@ def _cmd_sweep(args) -> int:
         delta_names,
         skip_satisfied=args.allow_satisfied_skip,
         budget=args.budget,
-        workers=args.workers,
     )
     write_sweep_csv(report, args.out)
     _info(
@@ -295,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--delta", choices=COST_NAMES, default="cosine")
     tw.add_argument("--top-k", type=int, default=3)
     tw.add_argument("--budget", type=int, default=None, help="max paths to examine")
-    tw.add_argument("--workers", type=int, default=available_workers())
     tw.add_argument(
         "--allow-satisfied-skip",
         action="store_true",
@@ -310,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--epsilon-grid", default=DEFAULT_EPSILON_GRID)
     sw.add_argument("--deltas", default="all", help="'all' or a comma list")
     sw.add_argument("--budget", type=int, default=None)
-    sw.add_argument("--workers", type=int, default=available_workers())
     sw.add_argument("--allow-satisfied-skip", action="store_true")
     sw.set_defaults(func=_cmd_sweep)
 

@@ -279,6 +279,10 @@ def _parse_float(text: str, column: str, line: int) -> float:
         raise ParseError(line, f"column {column!r}: {text!r} is not a number") from None
 
 
+def _not_finite(column: str, text: str, line: int) -> ParseError:
+    return ParseError(line, f"column {column!r}: {text!r} is not a finite number")
+
+
 def load_table(path, schema: TableSchema | None = None):
     """Load a raw CSV, one-hot encode, fit the standardizer, standardize.
 
@@ -334,11 +338,17 @@ def load_table(path, schema: TableSchema | None = None):
                 for cat in categories
             )
         else:
-            parsed = [
-                _parse_float(text, col.name, offset + 2)
-                for offset, text in enumerate(raw)
-            ]
-            blocks.append(np.asarray(parsed, dtype=float).reshape(-1, 1))
+            parsed = np.asarray(
+                [
+                    _parse_float(text, col.name, offset + 2)
+                    for offset, text in enumerate(raw)
+                ],
+                dtype=float,
+            )
+            if not np.isfinite(parsed).all():
+                offset = int(np.flatnonzero(~np.isfinite(parsed))[0])
+                raise _not_finite(col.name, raw[offset], offset + 2)
+            blocks.append(parsed.reshape(-1, 1))
             adjustable = True if col.adjustable is None else col.adjustable
             metas.append(FeatureMeta(name=col.name, adjustable=adjustable))
 
@@ -409,5 +419,13 @@ def load_instances(path, space: FeatureSpace) -> list[Instance]:
                     raise UnknownCategory(text, tuple(cat for _, cat in members))
                 for idx, cat in members:
                     raw[idx] = 1.0 if cat == text else 0.0
+        if not np.isfinite(raw).all():
+            name, text = next(
+                (name, text)
+                for name, text in zip(expected, row)
+                if name in continuous_index
+                and not np.isfinite(raw[continuous_index[name]])
+            )
+            raise _not_finite(name, text, line)
         instances.append(standardize(raw, space, label=label))
     return instances

@@ -10,11 +10,14 @@ the pool; the cheapest one under the chosen cost function is the answer.
 Epsilon is expressed in standardized units, i.e. multiples of one standard
 deviation of each feature.
 
-Candidate generation fans out per tree (the ensemble is immutable and each
-tree is explored independently); results are reduced in fixed
-(tree, path) order, so the worker count never changes the outcome. Within
-a tree, path prefixes share their folded intervals: the per-feature bounds
-are maintained incrementally while walking down, not recomputed per path.
+A positive leaf's folded (lower, upper] box depends only on the model, so
+the boxes of all positive leaves are built once per ensemble, as [P, n]
+arrays, on the first search. Each search then selects the rows of x's
+negative-voting trees, places every candidate with array masks, and
+re-validates all feasible candidates against the whole forest in one
+batched call. Candidates come out in (tree, path) order.
+:func:`brute_force_tweak` keeps the scalar, path-by-path formulation as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from treetweak._parallel import map_ordered
 from treetweak.costs import cost_by_name
 from treetweak.errors import (
     InfeasiblePath,
@@ -41,13 +44,12 @@ from treetweak.forest import (
     GT,
     LE,
     POSITIVE,
-    DecisionTree,
-    Leaf,
     Path,
     TreeEnsemble,
     extract_paths,
     predict_ensemble,
     predict_tree,
+    vote_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -178,37 +180,72 @@ def build_positive_instance(
     return Instance(values)
 
 
-def _positive_leaf_walk(tree: DecisionTree):
-    """Yield (leaf_ordinal, folded_intervals) for each positive leaf.
+class _LeafBoxes(NamedTuple):
+    """The folded (lo, hi] box of every positive leaf of an ensemble.
 
-    Walks the tree once, maintaining the interval map incrementally so
-    shared path prefixes are folded a single time.
+    Rows run in (tree, leaf ordinal) order. ``tested[r, f]`` marks the
+    features some condition on the leaf's path tests, i.e. the keys of
+    :func:`_fold_conditions`; an untested feature has bounds (-inf, inf).
     """
-    intervals: dict[int, tuple[float, float]] = {}
-    out: list[tuple[int, dict[int, tuple[float, float]]]] = []
-    ordinal = 0
 
-    def visit(node):
-        nonlocal ordinal
-        if isinstance(node, Leaf):
-            if node.label == 1:
-                out.append((ordinal, dict(intervals)))
-            ordinal += 1
-            return
-        f, t = node.feature, node.threshold
-        saved = intervals.get(f)
-        lo, hi = saved if saved is not None else (-INF, INF)
-        intervals[f] = (lo, min(hi, t))
-        visit(node.left)
-        intervals[f] = (max(lo, t), hi)
-        visit(node.right)
-        if saved is None:
-            del intervals[f]
-        else:
-            intervals[f] = saved
+    lo: np.ndarray
+    hi: np.ndarray
+    tested: np.ndarray
+    tree: np.ndarray
+    ordinal: np.ndarray
 
-    visit(tree.root)
-    return out
+
+_BOXES: "weakref.WeakKeyDictionary[TreeEnsemble, _LeafBoxes]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
+    """The ensemble's positive-leaf boxes, built on first use and cached."""
+    boxes = _BOXES.get(ens)
+    if boxes is None:
+        boxes = _BOXES[ens] = _build_leaf_boxes(ens)
+    return boxes
+
+
+def _build_leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
+    total = sum(tree.positive_leaf_count for tree in ens.trees)
+    n = ens.feature_space.n
+    lo = np.full((total, n), -INF)
+    hi = np.full((total, n), INF)
+    tested = np.zeros((total, n), dtype=bool)
+    tree_of = np.empty(total, dtype=np.intp)
+    ordinal = np.empty(total, dtype=np.intp)
+    start = 0
+    for k, tree in enumerate(ens.trees):
+        flat = tree.flat
+        nodes = np.arange(len(flat.left))
+        internal = flat.left != nodes
+        parent = np.full(len(nodes), -1)
+        parent[flat.left[internal]] = nodes[internal]
+        parent[flat.right[internal]] = nodes[internal]
+        leaves = nodes[~internal]  # preorder: left-to-right leaf order
+        positive = flat.label[leaves] == 1
+        stop = start + tree.positive_leaf_count
+        tree_of[start:stop] = k
+        ordinal[start:stop] = np.flatnonzero(positive)
+        # Climb from every positive leaf to the root at once, folding each
+        # edge into its row; fmin/fmax skip NaN thresholds like min/max do.
+        rows = np.arange(start, stop)
+        child = leaves[positive]
+        while child.size:
+            par = parent[child]
+            up = par >= 0
+            rows, child, par = rows[up], child[up], par[up]
+            f, t = flat.feature[par], flat.threshold[par]
+            tested[rows, f] = True
+            le = flat.left[par] == child
+            hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
+            gt = ~le
+            lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
+            child = par
+        start = stop
+    return _LeafBoxes(lo, hi, tested, tree_of, ordinal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,80 +255,71 @@ class _RawCandidate:
     values: np.ndarray
 
 
+def _tree_votes(ens: TreeEnsemble, x_values) -> np.ndarray:
+    return np.array([predict_tree(tree, x_values) for tree in ens.trees])
+
+
 def _generate_candidates(
     ens: TreeEnsemble,
-    x: Instance,
+    x_values: np.ndarray,
+    votes: np.ndarray,
     epsilon: float,
     skip_satisfied: bool,
     budget: int | None,
-    workers: int | None,
 ) -> tuple[list[_RawCandidate], SearchStats]:
     """All ensemble-positive candidates from negative-voting trees, in
     (tree, path) order, plus counters describing the search.
 
-    A tree is searched only when the ensemble prediction and its own vote
-    are both negative; for an ensemble-positive instance nothing is
-    selected and the set is empty.
+    ``votes`` are x's per-tree votes. A tree is searched only when the
+    ensemble prediction and its own vote are both negative; for an
+    ensemble-positive instance nothing is selected and the set is empty.
     """
-    x_values = x.values
-    adjustable = ens.feature_space.adjustable_mask
-    if predict_ensemble(ens, x_values) == -1:
-        selected = [
-            k for k, tree in enumerate(ens.trees) if predict_tree(tree, x_values) == -1
-        ]
-    else:
-        selected = []
-
-    # Pre-allocate the budget across trees in index order so that any
-    # truncation point is independent of scheduling.
-    quotas: dict[int, int] = {}
-    truncated = False
-    remaining = budget if budget is not None else None
-    for k in selected:
-        need = ens.trees[k].positive_leaf_count
-        if remaining is None:
-            quotas[k] = need
-        else:
-            quotas[k] = min(need, remaining)
-            remaining -= quotas[k]
-            if quotas[k] < need:
-                truncated = True
-
-    def search_tree(k: int):
-        tree = ens.trees[k]
-        quota = quotas[k]
-        found: list[_RawCandidate] = []
-        examined = infeasible = rejected = 0
-        for ordinal, intervals in _positive_leaf_walk(tree):
-            if examined >= quota:
-                break
-            examined += 1
-            try:
-                values = _apply_intervals(
-                    x_values, intervals, epsilon, adjustable, skip_satisfied
-                )
-            except InfeasiblePath:
-                infeasible += 1
-                continue
-            if predict_ensemble(ens, values) == 1:
-                found.append(_RawCandidate(k, ordinal, values))
-            else:
-                rejected += 1
-        return found, examined, infeasible, rejected
-
-    results = map_ordered(search_tree, selected, workers)
-    candidates: list[_RawCandidate] = []
-    examined = infeasible = rejected = 0
-    for found, ex, inf_, rej in results:
-        candidates.extend(found)
-        examined += ex
-        infeasible += inf_
-        rejected += rej
+    if votes.sum() > 0:
+        return [], SearchStats(0, 0, 0, 0, False)
+    boxes = _leaf_boxes(ens)
+    rows = np.flatnonzero(votes[boxes.tree] == -1)
+    # The budget is spent in (tree, ordinal) order, so the truncation
+    # point is the same for every run.
+    truncated = budget is not None and len(rows) > budget
     if truncated:
+        rows = rows[: max(budget, 0)]
         logger.warning(
-            "tweak search truncated by budget=%s after %d paths", budget, examined
+            "tweak search truncated by budget=%s after %d paths", budget, len(rows)
         )
-    stats = SearchStats(len(selected), examined, infeasible, rejected, truncated)
+
+    # Vector form of _apply_intervals over all examined leaves at once.
+    # The placed values overwrite hi, and then x's values fill the
+    # features left alone, so few [rows, n] temporaries are alive at once.
+    lo, hi, tested = boxes.lo[rows], boxes.hi[rows], boxes.tested[rows]
+    adjustable = ens.feature_space.adjustable_mask
+    satisfied = lo < x_values
+    satisfied &= x_values <= hi
+    move = tested & adjustable
+    if skip_satisfied:
+        move &= ~satisfied
+    open_above = ~(hi < INF)
+    placed = np.subtract(hi, epsilon, out=hi)
+    np.add(lo, epsilon, out=placed, where=open_above)
+    infeasible = tested & ~adjustable & ~satisfied
+    infeasible |= move & ~(lo < placed)
+    feasible = ~infeasible.any(axis=1)
+    np.copyto(placed, x_values, where=~move)
+    values = placed[feasible]
+
+    accepted = vote_sums(ens, values) > 0
+    kept = rows[feasible][accepted]
+    candidates = [
+        _RawCandidate(int(boxes.tree[r]), int(boxes.ordinal[r]), v)
+        for r, v in zip(kept, values[accepted])
+    ]
+    n_feasible = int(np.count_nonzero(feasible))
+    stats = SearchStats(
+        trees_searched=int(np.count_nonzero(votes == -1)),
+        paths_examined=len(rows),
+        infeasible=len(rows) - n_feasible,
+        rejected=n_feasible - len(candidates),
+        truncated=truncated,
+    )
     return candidates, stats
 
 
@@ -327,11 +355,6 @@ def _to_transformations(
     return out
 
 
-def _require_negative(ens: TreeEnsemble, x: Instance) -> None:
-    if predict_ensemble(ens, x) != -1:
-        raise NotNegative("instance is already predicted positive by the ensemble")
-
-
 def candidate_set(
     ens: TreeEnsemble,
     x: Instance,
@@ -339,7 +362,6 @@ def candidate_set(
     delta: Callable | str,
     skip_satisfied: bool = False,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> list[Transformation]:
     """Every valid transformation of x: built from a positive path of a
     negative-voting tree and re-predicted positive by the whole ensemble.
@@ -349,7 +371,8 @@ def candidate_set(
     """
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    raw, _ = _generate_candidates(ens, x, epsilon, skip_satisfied, budget, workers)
+    votes = _tree_votes(ens, x.values)
+    raw, _ = _generate_candidates(ens, x.values, votes, epsilon, skip_satisfied, budget)
     return _to_transformations(raw, x.values, delta_fn)
 
 
@@ -360,7 +383,6 @@ def tweak(
     epsilon: float,
     skip_satisfied: bool = False,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> TweakOutcome:
     """Cheapest ensemble-flipping transformation of a negative instance.
 
@@ -368,10 +390,14 @@ def tweak(
     pool), or NotCovered when no candidate flips the ensemble — an
     explicit outcome rather than silently handing back x unchanged.
     """
-    _require_negative(ens, x)
+    votes = _tree_votes(ens, x.values)
+    if votes.sum() > 0:
+        raise NotNegative("instance is already predicted positive by the ensemble")
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    raw, stats = _generate_candidates(ens, x, epsilon, skip_satisfied, budget, workers)
+    raw, stats = _generate_candidates(
+        ens, x.values, votes, epsilon, skip_satisfied, budget
+    )
     if not raw:
         reason = (
             f"no candidate flips the ensemble: {stats.paths_examined} positive "
@@ -491,7 +517,6 @@ def sweep(
     delta_names: Sequence[str],
     skip_satisfied: bool = False,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> SweepReport:
     """Coverage and cost statistics over a tolerance x cost-function grid.
 
@@ -499,17 +524,22 @@ def sweep(
     instances with at least one valid transformation, quantiles of the
     per-instance candidate counts, the micro-average cost over all
     candidates, and the median of per-instance mean costs. Candidate
-    generation is shared across cost functions for each epsilon.
+    generation is shared across cost functions for each epsilon, and the
+    leaf boxes and per-tree votes across the whole grid.
     """
     for name in delta_names:
         cost_by_name(name)  # validate upfront
-    eligible = [inst for inst in instances if predict_ensemble(ens, inst) == -1]
+    voted = [(inst, _tree_votes(ens, inst.values)) for inst in instances]
+    voted = [(inst, votes) for inst, votes in voted if votes.sum() <= 0]
+    eligible = [inst for inst, _ in voted]
     rows: list[SweepRow] = []
     for epsilon in epsilon_grid:
         epsilon = _check_epsilon(epsilon)
         raw_per_instance = [
-            _generate_candidates(ens, inst, epsilon, skip_satisfied, budget, workers)[0]
-            for inst in eligible
+            _generate_candidates(
+                ens, inst.values, votes, epsilon, skip_satisfied, budget
+            )[0]
+            for inst, votes in voted
         ]
         counts = np.asarray([len(raws) for raws in raw_per_instance], dtype=float)
         for name in delta_names:

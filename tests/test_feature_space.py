@@ -209,6 +209,16 @@ class TestLoadTable(object):
         with pytest.raises(ParseError):
             load_table(csv)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, cell):
+        csv = self._write(
+            tmp_path / "d.csv", f"a,b,label\n1,10,-1\n2,20,1\n3,{cell},-1\n"
+        )
+        with pytest.raises(ParseError) as info:
+            load_table(csv)
+        assert info.value.line == 4
+        assert "'b'" in str(info.value)
+
 
 class TestLoadInstances:
     def test_round_trip_through_raw_header(self, tmp_path):
@@ -240,3 +250,18 @@ class TestLoadInstances:
         newfile.write_text("c\npurple\n")
         with pytest.raises(UnknownCategory):
             load_instances(newfile, space)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity"])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, cell):
+        train = tmp_path / "train.csv"
+        train.write_text("a,c,b,label\n1,red,5,-1\n2,green,6,1\n3,red,8,-1\n")
+        schema = TableSchema(
+            (ColumnSpec("a"), ColumnSpec("c", categorical=True), ColumnSpec("b"))
+        )
+        space, _ = load_table(train, schema)
+        newfile = tmp_path / "new.csv"
+        newfile.write_text(f"a,c,b\n2,red,7\n1,green,{cell}\n")
+        with pytest.raises(ParseError) as info:
+            load_instances(newfile, space)
+        assert info.value.line == 3
+        assert "'b'" in str(info.value)

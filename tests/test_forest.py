@@ -11,6 +11,7 @@ from treetweak.forest import (
     Leaf,
     TreeEnsemble,
     dumps_model,
+    ensemble_to_dict,
     extract_paths,
     load_model,
     predict_ensemble,
@@ -18,6 +19,7 @@ from treetweak.forest import (
     route,
     save_model,
     vote_sum,
+    vote_sums,
 )
 
 from conftest import plain_space, random_ensemble, random_tree, stump
@@ -99,6 +101,45 @@ class TestPredictEnsemble:
                 x = Instance(rng.normal(0, 2, 4))
                 total = sum(predict_tree(t, x) for t in ens.trees)
                 assert predict_ensemble(ens, x) == (-1 if total <= 0 else 1)
+
+
+
+class TestFlatView:
+    def test_matches_serialized_preorder_layout(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            tree = random_tree(rng, 4, 5)
+            flat = tree.flat
+            nodes = ensemble_to_dict(
+                TreeEnsemble((tree,), plain_space(4))
+            )["trees"][0]["nodes"]
+            assert len(flat.left) == len(nodes)
+            for slot, entry in enumerate(nodes):
+                if "leaf" in entry:
+                    assert flat.label[slot] == entry["leaf"]
+                    assert flat.left[slot] == flat.right[slot] == slot
+                else:
+                    assert flat.feature[slot] == entry["feature"]
+                    assert flat.threshold[slot] == entry["threshold"]
+                    assert flat.left[slot] == entry["left"]
+                    assert flat.right[slot] == entry["right"]
+
+    def test_vote_sums_match_scalar_votes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            ens = random_ensemble(rng, int(rng.integers(1, 6)), 3, 5)
+            X = rng.normal(0, 2, (50, 3))
+            # put some rows exactly on thresholds
+            X[:5, 0] = ens.trees[0].flat.threshold[0]
+            assert list(vote_sums(ens, X)) == [vote_sum(ens, x) for x in X]
+
+    def test_threshold_ties_route_left(self):
+        ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(1))
+        assert list(vote_sums(ens, [[0.5], [np.nextafter(0.5, 1.0)]])) == [1, -1]
+
+    def test_empty_matrix(self):
+        ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
+        assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
 
 
 class TestExtractPaths:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from treetweak.forest import (
     predict_tree,
     route,
 )
+import treetweak.tweaker as tweaker_mod
 from treetweak.tweaker import (
     Found,
     NotCovered,
@@ -252,22 +254,6 @@ class TestTweak:
                     }
                     assert changed == set(cand.changed_indices)
 
-    def test_worker_counts_agree(self):
-        rng = np.random.default_rng(11)
-        ens = random_ensemble(rng, 5, 4, 4)
-        xs = sample_negative_instances(ens, rng, 5)
-        for x in xs:
-            outs = [tweak(ens, x, "cosine", 0.1, workers=w) for w in (1, 2, 8)]
-            kinds = {type(o).__name__ for o in outs}
-            assert len(kinds) == 1
-            if isinstance(outs[0], Found):
-                base = [tuple(c.candidate.values) for c in outs[0].all_candidates]
-                for other in outs[1:]:
-                    assert [
-                        tuple(c.candidate.values) for c in other.all_candidates
-                    ] == base
-                    assert other.best.cost == outs[0].best.cost
-
     def test_budget_truncates_deterministically(self):
         rng = np.random.default_rng(13)
         ens = random_ensemble(rng, 4, 3, 4)
@@ -275,15 +261,15 @@ class TestTweak:
         for x in xs:
             full = candidate_set(ens, x, 0.2, "euclidean")
             for budget in (0, 1, 2, 3):
-                seq = [
-                    candidate_set(ens, x, 0.2, "euclidean", budget=budget, workers=w)
-                    for w in (1, 4)
-                ]
-                a, b = seq
+                a = candidate_set(ens, x, 0.2, "euclidean", budget=budget)
+                b = candidate_set(ens, x, 0.2, "euclidean", budget=budget)
                 assert [tuple(c.candidate.values) for c in a] == [
                     tuple(c.candidate.values) for c in b
                 ]
-                assert len(a) <= len(full)
+                # the budget stops the search early in (tree, path) order
+                assert [tuple(c.candidate.values) for c in a] == [
+                    tuple(c.candidate.values) for c in full[: len(a)]
+                ]
             # a generous budget reproduces the full search
             big = candidate_set(ens, x, 0.2, "euclidean", budget=10_000)
             assert [tuple(c.candidate.values) for c in big] == [
@@ -313,8 +299,6 @@ class TestBruteForce:
         assert isinstance(out, NotCovered)
 
     def test_guard_rejects_huge_search(self, monkeypatch):
-        import treetweak.tweaker as tweaker_mod
-
         monkeypatch.setattr(tweaker_mod, "BRUTE_FORCE_PATH_LIMIT", 2)
         rng = np.random.default_rng(19)
         ens = random_ensemble(rng, 3, 3, 4)
@@ -346,29 +330,41 @@ class TestBruteForce:
 
 class TestFoldingEquivalence:
     def test_full_candidate_multiset_matches_brute_force(self):
-        # The search folds intervals incrementally down the tree; the
-        # oracle folds each extracted path from scratch. The complete
-        # candidate lists (not just the minima) must coincide.
-        rng = np.random.default_rng(37)
+        # The search folds precomputed leaf boxes and validates candidates
+        # in one batch; the oracle folds each extracted path from scratch
+        # and validates one candidate at a time. The complete, ordered
+        # candidate lists (not just the minima) must coincide bit for bit.
         compared = 0
-        for _ in range(30):
-            ens = random_ensemble(rng, int(rng.integers(1, 5)), 3, 5)
-            for x in sample_negative_instances(ens, rng, 3):
-                fast = candidate_set(ens, x, 0.1, "euclidean")
-                oracle = brute_force_tweak(
-                    ens, x, "euclidean", 0.1, only_negative_trees=True
+        for epsilon, skip_satisfied, adjustable in itertools.product(
+            (0.05, 0.1, 0.5), (False, True), (None, [True, False, True])
+        ):
+            rng = np.random.default_rng(37)
+            space = plain_space(3, adjustable=adjustable)
+            for _ in range(30):
+                ens = random_ensemble(
+                    rng, int(rng.integers(1, 5)), 3, 5, space=space
                 )
-                oracle_cands = (
-                    oracle.all_candidates if isinstance(oracle, Found) else ()
-                )
-                key = lambda c: (
-                    c.source_tree,
-                    c.source_path,
-                    tuple(c.candidate.values),
-                )
-                assert sorted(map(key, fast)) == sorted(map(key, oracle_cands))
-                compared += len(fast)
-        assert compared > 50
+                for x in sample_negative_instances(ens, rng, 3):
+                    fast = candidate_set(
+                        ens, x, epsilon, "euclidean", skip_satisfied=skip_satisfied
+                    )
+                    oracle = brute_force_tweak(
+                        ens, x, "euclidean", epsilon,
+                        only_negative_trees=True, skip_satisfied=skip_satisfied,
+                    )
+                    oracle_cands = (
+                        oracle.all_candidates if isinstance(oracle, Found) else ()
+                    )
+                    assert len(fast) == len(oracle_cands)
+                    for a, b in zip(fast, oracle_cands):
+                        assert (a.source_tree, a.source_path) == (
+                            b.source_tree,
+                            b.source_path,
+                        )
+                        assert np.array_equal(a.candidate.values, b.candidate.values)
+                        assert a.cost == b.cost
+                    compared += len(fast)
+        assert compared > 500
 
     def test_deeply_repeated_feature_folds_correctly(self):
         # One feature tested four times on a single path; the folded
@@ -415,6 +411,101 @@ class TestFoldingEquivalence:
                     assert path.path_index == cand.source_path
                     assert cand.candidate.values[2] == x.values[2]
         assert seen > 50
+
+
+class TestBatchedSearchEdges:
+    def test_candidate_on_another_trees_threshold_routes_left(self):
+        # Tree 0's positive leaf places x0 at 1.0 - 0.5 = 0.5, exactly on
+        # tree 1's threshold; routing it left there gives the second
+        # positive vote that flips the ensemble.
+        trees = (stump(0, 1.0, 1, -1), stump(0, 0.5, 1, -1))
+        ens = TreeEnsemble(trees, plain_space(1))
+        out = tweak(ens, Instance([2.0]), "euclidean", 0.5)
+        assert isinstance(out, Found)
+        assert [(c.source_tree, c.source_path) for c in out.all_candidates] == [
+            (0, 0),
+            (1, 0),
+        ]
+        assert out.all_candidates[0].candidate.values[0] == 0.5
+
+    def test_negative_trees_without_positive_leaves(self):
+        trees = (DecisionTree(Leaf(-1)), stump(1, 0.0, -1, -1))
+        ens = TreeEnsemble(trees, plain_space(2))
+        out = tweak(ens, Instance([0.0, 0.0]), "euclidean", 0.1)
+        assert tweaker_mod._leaf_boxes(ens).lo.shape == (0, 2)
+        assert out == NotCovered(
+            "no candidate flips the ensemble: 0 positive paths over 2 "
+            "negative-voting trees (0 infeasible, 0 rejected)"
+        )
+
+    def test_unbalanced_tree_matches_oracle(self):
+        # Leaves at depths 1, 2, 4, 4 and 3, positive ones at 1, 4 and 3.
+        deep = DecisionTree(
+            Internal(
+                0, 0.0,
+                Leaf(1),
+                Internal(
+                    1, 1.0,
+                    Leaf(-1),
+                    Internal(
+                        0, 2.0,
+                        Internal(1, 3.0, Leaf(-1), Leaf(1)),
+                        Leaf(1),
+                    ),
+                ),
+            )
+        )
+        # The stump votes +1 at x and at every candidate, so the vote ties
+        # at x and each positive leaf of the deep tree flips it.
+        ens = TreeEnsemble((deep, stump(0, 10.0, 1, -1)), plain_space(2))
+        x = Instance([0.5, 1.5])
+        fast = candidate_set(ens, x, 0.1, "euclidean")
+        oracle = brute_force_tweak(ens, x, "euclidean", 0.1, only_negative_trees=True)
+        assert isinstance(oracle, Found)
+        assert [(c.source_tree, c.source_path) for c in fast] == [
+            (c.source_tree, c.source_path) for c in oracle.all_candidates
+        ]
+        for a, b in zip(fast, oracle.all_candidates):
+            assert np.array_equal(a.candidate.values, b.candidate.values)
+        assert [(c.source_tree, c.source_path) for c in fast] == [
+            (0, 0),
+            (0, 3),
+            (0, 4),
+        ]
+
+
+class TestNotCoveredReason:
+    def _ensemble(self):
+        # At x0 = -5 all five trees vote -1. In (tree, path) order the four
+        # positive leaves are: rejected, infeasible (a 0.05-wide interval
+        # for epsilon 0.1), rejected, rejected.
+        trees = (
+            interval_tree(0.0, 1.0),
+            interval_tree(20.0, 20.05),
+            DecisionTree(Internal(0, 0.0, Leaf(-1), stump(0, 5.0, 1, 1).root)),
+            DecisionTree(Leaf(-1)),
+            DecisionTree(Leaf(-1)),
+        )
+        return TreeEnsemble(trees, plain_space(1))
+
+    REASONS = {
+        0: "0 positive paths over 5 negative-voting trees "
+           "(0 infeasible, 0 rejected); search truncated by budget",
+        1: "1 positive paths over 5 negative-voting trees "
+           "(0 infeasible, 1 rejected); search truncated by budget",
+        2: "2 positive paths over 5 negative-voting trees "
+           "(1 infeasible, 1 rejected); search truncated by budget",
+        3: "3 positive paths over 5 negative-voting trees "
+           "(1 infeasible, 2 rejected); search truncated by budget",
+        None: "4 positive paths over 5 negative-voting trees "
+              "(1 infeasible, 3 rejected)",
+    }
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, None])
+    def test_reason_counts_under_budget(self, budget):
+        out = tweak(self._ensemble(), Instance([-5.0]), "euclidean", 0.1, budget=budget)
+        reason = "no candidate flips the ensemble: " + self.REASONS[budget]
+        assert out == NotCovered(reason)
 
 
 class TestSweep:
