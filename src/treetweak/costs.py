@@ -4,6 +4,16 @@ Five distance-like functions over (original, transformed) vector pairs.
 Each satisfies cost(x, x) = 0 and cost(x, x') >= 0 on its documented
 domain and is symmetric in its arguments.
 
+Each function takes ``x`` as an ``[n]`` vector and ``y`` either as an
+``[n]`` vector, giving a float, or as a ``[C, n]`` matrix of candidates,
+giving a ``[C]`` float64 array with one cost per row. Where a cost is
+undefined (a zero-norm vector for cosine, a constant vector for Pearson)
+the vector form raises :class:`ZeroVector` or :class:`ZeroVariance` and
+the matrix form puts NaN in that row. The vector form is the matrix form
+on a single row, so both give bit-for-bit the same numbers: every
+reduction runs along the last axis of a C-contiguous array, which sums in
+the same order for one row as for many.
+
 "Changed component" means exact float inequality: candidates are built by
 explicit assignment, so changed components differ by construction rather
 than by rounding noise.
@@ -11,7 +21,7 @@ than by rounding noise.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -21,37 +31,66 @@ from treetweak.errors import LengthMismatch, ZeroVariance, ZeroVector
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+    if a.ndim != 1 or b.ndim > 2 or b.shape[-1:] != a.shape:
         raise LengthMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
     return a, b
 
 
-def tweaked_feature_rate(x, y) -> float:
+def _rowwise(undefined=None):
+    """Turn a kernel ``(x, Y) -> (costs, undefined_rows)`` over a ``[C, n]``
+    matrix ``Y`` into a cost function of a vector or a matrix ``y``.
+
+    ``undefined(n)`` builds the exception the vector form raises for an
+    undefined row.
+    """
+
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def cost(x, y):
+            a, b = _pair(x, y)
+            costs, bad = kernel(a, np.ascontiguousarray(np.atleast_2d(b)))
+            if b.ndim == 2:
+                costs[bad] = np.nan
+                return costs
+            if bad[0]:
+                raise undefined(len(a))
+            return float(costs[0])
+
+        return cost
+
+    return wrap
+
+
+def _no_undefined_rows(costs: np.ndarray):
+    return costs, np.zeros(len(costs), dtype=bool)
+
+
+@_rowwise()
+def tweaked_feature_rate(x, Y):
     """Proportion of components that changed; range [0, 1]."""
-    a, b = _pair(x, y)
-    return float(np.count_nonzero(a != b)) / len(a)
+    return _no_undefined_rows((Y != x).sum(axis=1) / len(x))
 
 
-def euclidean_distance(x, y) -> float:
+@_rowwise()
+def euclidean_distance(x, Y):
     """L2 norm of the change vector."""
-    a, b = _pair(x, y)
-    return float(math.sqrt(float(((a - b) ** 2).sum())))
+    return _no_undefined_rows(np.sqrt(((Y - x) ** 2).sum(axis=1)))
 
 
-def cosine_distance(x, y) -> float:
+@_rowwise(lambda n: ZeroVector("cosine distance undefined for a zero-norm vector"))
+def cosine_distance(x, Y):
     """1 minus the cosine of the angle between the vectors; range [0, 2]."""
-    a, b = _pair(x, y)
-    na = math.sqrt(float((a * a).sum()))
-    nb = math.sqrt(float((b * b).sum()))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine distance undefined for a zero-norm vector")
-    if np.array_equal(a, b):
-        return 0.0
-    cos = float((a * b).sum()) / (na * nb)
-    return 1.0 - max(-1.0, min(1.0, cos))
+    nx = np.sqrt((x * x).sum())
+    ny = np.sqrt((Y * Y).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (Y * x).sum(axis=1) / (nx * ny)
+    costs = 1.0 - np.clip(cos, -1.0, 1.0)
+    costs[(Y == x).all(axis=1)] = 0.0
+    return costs, (nx == 0.0) | (ny == 0.0)
 
 
-def jaccard_distance(x, y) -> float:
+@_rowwise()
+def jaccard_distance(x, Y):
     """Set Jaccard distance over (index, value) pairs; range [0, 1].
 
     With c changed components out of n, the two sets share n - c pairs out
@@ -59,29 +98,29 @@ def jaccard_distance(x, y) -> float:
     monotonically with the number of tweaks and needs no assumptions about
     value signs, unlike min/max generalizations.
     """
-    a, b = _pair(x, y)
-    n = len(a)
-    c = int(np.count_nonzero(a != b))
-    return 2.0 * c / (n + c)
+    c = (Y != x).sum(axis=1)
+    return _no_undefined_rows(2.0 * c / (len(x) + c))
 
 
-def pearson_correlation_distance(x, y) -> float:
+def _zero_variance(n: int) -> ZeroVariance:
+    if n < 2:
+        return ZeroVariance("vector", "correlation needs at least 2 components")
+    return ZeroVariance("vector", "correlation undefined for a constant vector")
+
+
+@_rowwise(_zero_variance)
+def pearson_correlation_distance(x, Y):
     """1 minus the Pearson correlation of the two vectors; range [0, 2]."""
-    a, b = _pair(x, y)
-    if np.array_equal(a, b):
-        return 0.0
-    if len(a) < 2:
-        raise ZeroVariance("vector", "correlation needs at least 2 components")
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float((da * da).sum())
-    vb = float((db * db).sum())
-    if va == 0.0 or vb == 0.0:
-        raise ZeroVariance(
-            "vector", "correlation undefined for a constant vector"
-        )
-    corr = float((da * db).sum()) / math.sqrt(va * vb)
-    return 1.0 - max(-1.0, min(1.0, corr))
+    dx = x - x.mean()
+    dY = Y - Y.mean(axis=1, keepdims=True)
+    vx = (dx * dx).sum()
+    vy = (dY * dY).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = (dY * dx).sum(axis=1) / np.sqrt(vx * vy)
+    costs = 1.0 - np.clip(corr, -1.0, 1.0)
+    same = (Y == x).all(axis=1)
+    costs[same] = 0.0
+    return costs, ~same & ((len(x) < 2) | (vx == 0.0) | (vy == 0.0))
 
 
 COST_FUNCTIONS = {

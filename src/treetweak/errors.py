@@ -78,6 +78,10 @@ class SearchSpaceTooLarge(TreeTweakError):
     """Exhaustive enumeration refused: too many positive paths."""
 
 
+class NonFiniteValue(TreeTweakError):
+    """An instance handed to the search has a NaN or infinite value."""
+
+
 class NotNegative(TreeTweakError):
     """Tweaking requested for an instance the ensemble already predicts positive."""
 

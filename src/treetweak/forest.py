@@ -353,14 +353,18 @@ def _flatten_tree(tree: DecisionTree) -> list[dict]:
     return nodes
 
 
-def _unflatten_tree(nodes: Sequence[dict]) -> DecisionTree:
+def _unflatten_tree(nodes: Sequence[dict], thresholds: list[float]) -> DecisionTree:
+    """Rebuild one tree, appending its thresholds to ``thresholds``."""
+
     def build(slot: int) -> Node:
         entry = nodes[slot]
         if "leaf" in entry:
             return Leaf(int(entry["leaf"]))
+        threshold = float(entry["threshold"])
+        thresholds.append(threshold)
         return Internal(
             feature=int(entry["feature"]),
-            threshold=float(entry["threshold"]),
+            threshold=threshold,
             left=build(int(entry["left"])),
             right=build(int(entry["right"])),
         )
@@ -387,8 +391,17 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
             f"unsupported model format version {version!r} (expected {FORMAT_VERSION})"
         )
     try:
+        stats = np.array(
+            [(f["mean"], f["std_dev"]) for f in doc["feature_space"]["features"]],
+            dtype=float,
+        )
+        if not np.isfinite(stats).all():
+            raise CorruptModel("feature mean or std_dev is not finite")
         space = FeatureSpace.from_dict(doc["feature_space"])
-        trees = tuple(_unflatten_tree(t["nodes"]) for t in doc["trees"])
+        thresholds: list[float] = []
+        trees = tuple(_unflatten_tree(t["nodes"], thresholds) for t in doc["trees"])
+        if not np.isfinite(thresholds).all():
+            raise CorruptModel("tree threshold is not finite")
         importances = np.asarray(doc["importances"], dtype=float)
         metadata = dict(doc["metadata"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:

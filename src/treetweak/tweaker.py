@@ -13,11 +13,14 @@ deviation of each feature.
 A positive leaf's folded (lower, upper] box depends only on the model, so
 the boxes of all positive leaves are built once per ensemble, as [P, n]
 arrays, on the first search. Each search then selects the rows of x's
-negative-voting trees, places every candidate with array masks, and
+negative-voting trees, places every candidate with array masks,
 re-validates all feasible candidates against the whole forest in one
-batched call. Candidates come out in (tree, path) order.
-:func:`brute_force_tweak` keeps the scalar, path-by-path formulation as
-the test oracle.
+batched call, and prices them with one row-wise call to the cost
+function. The candidates stay one [C, n] matrix until the Transformation
+objects are built, in (tree, path) order. Instances with a NaN or
+infinite value are rejected before any of this. :func:`brute_force_tweak`
+keeps the scalar, path-by-path, candidate-by-candidate formulation as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from treetweak.costs import cost_by_name
 from treetweak.errors import (
     InfeasiblePath,
+    LengthMismatch,
+    NonFiniteValue,
     NotNegative,
     SearchSpaceTooLarge,
     ZeroVariance,
@@ -209,50 +215,58 @@ def _leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
 
 
 def _build_leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
-    total = sum(tree.positive_leaf_count for tree in ens.trees)
+    # The flat views of all trees, concatenated in tree order with their
+    # node indices shifted by each tree's offset.
+    flats = [tree.flat for tree in ens.trees]
+    sizes = [len(flat.label) for flat in flats]
+    offset = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([flat.feature for flat in flats])
+    threshold = np.concatenate([flat.threshold for flat in flats])
+    label = np.concatenate([flat.label for flat in flats])
+    children = np.concatenate([flat.children for flat in flats])
+    children += np.repeat(offset, sizes)[:, None]
+    left, right = children[:, 1], children[:, 0]
+    nodes = np.arange(len(label))
+    internal = left != nodes
+    parent = np.full(len(nodes), -1)
+    parent[left[internal]] = nodes[internal]
+    parent[right[internal]] = nodes[internal]
+    # Preorder lists each tree's leaves left to right, so the positive
+    # leaves come out in (tree, leaf ordinal) order.
+    leaves = np.flatnonzero(label == 1)
+    tree_of = np.searchsorted(offset, leaves, side="right") - 1
+    leaves_before = np.cumsum(~internal) - ~internal
+    ordinal = leaves_before[leaves] - leaves_before[offset[tree_of]]
+
     n = ens.feature_space.n
-    lo = np.full((total, n), -INF)
-    hi = np.full((total, n), INF)
-    tested = np.zeros((total, n), dtype=bool)
-    tree_of = np.empty(total, dtype=np.intp)
-    ordinal = np.empty(total, dtype=np.intp)
-    start = 0
-    for k, tree in enumerate(ens.trees):
-        flat = tree.flat
-        nodes = np.arange(len(flat.left))
-        internal = flat.left != nodes
-        parent = np.full(len(nodes), -1)
-        parent[flat.left[internal]] = nodes[internal]
-        parent[flat.right[internal]] = nodes[internal]
-        leaves = nodes[~internal]  # preorder: left-to-right leaf order
-        positive = flat.label[leaves] == 1
-        stop = start + tree.positive_leaf_count
-        tree_of[start:stop] = k
-        ordinal[start:stop] = np.flatnonzero(positive)
-        # Climb from every positive leaf to the root at once, folding each
-        # edge into its row; fmin/fmax skip NaN thresholds like min/max do.
-        rows = np.arange(start, stop)
-        child = leaves[positive]
-        while child.size:
-            par = parent[child]
-            up = par >= 0
-            rows, child, par = rows[up], child[up], par[up]
-            f, t = flat.feature[par], flat.threshold[par]
-            tested[rows, f] = True
-            le = flat.left[par] == child
-            hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
-            gt = ~le
-            lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
-            child = par
-        start = stop
+    lo = np.full((len(leaves), n), -INF)
+    hi = np.full((len(leaves), n), INF)
+    tested = np.zeros((len(leaves), n), dtype=bool)
+    # Climb from every positive leaf of the forest to its root at once,
+    # folding each edge into its row; fmin/fmax skip NaN thresholds like
+    # min/max do.
+    rows = np.arange(len(leaves))
+    child = leaves
+    while child.size:
+        par = parent[child]
+        up = par >= 0
+        rows, child, par = rows[up], child[up], par[up]
+        f, t = feature[par], threshold[par]
+        tested[rows, f] = True
+        le = left[par] == child
+        hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
+        gt = ~le
+        lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
+        child = par
     return _LeafBoxes(lo, hi, tested, tree_of, ordinal)
 
 
-@dataclass(frozen=True, eq=False)
-class _RawCandidate:
-    tree_index: int
-    path_index: int
-    values: np.ndarray
+def _finite_values(x: Instance) -> np.ndarray:
+    """x's values, rejected when any is NaN or infinite."""
+    if not np.isfinite(x.values).all():
+        bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
+        raise NonFiniteValue(f"instance has non-finite values at features {bad}")
+    return x.values
 
 
 def _tree_votes(ens: TreeEnsemble, x_values) -> np.ndarray:
@@ -266,16 +280,20 @@ def _generate_candidates(
     epsilon: float,
     skip_satisfied: bool,
     budget: int | None,
-) -> tuple[list[_RawCandidate], SearchStats]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]:
     """All ensemble-positive candidates from negative-voting trees, in
     (tree, path) order, plus counters describing the search.
 
-    ``votes`` are x's per-tree votes. A tree is searched only when the
-    ensemble prediction and its own vote are both negative; for an
-    ensemble-positive instance nothing is selected and the set is empty.
+    The candidates come as three arrays: the source tree and path of each
+    and the ``[C, n]`` matrix of their values. ``votes`` are x's per-tree
+    votes. A tree is searched only when the ensemble prediction and its
+    own vote are both negative; for an ensemble-positive instance nothing
+    is selected and the set is empty.
     """
     if votes.sum() > 0:
-        return [], SearchStats(0, 0, 0, 0, False)
+        none = np.empty(0, dtype=np.intp)
+        stats = SearchStats(0, 0, 0, 0, False)
+        return none, none, np.empty((0, len(x_values))), stats
     boxes = _leaf_boxes(ens)
     rows = np.flatnonzero(votes[boxes.tree] == -1)
     # The budget is spent in (tree, ordinal) order, so the truncation
@@ -308,19 +326,15 @@ def _generate_candidates(
 
     accepted = vote_sums(ens, values) > 0
     kept = rows[feasible][accepted]
-    candidates = [
-        _RawCandidate(int(boxes.tree[r]), int(boxes.ordinal[r]), v)
-        for r, v in zip(kept, values[accepted])
-    ]
     n_feasible = int(np.count_nonzero(feasible))
     stats = SearchStats(
         trees_searched=int(np.count_nonzero(votes == -1)),
         paths_examined=len(rows),
         infeasible=len(rows) - n_feasible,
-        rejected=n_feasible - len(candidates),
+        rejected=n_feasible - len(kept),
         truncated=truncated,
     )
-    return candidates, stats
+    return boxes.tree[kept], boxes.ordinal[kept], values[accepted], stats
 
 
 def _cost_or_incomparable(delta: Callable, x_values, cand_values, where: str) -> float:
@@ -331,28 +345,42 @@ def _cost_or_incomparable(delta: Callable, x_values, cand_values, where: str) ->
         return INF
 
 
+def _row_costs(
+    delta: Callable, x_values, tree: np.ndarray, path: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """The cost of every candidate row, from one call to ``delta``.
+
+    An undefined cost (NaN) becomes inf, which ranks the candidate last.
+    """
+    costs = np.asarray(delta(x_values, values), dtype=float)
+    if costs.shape != (len(values),):
+        raise LengthMismatch(
+            f"cost function returned shape {costs.shape} for {len(values)} candidates"
+        )
+    undefined = np.isnan(costs)
+    for k, p in zip(tree[undefined].tolist(), path[undefined].tolist()):
+        logger.warning(
+            "cost undefined for candidate tree %d path %d; ranked last", k, p
+        )
+    costs[undefined] = INF
+    return costs
+
+
 def _to_transformations(
-    raw: Iterable[_RawCandidate], x_values, delta: Callable
+    tree: np.ndarray, path: np.ndarray, values: np.ndarray, x_values, delta: Callable
 ) -> list[Transformation]:
-    out = []
-    for cand in raw:
-        cost = _cost_or_incomparable(
-            delta, x_values, cand.values,
-            f"tree {cand.tree_index} path {cand.path_index}",
+    costs = _row_costs(delta, x_values, tree, path, values)
+    features = range(len(x_values))
+    return [
+        Transformation(Instance(v), k, p, cost, frozenset(compress(features, changed)))
+        for v, k, p, cost, changed in zip(
+            values,
+            tree.tolist(),
+            path.tolist(),
+            costs.tolist(),
+            (values != x_values).tolist(),
         )
-        changed = frozenset(
-            int(i) for i in np.nonzero(cand.values != x_values)[0]
-        )
-        out.append(
-            Transformation(
-                candidate=Instance(cand.values),
-                source_tree=cand.tree_index,
-                source_path=cand.path_index,
-                cost=cost,
-                changed_indices=changed,
-            )
-        )
-    return out
+    ]
 
 
 def candidate_set(
@@ -368,12 +396,21 @@ def candidate_set(
 
     Empty when nothing qualifies — including when x is already predicted
     positive, since no tree passes the both-negative selection then.
+
+    A callable ``delta`` is called once, as ``delta(x_values, Y)`` with the
+    ``[C, n]`` matrix of all candidates, and must return a ``[C]`` array
+    of costs, NaN where undefined (see :mod:`treetweak.costs`); any other
+    shape raises LengthMismatch. Raises NonFiniteValue when x has a NaN
+    or infinite value.
     """
+    x_values = _finite_values(x)
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    votes = _tree_votes(ens, x.values)
-    raw, _ = _generate_candidates(ens, x.values, votes, epsilon, skip_satisfied, budget)
-    return _to_transformations(raw, x.values, delta_fn)
+    votes = _tree_votes(ens, x_values)
+    tree, path, values, _ = _generate_candidates(
+        ens, x_values, votes, epsilon, skip_satisfied, budget
+    )
+    return _to_transformations(tree, path, values, x_values, delta_fn)
 
 
 def tweak(
@@ -389,16 +426,21 @@ def tweak(
     Returns Found with the minimum-cost candidate (and the full candidate
     pool), or NotCovered when no candidate flips the ensemble — an
     explicit outcome rather than silently handing back x unchanged.
+
+    A callable ``delta`` must accept the candidate matrix, as in
+    :func:`candidate_set`. Raises NonFiniteValue when x has a NaN or
+    infinite value.
     """
-    votes = _tree_votes(ens, x.values)
+    x_values = _finite_values(x)
+    votes = _tree_votes(ens, x_values)
     if votes.sum() > 0:
         raise NotNegative("instance is already predicted positive by the ensemble")
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    raw, stats = _generate_candidates(
-        ens, x.values, votes, epsilon, skip_satisfied, budget
+    tree, path, values, stats = _generate_candidates(
+        ens, x_values, votes, epsilon, skip_satisfied, budget
     )
-    if not raw:
+    if not len(values):
         reason = (
             f"no candidate flips the ensemble: {stats.paths_examined} positive "
             f"paths over {stats.trees_searched} negative-voting trees "
@@ -407,7 +449,7 @@ def tweak(
         if stats.truncated:
             reason += "; search truncated by budget"
         return NotCovered(reason)
-    candidates = _to_transformations(raw, x.values, delta_fn)
+    candidates = _to_transformations(tree, path, values, x_values, delta_fn)
     best = min(candidates, key=Transformation.sort_key)
     return Found(best=best, all_candidates=tuple(candidates))
 
@@ -426,11 +468,12 @@ def brute_force_tweak(
     (pass ``only_negative_trees=True`` for a strict A/B against tweak),
     folds every path from scratch, and never parallelizes or budgets.
     Guarded to models with at most ``BRUTE_FORCE_PATH_LIMIT`` positive
-    paths in scope.
+    paths in scope. Costs each candidate on its own, through the vector
+    form of ``delta``.
     """
+    x_values = _finite_values(x)
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    x_values = x.values
     scope = [
         k
         for k, tree in enumerate(ens.trees)
@@ -525,44 +568,39 @@ def sweep(
     per-instance candidate counts, the micro-average cost over all
     candidates, and the median of per-instance mean costs. Candidate
     generation is shared across cost functions for each epsilon, and the
-    leaf boxes and per-tree votes across the whole grid.
+    leaf boxes and per-tree votes across the whole grid; each cost
+    function prices all candidates of an instance in one call.
+
+    Raises NonFiniteValue when an instance has a NaN or infinite value.
     """
+    values_of = [_finite_values(inst) for inst in instances]
     for name in delta_names:
         cost_by_name(name)  # validate upfront
-    voted = [(inst, _tree_votes(ens, inst.values)) for inst in instances]
-    voted = [(inst, votes) for inst, votes in voted if votes.sum() <= 0]
-    eligible = [inst for inst, _ in voted]
+    voted = [(x_values, _tree_votes(ens, x_values)) for x_values in values_of]
+    voted = [(x_values, votes) for x_values, votes in voted if votes.sum() <= 0]
     rows: list[SweepRow] = []
     for epsilon in epsilon_grid:
         epsilon = _check_epsilon(epsilon)
-        raw_per_instance = [
-            _generate_candidates(
-                ens, inst.values, votes, epsilon, skip_satisfied, budget
-            )[0]
-            for inst, votes in voted
+        found = [
+            (x_values,) + _generate_candidates(
+                ens, x_values, votes, epsilon, skip_satisfied, budget
+            )[:3]
+            for x_values, votes in voted
         ]
-        counts = np.asarray([len(raws) for raws in raw_per_instance], dtype=float)
+        counts = np.asarray([len(values) for *_, values in found], dtype=float)
         for name in delta_names:
             delta_fn = cost_by_name(name)
-            all_costs: list[float] = []
-            instance_means: list[float] = []
-            for inst, raws in zip(eligible, raw_per_instance):
-                finite = []
-                for cand in raws:
-                    cost = _cost_or_incomparable(
-                        delta_fn, inst.values, cand.values,
-                        f"tree {cand.tree_index} path {cand.path_index}",
-                    )
-                    if math.isfinite(cost):
-                        finite.append(cost)
-                all_costs.extend(finite)
-                if finite:
-                    instance_means.append(float(np.mean(finite)))
+            finite = []
+            for x_values, tree, path, values in found:
+                costs = _row_costs(delta_fn, x_values, tree, path, values)
+                finite.append(costs[np.isfinite(costs)])
+            all_costs = np.concatenate(finite) if finite else np.empty(0)
+            instance_means = [float(np.mean(c)) for c in finite if c.size]
             covered = int(np.count_nonzero(counts > 0))
-            if len(eligible) > 0:
+            if len(voted) > 0:
                 q = np.percentile(counts, [0, 25, 50, 75, 100])
                 quantiles = tuple(float(v) for v in q)
-                coverage = covered / len(eligible)
+                coverage = covered / len(voted)
             else:
                 quantiles = (None,) * 5
                 coverage = 0.0
@@ -570,7 +608,7 @@ def sweep(
                 SweepRow(
                     epsilon=epsilon,
                     delta=name,
-                    eligible=len(eligible),
+                    eligible=len(voted),
                     covered=covered,
                     coverage=coverage,
                     candidates_min=quantiles[0],
@@ -578,7 +616,9 @@ def sweep(
                     candidates_p50=quantiles[2],
                     candidates_p75=quantiles[3],
                     candidates_max=quantiles[4],
-                    micro_avg_cost=float(np.mean(all_costs)) if all_costs else None,
+                    micro_avg_cost=(
+                        float(np.mean(all_costs)) if all_costs.size else None
+                    ),
                     median_instance_avg_cost=(
                         float(np.median(instance_means)) if instance_means else None
                     ),

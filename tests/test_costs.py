@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetweak.costs import (
     COST_FUNCTIONS,
@@ -170,3 +172,57 @@ class TestSharedProperties:
         assert cost_by_name("euclidean") is euclidean_distance
         with pytest.raises(ValueError):
             cost_by_name("manhattan")
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vector_and_matrix(draw):
+    """x of length n >= 1 and a [C, n] matrix whose rows are random, zero,
+    constant, equal to x, or x with some components changed."""
+    n = draw(st.integers(1, 40))
+    vector = st.lists(finite, min_size=n, max_size=n).map(np.array)
+    x = draw(vector)
+
+    def tweaked(changes):
+        y = x.copy()
+        y[: len(changes)] = changes
+        return y
+
+    row = st.one_of(
+        vector,
+        st.just(np.zeros(n)),
+        finite.map(lambda v: np.full(n, v)),
+        st.just(x),
+        st.lists(finite, min_size=1, max_size=n).map(tweaked),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    return x, np.array(rows)
+
+
+class TestMatrixForm:
+    @settings(max_examples=200, deadline=None)
+    @given(vector_and_matrix())
+    def test_rows_equal_vector_form(self, case):
+        x, Y = case
+        for name, fn in COST_FUNCTIONS.items():
+            got = fn(x, Y)
+            assert got.shape == (len(Y),) and got.dtype == np.float64, name
+            for y, cost in zip(Y, got):
+                try:
+                    expected = fn(x, y)
+                except (ZeroVector, ZeroVariance):
+                    assert math.isnan(cost), name
+                else:
+                    assert cost == expected, name
+
+    def test_no_rows(self):
+        for fn in COST_FUNCTIONS.values():
+            got = fn([1.0, 2.0, 3.0], np.empty((0, 3)))
+            assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_length_mismatch(self):
+        for fn in COST_FUNCTIONS.values():
+            with pytest.raises(LengthMismatch):
+                fn([1.0, 2.0], np.zeros((4, 3)))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,20 @@ class TestSerialization:
         a = dumps_model(self._ensemble(seed=5, num_trees=10))
         b = dumps_model(self._ensemble(seed=5, num_trees=10))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold", "NaN"), ("mean", "Infinity"), ("std_dev", "-Infinity")],
+    )
+    def test_non_finite_number_is_corrupt(self, tmp_path, field, value):
+        # json.loads accepts the NaN/Infinity literals, so the loader must
+        # reject them itself.
+        doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
+        if field == "threshold":
+            doc["trees"][1]["nodes"][0]["threshold"] = value
+        else:
+            doc["feature_space"]["features"][2][field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc).replace(f'"{value}"', value))
+        with pytest.raises(CorruptModel):
+            load_model(path)

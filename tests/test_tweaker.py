@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 from treetweak.costs import COST_NAMES
-from treetweak.errors import InfeasiblePath, NotNegative, SearchSpaceTooLarge
+from treetweak.errors import (
+    InfeasiblePath,
+    LengthMismatch,
+    NonFiniteValue,
+    NotNegative,
+    SearchSpaceTooLarge,
+)
 from treetweak.feature_space import Instance
 from treetweak.forest import (
     GT,
     LE,
+    POSITIVE,
     Condition,
     DecisionTree,
     Internal,
@@ -36,6 +43,7 @@ from treetweak.tweaker import (
 from conftest import (
     plain_space,
     random_ensemble,
+    random_tree,
     sample_negative_instances,
     stump,
 )
@@ -329,11 +337,13 @@ class TestBruteForce:
 
 
 class TestFoldingEquivalence:
-    def test_full_candidate_multiset_matches_brute_force(self):
-        # The search folds precomputed leaf boxes and validates candidates
-        # in one batch; the oracle folds each extracted path from scratch
-        # and validates one candidate at a time. The complete, ordered
-        # candidate lists (not just the minima) must coincide bit for bit.
+    @pytest.mark.parametrize("delta", COST_NAMES)
+    def test_full_candidate_multiset_matches_brute_force(self, delta):
+        # The search folds precomputed leaf boxes, validates candidates in
+        # one batch and costs them in one row-wise call; the oracle folds
+        # each extracted path from scratch and validates and costs one
+        # candidate at a time. The complete, ordered candidate lists (not
+        # just the minima) must coincide bit for bit.
         compared = 0
         for epsilon, skip_satisfied, adjustable in itertools.product(
             (0.05, 0.1, 0.5), (False, True), (None, [True, False, True])
@@ -346,10 +356,10 @@ class TestFoldingEquivalence:
                 )
                 for x in sample_negative_instances(ens, rng, 3):
                     fast = candidate_set(
-                        ens, x, epsilon, "euclidean", skip_satisfied=skip_satisfied
+                        ens, x, epsilon, delta, skip_satisfied=skip_satisfied
                     )
                     oracle = brute_force_tweak(
-                        ens, x, "euclidean", epsilon,
+                        ens, x, delta, epsilon,
                         only_negative_trees=True, skip_satisfied=skip_satisfied,
                     )
                     oracle_cands = (
@@ -363,6 +373,7 @@ class TestFoldingEquivalence:
                         )
                         assert np.array_equal(a.candidate.values, b.candidate.values)
                         assert a.cost == b.cost
+                        assert a.changed_indices == b.changed_indices
                     compared += len(fast)
         assert compared > 500
 
@@ -472,6 +483,99 @@ class TestBatchedSearchEdges:
             (0, 3),
             (0, 4),
         ]
+
+    def test_leaf_boxes_equal_folded_positive_paths(self):
+        # The whole-forest climb against _fold_conditions of each extracted
+        # path, on forests whose trees have different depths.
+        rng = np.random.default_rng(43)
+        rows = 0
+        for _ in range(40):
+            trees = tuple(
+                random_tree(rng, 4, int(rng.integers(0, 7)))
+                for _ in range(int(rng.integers(1, 6)))
+            )
+            ens = TreeEnsemble(trees, plain_space(4))
+            boxes = tweaker_mod._build_leaf_boxes(ens)
+            paths = [
+                path
+                for k, tree in enumerate(trees)
+                for path in extract_paths(tree, POSITIVE, tree_index=k)
+            ]
+            assert boxes.lo.shape == (len(paths), 4)
+            for r, path in enumerate(paths):
+                assert (boxes.tree[r], boxes.ordinal[r]) == (
+                    path.tree_index,
+                    path.path_index,
+                )
+                folded = tweaker_mod._fold_conditions(path.conditions)
+                assert set(np.flatnonzero(boxes.tested[r])) == set(folded)
+                for f in range(4):
+                    lo, hi = folded.get(f, (-math.inf, math.inf))
+                    assert (boxes.lo[r, f], boxes.hi[r, f]) == (lo, hi)
+            rows += len(paths)
+        assert rows > 100
+
+
+class TestRowwiseCosting:
+    def _ensemble(self):
+        # At x = [2, 2] the first two stumps vote -1 and the third +1.
+        # Moving either feature below 1.0 flips the vote sum to +1, which
+        # gives the candidates (tree 0, path 0) and (tree 1, path 0).
+        trees = (stump(0, 1.0, 1, -1), stump(1, 1.0, 1, -1), stump(0, 5.0, 1, -1))
+        return TreeEnsemble(trees, plain_space(2)), Instance([2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            lambda x, Y: 1.0,
+            lambda x, Y: np.abs(Y - x).sum(axis=1)[:1],
+            lambda x, Y: np.abs(Y - x),
+        ],
+        ids=["scalar", "too-short", "matrix"],
+    )
+    def test_wrong_shape_raises_length_mismatch(self, delta):
+        ens, x = self._ensemble()
+        with pytest.raises(LengthMismatch):
+            tweak(ens, x, delta, 0.1)
+        with pytest.raises(LengthMismatch):
+            candidate_set(ens, x, 0.1, delta)
+
+    def test_nan_cost_is_ranked_last_with_a_warning(self, caplog):
+        ens, x = self._ensemble()
+
+        def first_undefined(x_values, Y):
+            costs = np.abs(Y - x_values).sum(axis=1)
+            costs[0] = np.nan
+            return costs
+
+        with caplog.at_level("WARNING", logger="treetweak.tweaker"):
+            out = tweak(ens, x, first_undefined, 0.1)
+        assert isinstance(out, Found)
+        costs = [c.cost for c in out.all_candidates]
+        assert costs[0] == math.inf and all(math.isfinite(c) for c in costs[1:])
+        assert out.best is out.all_candidates[1]
+        assert "cost undefined for candidate tree 0 path 0" in caplog.text
+
+
+class TestNonFiniteInstance:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda ens, x: tweak(ens, x, "cosine", 0.1),
+            lambda ens, x: candidate_set(ens, x, 0.1, "cosine"),
+            lambda ens, x: sweep(ens, [Instance([-1.0, 0.0]), x], [0.1], ["cosine"]),
+            lambda ens, x: brute_force_tweak(ens, x, "cosine", 0.1),
+        ],
+        ids=["tweak", "candidate_set", "sweep", "brute_force_tweak"],
+    )
+    def test_rejected_at_entry(self, entry, bad):
+        # A NaN that reaches the costing gives a meaningless cost: with
+        # x = [-1, nan] the scalar cosine clamp read it as 1 and reported
+        # cost 0.0. Every entry point rejects it before searching.
+        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(2))
+        with pytest.raises(NonFiniteValue):
+            entry(ens, Instance([-1.0, bad]))
 
 
 class TestNotCoveredReason:
