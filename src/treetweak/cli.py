@@ -15,7 +15,6 @@ import os
 import sys
 
 from treetweak import __version__
-from treetweak._parallel import available_workers
 from treetweak.costs import COST_NAMES
 from treetweak.errors import TreeTweakError
 from treetweak.feature_space import (
@@ -75,7 +74,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     train, test = stratified_split(instances, args.test_fraction, seed=args.seed)
-    ens = train_forest(train, cfg, space, workers=args.workers)
+    ens = train_forest(train, cfg, space)
     metrics = evaluate_classifier(ens, test)
     save_model(ens, args.model_out)
     _info(
@@ -282,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--test-fraction", type=float, default=0.2)
-    train.add_argument("--workers", type=int, default=available_workers())
     train.set_defaults(func=_cmd_train)
 
     tw = sub.add_parser("tweak", help="compute transformations for negative instances")

@@ -106,8 +106,8 @@ class DecisionTree:
     """An immutable binary tree of threshold tests.
 
     Construction walks the tree once to validate it (every node object
-    unique, labels in {-1, +1}) and to record depth, leaf count, and each
-    leaf's depth-first ordinal.
+    unique, labels in {-1, +1}) and to record depth, leaf count, the largest
+    feature index (-1 for a lone leaf), and each leaf's depth-first ordinal.
     """
 
     def __init__(self, root: Node):
@@ -116,6 +116,7 @@ class DecisionTree:
         leaf_index: dict[int, int] = {}
         positive = 0
         depth = 0
+        top_feature = -1
         seen: set[int] = set()
         # Left-first DFS: leaves are met in left-to-right order.
         stack: list[tuple[Node, int]] = [(root, 0)]
@@ -124,7 +125,8 @@ class DecisionTree:
             if id(node) in seen:
                 raise ValueError("tree nodes must be unique objects")
             seen.add(id(node))
-            depth = max(depth, d)
+            if d > depth:
+                depth = d
             if isinstance(node, Leaf):
                 leaf_index[id(node)] = len(leaf_index)
                 positive += node.label == 1
@@ -133,10 +135,13 @@ class DecisionTree:
                 raise ValueError(f"not a tree node: {node!r}")
             if node.feature < 0:
                 raise ValueError("feature index must be nonnegative")
+            if node.feature > top_feature:
+                top_feature = node.feature
             stack.append((node.right, d + 1))
             stack.append((node.left, d + 1))
         self.depth = depth
         self.leaf_count = len(leaf_index)
+        self.max_feature_index = top_feature
         self.positive_leaf_count = positive
         self._leaf_index = leaf_index
 
@@ -172,16 +177,6 @@ class DecisionTree:
             np.asarray(children, dtype=np.intp).reshape(-1, 2),
             np.asarray(label, dtype=np.intp),
         )
-
-    def max_feature_index(self) -> int:
-        best = -1
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Internal):
-                best = max(best, node.feature)
-                stack.extend((node.left, node.right))
-        return best
 
 
 def _values(x) -> np.ndarray:
@@ -226,13 +221,6 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
     """Majority vote: -1 iff the vote sum is <= 0, else +1."""
     return -1 if vote_sum(ens, x) <= 0 else 1
-
-
-def positive_vote_fraction(ens: "TreeEnsemble", x) -> float:
-    """Fraction of trees voting +1; a continuous score for ranking."""
-    vals = _values(x)
-    pos = sum(1 for tree in ens.trees if predict_tree(tree, vals) == 1)
-    return pos / len(ens.trees)
 
 
 def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
@@ -305,12 +293,14 @@ class TreeEnsemble:
         object.__setattr__(self, "trees", trees)
         n = self.feature_space.n
         for tree in trees:
-            if tree.max_feature_index() >= n:
+            if tree.max_feature_index >= n:
                 raise ValueError("tree references a feature outside the space")
         imps = self.importances
         imps = np.zeros(n) if imps is None else np.asarray(imps, dtype=float)
         if imps.shape != (n,):
             raise ValueError("importances must have one entry per feature")
+        if not np.isfinite(imps).all():
+            raise ValueError("importances must be finite")
         if np.any(imps < 0):
             raise ValueError("importances must be nonnegative")
         total = imps.sum()
@@ -331,47 +321,60 @@ class TreeEnsemble:
 
 
 def _flatten_tree(tree: DecisionTree) -> list[dict]:
-    nodes: list[dict] = []
-
-    def emit(node: Node) -> int:
-        slot = len(nodes)
-        if isinstance(node, Leaf):
-            nodes.append({"leaf": node.label})
-            return slot
-        nodes.append({})
-        left = emit(node.left)
-        right = emit(node.right)
-        nodes[slot] = {
-            "feature": node.feature,
-            "threshold": float(node.threshold),
-            "left": left,
-            "right": right,
-        }
-        return slot
-
-    emit(tree.root)
-    return nodes
+    flat = tree.flat
+    return [
+        {"leaf": label}
+        if label
+        else {"feature": feature, "threshold": threshold, "left": left, "right": right}
+        for feature, threshold, (right, left), label in zip(
+            flat.feature.tolist(),
+            flat.threshold.tolist(),
+            flat.children.tolist(),
+            flat.label.tolist(),
+        )
+    ]
 
 
 def _unflatten_tree(nodes: Sequence[dict], thresholds: list[float]) -> DecisionTree:
-    """Rebuild one tree, appending its thresholds to ``thresholds``."""
+    """Rebuild one tree, appending its thresholds to ``thresholds``.
 
-    def build(slot: int) -> Node:
+    Every child index must be in range and every node reached from node 0
+    exactly once, so the nodes form one tree (no cycles, no shared or
+    orphaned nodes); anything else raises :class:`CorruptModel`.
+    """
+    count = len(nodes)
+    if not count:
+        raise CorruptModel("tree with no nodes")
+    reached = [True] + [False] * (count - 1)
+    order = [0]  # parents before children; grows while it is walked
+    splits: dict[int, tuple[int, float, int, int]] = {}
+    for slot in order:
         entry = nodes[slot]
         if "leaf" in entry:
-            return Leaf(int(entry["leaf"]))
+            continue
         threshold = float(entry["threshold"])
         thresholds.append(threshold)
-        return Internal(
-            feature=int(entry["feature"]),
-            threshold=threshold,
-            left=build(int(entry["left"])),
-            right=build(int(entry["right"])),
-        )
-
-    if not nodes:
-        raise CorruptModel("tree with no nodes")
-    return DecisionTree(build(0))
+        left, right = int(entry["left"]), int(entry["right"])
+        for child in (left, right):
+            if not 0 <= child < count or reached[child]:
+                raise CorruptModel(
+                    f"node {slot} has child {child}, which is out of range "
+                    "or reached twice"
+                )
+            reached[child] = True
+            order.append(child)
+        splits[slot] = (int(entry["feature"]), threshold, left, right)
+    if len(order) != count:
+        raise CorruptModel(f"{count - len(order)} node(s) unreachable from the root")
+    built: list = [None] * count
+    for slot in reversed(order):
+        split = splits.get(slot)
+        if split is None:
+            built[slot] = Leaf(int(nodes[slot]["leaf"]))
+        else:
+            feature, threshold, left, right = split
+            built[slot] = Internal(feature, threshold, built[left], built[right])
+    return DecisionTree(built[0])
 
 
 def ensemble_to_dict(ens: TreeEnsemble) -> dict:
@@ -403,10 +406,9 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         if not np.isfinite(thresholds).all():
             raise CorruptModel("tree threshold is not finite")
         importances = np.asarray(doc["importances"], dtype=float)
-        metadata = dict(doc["metadata"])
+        return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
-    return TreeEnsemble(trees, space, importances, metadata)
 
 
 def dumps_model(ens: TreeEnsemble) -> str:

@@ -3,14 +3,14 @@
 Greedy recursive best-split trees: at every node a random subset of
 features is scanned, candidate thresholds are midpoints between
 consecutive distinct sorted values, and the split with the largest
-impurity decrease wins (strictly positive gain required). Leaves carry the
-majority label with ties resolved to -1, matching the ensemble's vote-tie
-rule.
+impurity decrease wins. Leaves carry the majority label with ties resolved
+to -1, matching the ensemble's vote-tie rule.
 
 Training is a pure function of (data, config, seed): bootstrap resampling
 and feature subsampling draw from per-tree generators spawned
-deterministically from the master seed, and trees are assembled in index
-order, so worker counts never change the model.
+deterministically from the master seed, and trees are built in index
+order. Each node sorts all of its sampled features in one call and scores
+every threshold of every feature at once.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treetweak._parallel import map_ordered
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import (
-    DecisionTree,
-    Internal,
-    Leaf,
-    TreeEnsemble,
-    positive_vote_fraction,
-    predict_ensemble,
-)
+from treetweak.forest import DecisionTree, Internal, Leaf, TreeEnsemble, vote_sums
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -112,91 +104,92 @@ def _impurity_vec(neg: np.ndarray, pos: np.ndarray, criterion: str) -> np.ndarra
     return -(plogp(p_neg) + plogp(p_pos))
 
 
-def _best_split_on_feature(column, pos_mask, parent_imp, criterion):
-    """Best (gain, threshold) splitting one feature, or None.
+def _best_split(rows, pos, parent_imp, criterion):
+    """Best (gain, row, threshold) over the rows of ``rows``, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    the lowest-threshold maximizer wins, keeping the scan deterministic.
+    ``rows`` is the ``[f, m]`` matrix of a node's sampled features, one
+    feature per row, and ``pos`` its ``[m]`` float vector of positive
+    labels (0.0 or 1.0). Thresholds are midpoints between consecutive
+    distinct sorted values; within a row the lowest-threshold maximizer
+    wins, and across rows the first, keeping the scan deterministic.
     """
-    order = np.argsort(column, kind="stable")
-    v = column[order]
-    boundaries = np.nonzero(v[1:] > v[:-1])[0]
-    if len(boundaries) == 0:
-        return None
-    m = len(v)
-    cum_pos = np.cumsum(pos_mask[order])
-    n_left = boundaries + 1.0
-    pos_left = cum_pos[boundaries].astype(float)
+    m = rows.shape[1]
+    order = rows.argsort(axis=1)
+    v = rows[np.arange(len(rows))[:, None], order]
+    # Exact integer counts, read only at value boundaries, so the order of
+    # tied values inside the sort does not matter.
+    cum_pos = pos[order].cumsum(axis=1)
+    n_left = np.arange(1.0, m)
+    pos_left = cum_pos[:, :-1]
     neg_left = n_left - pos_left
     n_right = m - n_left
-    pos_right = cum_pos[-1] - pos_left
+    pos_right = cum_pos[:, -1:] - pos_left
     neg_right = n_right - pos_right
     child = (
         n_left * _impurity_vec(neg_left, pos_left, criterion)
         + n_right * _impurity_vec(neg_right, pos_right, criterion)
     ) / m
-    gains = parent_imp - child
-    best = int(np.argmax(gains))
-    b = int(boundaries[best])
-    return float(gains[best]), (v[b] + v[b + 1]) / 2.0
+    gains = np.where(v[:, 1:] > v[:, :-1], parent_imp - child, -math.inf)
+    row_best = gains.max(axis=1)
+    r = int(row_best.argmax())
+    if row_best[r] == -math.inf:
+        return None
+    b = int(gains[r].argmax())
+    return float(row_best[r]), r, (v[r, b] + v[r, b + 1]) / 2.0
 
 
-def _grow(X, y, depth, limits, rng, gains, n_root, criterion):
+def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion):
+    """Grow the subtree of the samples ``idx`` (columns of ``Xt``)."""
     max_depth, fps, min_split = limits
-    pos = int(np.count_nonzero(y == 1))
-    neg = len(y) - pos
-    label = 1 if pos > neg else -1  # majority, ties to -1
-    if pos == 0 or neg == 0 or depth >= max_depth or len(y) < min_split:
+    n_pos = int(pos.sum())
+    n_neg = len(idx) - n_pos
+    label = 1 if n_pos > n_neg else -1  # majority, ties to -1
+    if n_pos == 0 or n_neg == 0 or depth >= max_depth or len(idx) < min_split:
         return Leaf(label)
 
-    n_features = X.shape[1]
+    n_features = Xt.shape[0]
     if fps >= n_features:
         feature_ids = np.arange(n_features)
     else:
         feature_ids = np.sort(rng.choice(n_features, size=fps, replace=False))
-    parent_imp = impurity((neg, pos), criterion)
-    pos_mask = (y == 1).astype(np.float64)
-
-    best_gain = -math.inf
-    best_feature = -1
-    best_threshold = 0.0
-    for f in feature_ids:
-        found = _best_split_on_feature(X[:, f], pos_mask, parent_imp, criterion)
-        if found is not None and found[0] > best_gain:
-            best_gain, best_threshold = found
-            best_feature = int(f)
-    if best_feature < 0:
+    rows = Xt[feature_ids[:, None], idx]
+    found = _best_split(rows, pos, impurity((n_neg, n_pos), criterion), criterion)
+    if found is None:
         return Leaf(label)
+    best_gain, r, threshold = found
     # Positive-gain splits are preferred; an impure node where every
     # candidate has exactly zero gain (e.g. XOR patterns) still splits so
     # the subtrees get a chance to separate. Terminates regardless: both
     # children are nonempty and strictly smaller.
-    best_gain = max(best_gain, 0.0)
-
-    gains[best_feature] += (len(y) / n_root) * best_gain
-    mask = X[:, best_feature] <= best_threshold
-    left = _grow(X[mask], y[mask], depth + 1, limits, rng, gains, n_root, criterion)
-    right = _grow(X[~mask], y[~mask], depth + 1, limits, rng, gains, n_root, criterion)
-    return Internal(best_feature, float(best_threshold), left, right)
+    feature = int(feature_ids[r])
+    gains[feature] += (len(idx) / n_root) * max(best_gain, 0.0)
+    mask = rows[r] <= threshold
+    args = (depth + 1, limits, rng, gains, n_root, criterion)
+    left = _grow(Xt, idx[mask], pos[mask], *args)
+    right = _grow(Xt, idx[~mask], pos[~mask], *args)
+    return Internal(feature, float(threshold), left, right)
 
 
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[n, m]`` transposed feature matrix and the float positive mask."""
     if len(data) == 0:
         raise EmptyDataset("no training instances")
     X = np.stack([inst.values for inst in data])
     labels = [inst.label for inst in data]
     if any(lab is None for lab in labels):
         raise ValueError("training instances must be labeled")
-    return X, np.asarray(labels, dtype=int)
+    pos = (np.asarray(labels, dtype=int) == 1).astype(np.float64)
+    return np.ascontiguousarray(X.T), pos
 
 
-def _train_tree_arrays(X, y, cfg: TrainConfig, rng) -> DecisionTree:
-    n = X.shape[1]
+def _train_tree_arrays(Xt, pos, idx, cfg: TrainConfig, rng) -> DecisionTree:
+    """Grow one tree on the samples ``idx`` (repeats allowed) of ``Xt``."""
+    n = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n)
     gains = np.zeros(n)
     root = _grow(
-        X, y, 0, (max_depth, fps, cfg.min_samples_split), rng, gains, len(y),
-        cfg.criterion,
+        Xt, idx, pos[idx], 0, (max_depth, fps, cfg.min_samples_split), rng,
+        gains, len(idx), cfg.criterion,
     )
     tree = DecisionTree(root)
     tree.feature_gains = gains
@@ -205,8 +198,8 @@ def _train_tree_arrays(X, y, cfg: TrainConfig, rng) -> DecisionTree:
 
 def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
     """Grow a single tree; ``rng`` is a numpy Generator."""
-    X, y = _as_arrays(data)
-    return _train_tree_arrays(X, y, cfg, rng)
+    Xt, pos = _as_arrays(data)
+    return _train_tree_arrays(Xt, pos, np.arange(len(pos)), cfg, rng)
 
 
 def train_forest(
@@ -214,33 +207,26 @@ def train_forest(
     cfg: TrainConfig,
     space: FeatureSpace,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> TreeEnsemble:
     """Train a bagged forest of cfg.num_trees trees.
 
     Each tree draws its bootstrap sample and feature subsets from its own
-    generator, spawned from the master seed, so results are identical for
-    any worker count.
+    generator, spawned from the master seed; trees are built in index order.
     """
-    X, y = _as_arrays(data)
-    if X.shape[1] != space.n:
+    Xt, pos = _as_arrays(data)
+    if Xt.shape[0] != space.n:
         raise ValueError(
-            f"data has {X.shape[1]} features but the space declares {space.n}"
+            f"data has {Xt.shape[0]} features but the space declares {space.n}"
         )
     if seed is None:
         seed = cfg.seed
     max_depth, fps, bootstrap = cfg.resolve(space.n)
-    streams = np.random.SeedSequence(seed).spawn(cfg.num_trees)
-    m = len(y)
-
-    def build(k: int) -> DecisionTree:
-        rng = np.random.default_rng(streams[k])
-        if bootstrap:
-            idx = rng.integers(0, m, size=m)
-            return _train_tree_arrays(X[idx], y[idx], cfg, rng)
-        return _train_tree_arrays(X, y, cfg, rng)
-
-    trees = tuple(map_ordered(build, range(cfg.num_trees), workers))
+    m = len(pos)
+    trees = []
+    for stream in np.random.SeedSequence(seed).spawn(cfg.num_trees):
+        rng = np.random.default_rng(stream)
+        idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
+        trees.append(_train_tree_arrays(Xt, pos, idx, cfg, rng))
     metadata = {
         "num_trees": cfg.num_trees,
         "criterion": cfg.criterion,
@@ -345,8 +331,10 @@ def evaluate_classifier(ens: TreeEnsemble, test_data: list[Instance]) -> Classif
     if len(set(labels.tolist())) < 2:
         raise DegenerateLabels("evaluation set contains a single class")
 
-    preds = np.asarray([predict_ensemble(ens, inst) for inst in test_data])
-    scores = np.asarray([positive_vote_fraction(ens, inst) for inst in test_data])
+    sums = vote_sums(ens, np.stack([inst.values for inst in test_data]))
+    preds = np.where(sums <= 0, -1, 1)
+    k = ens.num_trees
+    scores = (sums + k) // 2 / k  # positive votes over trees, exactly
 
     tp = int(np.count_nonzero((labels == 1) & (preds == 1)))
     tn = int(np.count_nonzero((labels == -1) & (preds == -1)))

@@ -466,7 +466,7 @@ def brute_force_tweak(
 
     Unlike :func:`tweak` it also visits trees already voting positive
     (pass ``only_negative_trees=True`` for a strict A/B against tweak),
-    folds every path from scratch, and never parallelizes or budgets.
+    folds every path from scratch, and never budgets.
     Guarded to models with at most ``BRUTE_FORCE_PATH_LIMIT`` positive
     paths in scope. Costs each candidate on its own, through the vector
     form of ``delta``.

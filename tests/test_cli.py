@@ -48,7 +48,6 @@ class TestTrainCommand:
                 "--model-out", str(model),
                 "--trees", "10",
                 "--seed", "7",
-                "--workers", "1",
             ]
         )
         assert code == 0
@@ -64,7 +63,7 @@ class TestTrainCommand:
         for out in (m1, m2):
             args = [
                 "train", "--data", str(data), "--model-out", str(out),
-                "--trees", "5", "--seed", "3", "--workers", "2",
+                "--trees", "5", "--seed", "3",
             ]
             assert main(args) == 0
         assert m1.read_bytes() == m2.read_bytes()
@@ -129,7 +128,7 @@ class TestTweakCommand:
         assert main(
             [
                 "train", "--data", str(data), "--model-out", str(model),
-                "--trees", "7", "--seed", "5", "--workers", "1",
+                "--trees", "7", "--seed", "5",
             ]
         ) == 0
         inst = tmp_path / "inst.csv"
@@ -189,7 +188,6 @@ class TestSchemaPipeline:
             [
                 "train", "--data", str(train), "--schema", str(schema),
                 "--model-out", str(model), "--trees", "12", "--seed", "2",
-                "--workers", "1",
             ]
         ) == 0
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from treetweak.forest import (
     Leaf,
     TreeEnsemble,
     dumps_model,
+    ensemble_from_dict,
     ensemble_to_dict,
     extract_paths,
     load_model,
@@ -227,6 +229,13 @@ class TestEnsembleValidation:
                 (DecisionTree(Leaf(1)),), plain_space(1), importances=[0.4]
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_importances_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TreeEnsemble(
+                (DecisionTree(Leaf(1)),), plain_space(2), importances=[bad, 0.0]
+            )
+
     def test_shared_node_objects_rejected(self):
         shared = Leaf(1)
         with pytest.raises(ValueError):
@@ -305,3 +314,69 @@ class TestSerialization:
         path.write_text(json.dumps(doc).replace(f'"{value}"', value))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    def test_non_finite_importances_are_corrupt(self):
+        doc = ensemble_to_dict(self._ensemble(seed=7, num_trees=2))
+        doc["importances"] = [math.nan] * 6
+        with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            # node 1 points back at the root: a cycle
+            [
+                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+                {"feature": 1, "threshold": 0.5, "left": 0, "right": 0},
+                {"leaf": 1},
+            ],
+            # negative child index
+            [
+                {"feature": 0, "threshold": 0.0, "left": 1, "right": -1},
+                {"leaf": 1},
+                {"leaf": -1},
+            ],
+            # child index past the end
+            [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2}, {"leaf": 1}],
+            # nodes 3 and 4 shared by two parents
+            [
+                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+                {"feature": 1, "threshold": 0.5, "left": 3, "right": 4},
+                {"feature": 2, "threshold": 0.5, "left": 3, "right": 4},
+                {"leaf": 1},
+                {"leaf": -1},
+            ],
+            # node 3 unreachable from the root
+            [
+                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+                {"leaf": 1},
+                {"leaf": -1},
+                {"leaf": 1},
+            ],
+        ],
+        ids=["cycle", "negative", "out-of-range", "shared", "unreachable"],
+    )
+    def test_malformed_tree_structure_is_corrupt(self, nodes):
+        doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=2))
+        doc["trees"][1]["nodes"] = nodes
+        with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    def test_deep_chain_round_trips(self):
+        # Far deeper than Python's recursion limit: load and save must not
+        # recurse.
+        depth = 3000
+        nodes = []
+        for i in range(depth):
+            slot = len(nodes)
+            nodes.append(
+                {"feature": i % 6, "threshold": i / 8, "left": slot + 1, "right": slot + 2}
+            )
+            nodes.append({"leaf": -1})
+        nodes.append({"leaf": 1})
+        doc = ensemble_to_dict(self._ensemble(seed=9, num_trees=1))
+        doc["trees"][0]["nodes"] = nodes
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        ens = ensemble_from_dict(json.loads(text))
+        assert ens.trees[0].depth == depth
+        assert dumps_model(ens) == text

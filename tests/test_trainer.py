@@ -1,5 +1,10 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
 from treetweak.feature_space import Instance
@@ -8,11 +13,15 @@ from treetweak.forest import (
     Leaf,
     TreeEnsemble,
     dumps_model,
+    predict_ensemble,
     predict_tree,
+    vote_sums,
 )
 from treetweak.trainer import (
     ClassifierMetrics,
     TrainConfig,
+    _best_split,
+    _impurity_vec,
     evaluate_classifier,
     feature_importances,
     impurity,
@@ -22,7 +31,7 @@ from treetweak.trainer import (
     train_tree,
 )
 
-from conftest import gaussian_instances, plain_space, stump
+from conftest import gaussian_instances, plain_space, random_ensemble, stump
 
 
 def labeled(rows, labels):
@@ -44,6 +53,113 @@ class TestImpurity:
     def test_empty_node(self):
         with pytest.raises(EmptyNode):
             impurity((0, 0), "gini")
+
+
+def reference_split_on_feature(column, pos_mask, parent_imp, criterion):
+    """Scalar oracle: best (gain, threshold) of one feature, or None.
+
+    The per-feature scan that ``_best_split`` vectorizes, kept verbatim.
+    """
+    order = np.argsort(column, kind="stable")
+    v = column[order]
+    boundaries = np.nonzero(v[1:] > v[:-1])[0]
+    if len(boundaries) == 0:
+        return None
+    m = len(v)
+    cum_pos = np.cumsum(pos_mask[order])
+    n_left = boundaries + 1.0
+    pos_left = cum_pos[boundaries].astype(float)
+    neg_left = n_left - pos_left
+    n_right = m - n_left
+    pos_right = cum_pos[-1] - pos_left
+    neg_right = n_right - pos_right
+    child = (
+        n_left * _impurity_vec(neg_left, pos_left, criterion)
+        + n_right * _impurity_vec(neg_right, pos_right, criterion)
+    ) / m
+    gains = parent_imp - child
+    best = int(np.argmax(gains))
+    b = int(boundaries[best])
+    return float(gains[best]), (v[b] + v[b + 1]) / 2.0
+
+
+def reference_best_split(rows, pos, parent_imp, criterion):
+    """Feature-by-feature loop over the oracle; the first strict maximum wins."""
+    best = None
+    for r, column in enumerate(rows):
+        found = reference_split_on_feature(column, pos, parent_imp, criterion)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], r, found[1])
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's ``[f, m]`` feature rows, heavy in ties and constant rows,
+    with its positive mask."""
+    f = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 40))
+    levels = draw(st.integers(1, 5))
+    value = st.one_of(
+        st.integers(0, levels - 1).map(lambda v: v / 10),
+        st.floats(-100, 100, allow_nan=False),
+    )
+    row = st.one_of(
+        st.lists(st.integers(0, levels - 1).map(lambda v: v / 10), min_size=m, max_size=m),
+        st.lists(value, min_size=m, max_size=m),
+        value.map(lambda v: [v] * m),
+    )
+    rows = np.array(draw(st.lists(row, min_size=f, max_size=f)), dtype=float)
+    pos = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=float)
+    return rows, pos
+
+
+class TestBestSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(split_nodes(), st.sampled_from(["gini", "entropy"]))
+    def test_equals_scalar_oracle(self, node, criterion):
+        rows, pos = node
+        n_pos = int(pos.sum())
+        parent_imp = impurity((len(pos) - n_pos, n_pos), criterion)
+        assert _best_split(rows, pos, parent_imp, criterion) == reference_best_split(
+            rows, pos, parent_imp, criterion
+        )
+
+    def test_constant_rows_give_none(self):
+        rows = np.array([[1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
+        assert _best_split(rows, np.array([1.0, 0.0, 1.0]), 0.5, "gini") is None
+
+    def test_first_feature_wins_a_tie(self):
+        rows = np.array([[0.0, 0.0, 1.0, 1.0], [5.0, 5.0, 7.0, 7.0]])
+        pos = np.array([0.0, 0.0, 1.0, 1.0])
+        assert _best_split(rows, pos, 0.5, "gini") == (0.5, 0, 0.5)
+
+
+# SHA-256 of ``dumps_model`` for forests trained on tie-heavy data (values
+# rounded to 0.1). Pinned when split search was a per-feature loop; the
+# vectorized search must reproduce every byte.
+GOLDEN_MODEL_SHA256 = {
+    "gini": "8fa5f6d27eea7ffaa9e0d24a8a57b6e13bc687c7e4a96586e79064fef40dab63",
+    "entropy": "28d6b754272f8c2a594413939dd8837ade7506a1e92cced9d9a0fb39e27c6772",
+    "all_features": "1af0b92785f61e55cd65abec3a9d33f653d87bb63c85497e9996b507a9d8fcf9",
+    "min_split_5": "6b6b5373bae9a8dddd0644d004a8b65252a96fcc51e8a34dcda7c2b35158ece3",
+}
+GOLDEN_CONFIGS = {
+    "gini": TrainConfig(criterion="gini", num_trees=4, seed=11),
+    "entropy": TrainConfig(criterion="entropy", num_trees=4, seed=11),
+    "all_features": TrainConfig(features_per_split=6, num_trees=4, seed=12),
+    "min_split_5": TrainConfig(
+        criterion="entropy", min_samples_split=5, num_trees=4, seed=13
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_trained_model_bytes_are_pinned(name):
+    space, data = gaussian_instances(seed=60, m=300, n=6)
+    data = [Instance(np.round(inst.values, 1), label=inst.label) for inst in data]
+    text = dumps_model(train_forest(data, GOLDEN_CONFIGS[name], space))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_SHA256[name]
 
 
 class TestTrainTree:
@@ -155,16 +271,6 @@ class TestTrainForest:
         b = train_forest(data, cfg, plain_space(4))
         assert dumps_model(a) == dumps_model(b)
 
-    def test_worker_count_does_not_change_model(self):
-        rng = np.random.default_rng(6)
-        data = labeled(rng.normal(0, 1, (100, 4)), rng.choice((-1, 1), 100))
-        cfg = TrainConfig(num_trees=8, seed=31)
-        docs = {
-            dumps_model(train_forest(data, cfg, plain_space(4), workers=w))
-            for w in (1, 2, 8)
-        }
-        assert len(docs) == 1
-
     def test_metadata_records_resolved_settings(self):
         rng = np.random.default_rng(7)
         data = labeled(rng.normal(0, 1, (40, 9)), rng.choice((-1, 1), 40))
@@ -225,6 +331,38 @@ class TestEvaluate:
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
         with pytest.raises(DegenerateLabels):
             evaluate_classifier(ens, [Instance([0.0], label=1)] * 4)
+
+    def test_matches_per_instance_votes(self):
+        # Oracle: one predict_ensemble and one vote count per instance.
+        rng = np.random.default_rng(16)
+        for num_trees in (1, 4, 7):
+            ens = random_ensemble(rng, num_trees, 4, 4)
+            data = [
+                Instance(rng.normal(0, 1.5, 4), label=int(rng.choice((-1, 1))))
+                for _ in range(200)
+            ]
+            labels = np.array([inst.label for inst in data])
+            preds = np.array([predict_ensemble(ens, inst) for inst in data])
+            scores = [
+                sum(predict_tree(tree, inst) == 1 for tree in ens.trees) / num_trees
+                for inst in data
+            ]
+            tp = int(np.sum((labels == 1) & (preds == 1)))
+            tn = int(np.sum((labels == -1) & (preds == -1)))
+            fp = int(np.sum((labels == -1) & (preds == 1)))
+            fn = int(np.sum((labels == 1) & (preds == -1)))
+            denom = math.sqrt(
+                float(tp + fp) * float(tp + fn) * float(tn + fp) * float(tn + fn)
+            )
+            expected = ClassifierMetrics(
+                f1=2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0,
+                mcc=((tp * tn - fp * fn) / denom) if denom > 0 else 0.0,
+                roc_auc=roc_auc_from_scores(scores, labels),
+            )
+            assert evaluate_classifier(ens, data) == expected
+            if num_trees == 4:
+                sums = vote_sums(ens, np.stack([inst.values for inst in data]))
+                assert np.any(sums == 0)  # vote ties were exercised
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(13)
