@@ -7,10 +7,12 @@ Conventions pinned here and relied on everywhere else:
 * the ensemble predicts -1 iff the sum of tree votes is <= 0, so an even
   split of votes resolves to -1.
 
+A tree is stored only as preorder node arrays, the layout of the JSON
+``nodes``, and every walk over it is a loop over node indices;
+:class:`Internal` and :class:`Leaf` are a builder for hand-made trees.
+
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
-Each tree also has a lazily built flat-array view (:class:`FlatTree`) that
-:func:`vote_sums` uses to route a whole candidate matrix at once.
 """
 
 from __future__ import annotations
@@ -78,105 +80,118 @@ class Path:
     path_index: int = 0
 
 
-class FlatTree(NamedTuple):
-    """A tree as preorder node arrays (the layout of the JSON ``nodes``).
+class DecisionTree:
+    """An immutable binary tree of threshold tests, stored as preorder node
+    arrays (the layout of the JSON ``nodes``).
 
-    ``children[i]`` is (right, left) of node i, so column ``int(v <= t)``
-    holds the child a value v goes to. A leaf's children are the leaf
-    itself, so routing a row for ``depth`` steps always ends on its leaf.
-    ``feature`` and ``threshold`` are 0 at leaves, and ``label`` is 0 at
-    internal nodes.
+    Node 0 is the root and every node comes right before its left subtree,
+    so the leaves run left to right. ``children[i]`` is (right, left) of
+    node i, so column ``int(v <= t)`` holds the child a value v goes to. A
+    leaf's children are the leaf itself, so routing a row for ``depth``
+    steps always ends on its leaf. ``feature`` and ``threshold`` are 0 at
+    leaves, and ``label`` is 0 at internal nodes.
+
+    ``DecisionTree(root)`` converts a hand-built :class:`Internal`/:class:`Leaf`
+    graph, whose node objects must be unique; :meth:`from_nodes` reads the
+    JSON node layout.
     """
+
+    def __init__(self, root: Node):
+        # The graph as JSON nodes in breadth-first order.
+        nodes: list[dict] = []
+        objects, seen = [root], {id(root)}
+        for node in objects:  # grows while it is walked
+            if isinstance(node, Leaf):
+                nodes.append({"leaf": node.label})
+                continue
+            if not isinstance(node, Internal):
+                raise ValueError(f"not a tree node: {node!r}")
+            for child in (node.left, node.right):
+                if id(child) in seen:
+                    raise ValueError("tree nodes must be unique objects")
+                seen.add(id(child))
+            nodes.append(
+                {"feature": node.feature, "threshold": node.threshold,
+                 "left": len(objects), "right": len(objects) + 1}
+            )
+            objects += (node.left, node.right)
+        self._set_nodes(nodes)
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence[dict]) -> "DecisionTree":
+        """A tree from JSON ``nodes`` in any order, node 0 the root."""
+        tree = cls.__new__(cls)
+        tree._set_nodes(nodes)
+        return tree
+
+    def _set_nodes(self, nodes: Sequence[dict]) -> None:
+        """Store the nodes in preorder, as found by a left-first walk from
+        node 0, and derive the depth, the leaf counts and the largest
+        feature index (-1 for a lone leaf). Raises ValueError unless every
+        node is reached exactly once (no cycles, no shared or orphaned
+        nodes), leaf labels are -1 or +1 and features are nonnegative."""
+        count = len(nodes)
+        if not count:
+            raise ValueError("tree with no nodes")
+        reached = [True] + [False] * (count - 1)
+        rows: list[list] = []  # [feature, threshold, right child, label]
+        depth = 0
+        # (node, its depth, preorder slot of the parent whose right child it is)
+        stack = [(0, 0, -1)]
+        while stack:
+            node, d, parent = stack.pop()
+            slot = len(rows)
+            if parent >= 0:
+                rows[parent][2] = slot
+            if d > depth:
+                depth = d
+            entry = nodes[node]
+            if "leaf" in entry:
+                rows.append([0, 0.0, slot, entry["leaf"]])
+                continue
+            left, right = int(entry["left"]), int(entry["right"])
+            for child in (left, right):
+                if not 0 <= child < count or reached[child]:
+                    raise ValueError(
+                        f"node {node} has child {child}, which is out of range "
+                        "or reached twice"
+                    )
+                reached[child] = True
+            rows.append([entry["feature"], entry["threshold"], -1, 0])
+            stack += ((right, d + 1, slot), (left, d + 1, -1))
+        if len(rows) != count:
+            raise ValueError(f"{count - len(rows)} node(s) unreachable from the root")
+        feature, threshold, right, label = zip(*rows)
+        feature = np.asarray(feature, dtype=np.intp)
+        label = np.asarray(label, dtype=np.intp)
+        right = np.asarray(right, dtype=np.intp)
+        ids = np.arange(count)
+        leaf = right == ids
+        if not np.array_equal(np.abs(label), leaf):
+            raise ValueError("leaf labels must be -1 or +1")
+        if np.any(feature < 0):
+            raise ValueError("feature index must be nonnegative")
+        self.feature = feature
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.children = np.stack([right, np.where(leaf, ids, ids + 1)], axis=1)
+        self.label = label
+        self.depth = depth
+        self.leaf_count = int(np.count_nonzero(leaf))
+        self.positive_leaf_count = int(np.count_nonzero(label == 1))
+        self.max_feature_index = int(feature.max(where=~leaf, initial=-1))
+        self.feature_gains: np.ndarray | None = None  # set by the trainer
+
+
+class ForestNodes(NamedTuple):
+    """All trees' node arrays, concatenated in tree order with child indices
+    shifted to match; ``root[k]`` is tree k's root, ``depth`` the largest."""
 
     feature: np.ndarray
     threshold: np.ndarray
     children: np.ndarray
     label: np.ndarray
-
-    @property
-    def left(self) -> np.ndarray:
-        return self.children[:, 1]
-
-    @property
-    def right(self) -> np.ndarray:
-        return self.children[:, 0]
-
-
-class DecisionTree:
-    """An immutable binary tree of threshold tests.
-
-    Construction walks the tree once to validate it (every node object
-    unique, labels in {-1, +1}) and to record depth, leaf count, the largest
-    feature index (-1 for a lone leaf), and each leaf's depth-first ordinal.
-    """
-
-    def __init__(self, root: Node):
-        self.root = root
-        self.feature_gains: np.ndarray | None = None  # set by the trainer
-        leaf_index: dict[int, int] = {}
-        positive = 0
-        depth = 0
-        top_feature = -1
-        seen: set[int] = set()
-        # Left-first DFS: leaves are met in left-to-right order.
-        stack: list[tuple[Node, int]] = [(root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if id(node) in seen:
-                raise ValueError("tree nodes must be unique objects")
-            seen.add(id(node))
-            if d > depth:
-                depth = d
-            if isinstance(node, Leaf):
-                leaf_index[id(node)] = len(leaf_index)
-                positive += node.label == 1
-                continue
-            if not isinstance(node, Internal):
-                raise ValueError(f"not a tree node: {node!r}")
-            if node.feature < 0:
-                raise ValueError("feature index must be nonnegative")
-            if node.feature > top_feature:
-                top_feature = node.feature
-            stack.append((node.right, d + 1))
-            stack.append((node.left, d + 1))
-        self.depth = depth
-        self.leaf_count = len(leaf_index)
-        self.max_feature_index = top_feature
-        self.positive_leaf_count = positive
-        self._leaf_index = leaf_index
-
-    @cached_property
-    def flat(self) -> FlatTree:
-        """The flat-array view, built on first use by an iterative walk."""
-        feature: list[int] = []
-        threshold: list[float] = []
-        children: list[list[int]] = []
-        label: list[int] = []
-        # (node, parent slot, column of the parent's children to patch)
-        stack: list[tuple[Node, int, int]] = [(self.root, -1, 0)]
-        while stack:
-            node, parent, side = stack.pop()
-            slot = len(feature)
-            if parent >= 0:
-                children[parent][side] = slot
-            if isinstance(node, Leaf):
-                feature.append(0)
-                threshold.append(0.0)
-                children.append([slot, slot])
-                label.append(node.label)
-                continue
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            children.append([-1, -1])
-            label.append(0)
-            stack.append((node.right, slot, 0))
-            stack.append((node.left, slot, 1))
-        return FlatTree(
-            np.asarray(feature, dtype=np.intp),
-            np.asarray(threshold, dtype=float),
-            np.asarray(children, dtype=np.intp).reshape(-1, 2),
-            np.asarray(label, dtype=np.intp),
-        )
+    root: np.ndarray
+    depth: int
 
 
 def _values(x) -> np.ndarray:
@@ -186,15 +201,26 @@ def _values(x) -> np.ndarray:
 def predict_tree(tree: DecisionTree, x) -> int:
     """Label of the leaf reached by routing <= left, > right."""
     vals = _values(x)
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if vals[node.feature] <= node.threshold else node.right
-    return node.label
+    node = 0
+    while not tree.label[node]:
+        go_left = vals[tree.feature[node]] <= tree.threshold[node]
+        node = tree.children[node, int(go_left)]
+    return int(tree.label[node])
+
+
+def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
+    """``[predict_tree(t, x) for t in ens.trees]``, routing all trees at once."""
+    vals = _values(x)
+    nodes = ens.nodes
+    steps = nodes.children.ravel()
+    node = nodes.root
+    for _ in range(nodes.depth):
+        node = steps[2 * node + (vals[nodes.feature[node]] <= nodes.threshold[node])]
+    return nodes.label[node]
 
 
 def vote_sum(ens: "TreeEnsemble", x) -> int:
-    vals = _values(x)
-    return sum(predict_tree(tree, vals) for tree in ens.trees)
+    return int(tree_votes(ens, x).sum())
 
 
 def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
@@ -208,13 +234,12 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     row_start = np.arange(len(X)) * X.shape[1]
     total = np.zeros(len(X), dtype=np.intp)
     for tree in ens.trees:
-        flat = tree.flat
-        steps = flat.children.ravel()
+        steps = tree.children.ravel()
         node = np.zeros(len(X), dtype=np.intp)
         for _ in range(tree.depth):
-            go_left = cells[row_start + flat.feature[node]] <= flat.threshold[node]
+            go_left = cells[row_start + tree.feature[node]] <= tree.threshold[node]
             node = steps[2 * node + go_left]
-        total += flat.label[node]
+        total += tree.label[node]
     return total
 
 
@@ -227,19 +252,18 @@ def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
     """The unique path an instance traverses; leaf_label == predict_tree."""
     vals = _values(x)
     conds: list[Condition] = []
-    node = tree.root
-    while isinstance(node, Internal):
-        if vals[node.feature] <= node.threshold:
-            conds.append(Condition(node.feature, LE, node.threshold))
-            node = node.left
-        else:
-            conds.append(Condition(node.feature, GT, node.threshold))
-            node = node.right
+    node = 0
+    while not tree.label[node]:
+        feature, threshold = int(tree.feature[node]), float(tree.threshold[node])
+        go_left = vals[feature] <= threshold
+        conds.append(Condition(feature, LE if go_left else GT, threshold))
+        node = tree.children[node, int(go_left)]
     return Path(
         conditions=tuple(conds),
-        leaf_label=node.label,
+        leaf_label=int(tree.label[node]),
         tree_index=tree_index,
-        path_index=tree._leaf_index[id(node)],
+        # Preorder lists the leaves left to right.
+        path_index=int(np.count_nonzero(tree.label[:node])),
     )
 
 
@@ -250,26 +274,23 @@ def extract_paths(
     if polarity not in (ALL, POSITIVE, NEGATIVE):
         raise ValueError(f"polarity must be one of {ALL}/{POSITIVE}/{NEGATIVE}")
     wanted = {POSITIVE: (1,), NEGATIVE: (-1,), ALL: (-1, 1)}[polarity]
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    children, label = tree.children.tolist(), tree.label.tolist()
     paths: list[Path] = []
     ordinal = 0
-
-    def visit(node: Node, conds: list[Condition]):
-        nonlocal ordinal
-        if isinstance(node, Leaf):
-            if node.label in wanted:
-                paths.append(
-                    Path(tuple(conds), node.label, tree_index, ordinal)
-                )
+    # Left-first: leaves are met in left-to-right order.
+    stack: list[tuple[int, tuple[Condition, ...]]] = [(0, ())]
+    while stack:
+        node, conds = stack.pop()
+        if label[node]:
+            if label[node] in wanted:
+                paths.append(Path(conds, label[node], tree_index, ordinal))
             ordinal += 1
-            return
-        conds.append(Condition(node.feature, LE, node.threshold))
-        visit(node.left, conds)
-        conds.pop()
-        conds.append(Condition(node.feature, GT, node.threshold))
-        visit(node.right, conds)
-        conds.pop()
-
-    visit(tree.root, [])
+            continue
+        right, left = children[node]
+        f, t = feature[node], threshold[node]
+        stack.append((right, conds + (Condition(f, GT, t),)))
+        stack.append((left, conds + (Condition(f, LE, t),)))
     return paths
 
 
@@ -312,6 +333,20 @@ class TreeEnsemble:
     def num_trees(self) -> int:
         return len(self.trees)
 
+    @cached_property
+    def nodes(self) -> ForestNodes:
+        """All trees' node arrays in one set, built on first use."""
+        trees = self.trees
+        root = np.cumsum([0] + [len(tree.label) for tree in trees[:-1]])
+        return ForestNodes(
+            np.concatenate([tree.feature for tree in trees]),
+            np.concatenate([tree.threshold for tree in trees]),
+            np.concatenate([t.children + r for t, r in zip(trees, root.tolist())]),
+            np.concatenate([tree.label for tree in trees]),
+            root,
+            max(tree.depth for tree in trees),
+        )
+
 
 # ---------------------------------------------------------------------------
 # Serialization: a versioned JSON document with trees flattened to node
@@ -321,60 +356,17 @@ class TreeEnsemble:
 
 
 def _flatten_tree(tree: DecisionTree) -> list[dict]:
-    flat = tree.flat
     return [
         {"leaf": label}
         if label
         else {"feature": feature, "threshold": threshold, "left": left, "right": right}
         for feature, threshold, (right, left), label in zip(
-            flat.feature.tolist(),
-            flat.threshold.tolist(),
-            flat.children.tolist(),
-            flat.label.tolist(),
+            tree.feature.tolist(),
+            tree.threshold.tolist(),
+            tree.children.tolist(),
+            tree.label.tolist(),
         )
     ]
-
-
-def _unflatten_tree(nodes: Sequence[dict], thresholds: list[float]) -> DecisionTree:
-    """Rebuild one tree, appending its thresholds to ``thresholds``.
-
-    Every child index must be in range and every node reached from node 0
-    exactly once, so the nodes form one tree (no cycles, no shared or
-    orphaned nodes); anything else raises :class:`CorruptModel`.
-    """
-    count = len(nodes)
-    if not count:
-        raise CorruptModel("tree with no nodes")
-    reached = [True] + [False] * (count - 1)
-    order = [0]  # parents before children; grows while it is walked
-    splits: dict[int, tuple[int, float, int, int]] = {}
-    for slot in order:
-        entry = nodes[slot]
-        if "leaf" in entry:
-            continue
-        threshold = float(entry["threshold"])
-        thresholds.append(threshold)
-        left, right = int(entry["left"]), int(entry["right"])
-        for child in (left, right):
-            if not 0 <= child < count or reached[child]:
-                raise CorruptModel(
-                    f"node {slot} has child {child}, which is out of range "
-                    "or reached twice"
-                )
-            reached[child] = True
-            order.append(child)
-        splits[slot] = (int(entry["feature"]), threshold, left, right)
-    if len(order) != count:
-        raise CorruptModel(f"{count - len(order)} node(s) unreachable from the root")
-    built: list = [None] * count
-    for slot in reversed(order):
-        split = splits.get(slot)
-        if split is None:
-            built[slot] = Leaf(int(nodes[slot]["leaf"]))
-        else:
-            feature, threshold, left, right = split
-            built[slot] = Internal(feature, threshold, built[left], built[right])
-    return DecisionTree(built[0])
 
 
 def ensemble_to_dict(ens: TreeEnsemble) -> dict:
@@ -401,13 +393,12 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         if not np.isfinite(stats).all():
             raise CorruptModel("feature mean or std_dev is not finite")
         space = FeatureSpace.from_dict(doc["feature_space"])
-        thresholds: list[float] = []
-        trees = tuple(_unflatten_tree(t["nodes"], thresholds) for t in doc["trees"])
-        if not np.isfinite(thresholds).all():
+        trees = tuple(DecisionTree.from_nodes(t["nodes"]) for t in doc["trees"])
+        if not all(np.isfinite(tree.threshold).all() for tree in trees):
             raise CorruptModel("tree threshold is not finite")
         importances = np.asarray(doc["importances"], dtype=float)
         return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
 
 
@@ -428,7 +419,7 @@ def load_model(path) -> TreeEnsemble:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")

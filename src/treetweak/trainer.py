@@ -22,7 +22,7 @@ import numpy as np
 
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import DecisionTree, Internal, Leaf, TreeEnsemble, vote_sums
+from treetweak.forest import DecisionTree, TreeEnsemble, vote_sums
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -138,14 +138,16 @@ def _best_split(rows, pos, parent_imp, criterion):
     return float(row_best[r]), r, (v[r, b] + v[r, b + 1]) / 2.0
 
 
-def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion):
-    """Grow the subtree of the samples ``idx`` (columns of ``Xt``)."""
+def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion, nodes):
+    """Append the subtree of the samples ``idx`` (columns of ``Xt``) to
+    ``nodes``, in preorder and in the JSON node layout."""
     max_depth, fps, min_split = limits
     n_pos = int(pos.sum())
     n_neg = len(idx) - n_pos
     label = 1 if n_pos > n_neg else -1  # majority, ties to -1
     if n_pos == 0 or n_neg == 0 or depth >= max_depth or len(idx) < min_split:
-        return Leaf(label)
+        nodes.append({"leaf": label})
+        return
 
     n_features = Xt.shape[0]
     if fps >= n_features:
@@ -155,7 +157,8 @@ def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion):
     rows = Xt[feature_ids[:, None], idx]
     found = _best_split(rows, pos, impurity((n_neg, n_pos), criterion), criterion)
     if found is None:
-        return Leaf(label)
+        nodes.append({"leaf": label})
+        return
     best_gain, r, threshold = found
     # Positive-gain splits are preferred; an impure node where every
     # candidate has exactly zero gain (e.g. XOR patterns) still splits so
@@ -164,10 +167,12 @@ def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion):
     feature = int(feature_ids[r])
     gains[feature] += (len(idx) / n_root) * max(best_gain, 0.0)
     mask = rows[r] <= threshold
-    args = (depth + 1, limits, rng, gains, n_root, criterion)
-    left = _grow(Xt, idx[mask], pos[mask], *args)
-    right = _grow(Xt, idx[~mask], pos[~mask], *args)
-    return Internal(feature, float(threshold), left, right)
+    args = (depth + 1, limits, rng, gains, n_root, criterion, nodes)
+    split = {"feature": feature, "threshold": float(threshold), "left": len(nodes) + 1}
+    nodes.append(split)
+    _grow(Xt, idx[mask], pos[mask], *args)
+    split["right"] = len(nodes)
+    _grow(Xt, idx[~mask], pos[~mask], *args)
 
 
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +192,12 @@ def _train_tree_arrays(Xt, pos, idx, cfg: TrainConfig, rng) -> DecisionTree:
     n = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n)
     gains = np.zeros(n)
-    root = _grow(
+    nodes: list[dict] = []
+    _grow(
         Xt, idx, pos[idx], 0, (max_depth, fps, cfg.min_samples_split), rng,
-        gains, len(idx), cfg.criterion,
+        gains, len(idx), cfg.criterion, nodes,
     )
-    tree = DecisionTree(root)
+    tree = DecisionTree.from_nodes(nodes)
     tree.feature_gains = gains
     return tree
 

@@ -12,7 +12,9 @@ deviation of each feature.
 
 A positive leaf's folded (lower, upper] box depends only on the model, so
 the boxes of all positive leaves are built once per ensemble, as [P, n]
-arrays, on the first search. Each search then selects the rows of x's
+arrays, on the first search, by one climb over the ensemble's concatenated
+node arrays. Each search routes x through every tree at once
+(:func:`~treetweak.forest.tree_votes`), selects the rows of x's
 negative-voting trees, places every candidate with array masks,
 re-validates all feasible candidates against the whole forest in one
 batched call, and prices them with one row-wise call to the cost
@@ -55,6 +57,7 @@ from treetweak.forest import (
     extract_paths,
     predict_ensemble,
     predict_tree,
+    tree_votes,
     vote_sums,
 )
 
@@ -186,7 +189,7 @@ def build_positive_instance(
     return Instance(values)
 
 
-class _LeafBoxes(NamedTuple):
+class _Boxes(NamedTuple):
     """The folded (lo, hi] box of every positive leaf of an ensemble.
 
     Rows run in (tree, leaf ordinal) order. ``tested[r, f]`` marks the
@@ -201,12 +204,12 @@ class _LeafBoxes(NamedTuple):
     ordinal: np.ndarray
 
 
-_BOXES: "weakref.WeakKeyDictionary[TreeEnsemble, _LeafBoxes]" = (
+_BOXES: "weakref.WeakKeyDictionary[TreeEnsemble, _Boxes]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
+def _leaf_boxes(ens: TreeEnsemble) -> _Boxes:
     """The ensemble's positive-leaf boxes, built on first use and cached."""
     boxes = _BOXES.get(ens)
     if boxes is None:
@@ -214,17 +217,8 @@ def _leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
     return boxes
 
 
-def _build_leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
-    # The flat views of all trees, concatenated in tree order with their
-    # node indices shifted by each tree's offset.
-    flats = [tree.flat for tree in ens.trees]
-    sizes = [len(flat.label) for flat in flats]
-    offset = np.cumsum([0] + sizes[:-1])
-    feature = np.concatenate([flat.feature for flat in flats])
-    threshold = np.concatenate([flat.threshold for flat in flats])
-    label = np.concatenate([flat.label for flat in flats])
-    children = np.concatenate([flat.children for flat in flats])
-    children += np.repeat(offset, sizes)[:, None]
+def _build_leaf_boxes(ens: TreeEnsemble) -> _Boxes:
+    feature, threshold, children, label, offset, _ = ens.nodes
     left, right = children[:, 1], children[:, 0]
     nodes = np.arange(len(label))
     internal = left != nodes
@@ -258,7 +252,7 @@ def _build_leaf_boxes(ens: TreeEnsemble) -> _LeafBoxes:
         gt = ~le
         lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
         child = par
-    return _LeafBoxes(lo, hi, tested, tree_of, ordinal)
+    return _Boxes(lo, hi, tested, tree_of, ordinal)
 
 
 def _finite_values(x: Instance) -> np.ndarray:
@@ -267,10 +261,6 @@ def _finite_values(x: Instance) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
         raise NonFiniteValue(f"instance has non-finite values at features {bad}")
     return x.values
-
-
-def _tree_votes(ens: TreeEnsemble, x_values) -> np.ndarray:
-    return np.array([predict_tree(tree, x_values) for tree in ens.trees])
 
 
 def _generate_candidates(
@@ -406,7 +396,7 @@ def candidate_set(
     x_values = _finite_values(x)
     epsilon = _check_epsilon(epsilon)
     delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    votes = _tree_votes(ens, x_values)
+    votes = tree_votes(ens, x_values)
     tree, path, values, _ = _generate_candidates(
         ens, x_values, votes, epsilon, skip_satisfied, budget
     )
@@ -432,7 +422,7 @@ def tweak(
     infinite value.
     """
     x_values = _finite_values(x)
-    votes = _tree_votes(ens, x_values)
+    votes = tree_votes(ens, x_values)
     if votes.sum() > 0:
         raise NotNegative("instance is already predicted positive by the ensemble")
     epsilon = _check_epsilon(epsilon)
@@ -576,7 +566,7 @@ def sweep(
     values_of = [_finite_values(inst) for inst in instances]
     for name in delta_names:
         cost_by_name(name)  # validate upfront
-    voted = [(x_values, _tree_votes(ens, x_values)) for x_values in values_of]
+    voted = [(x_values, tree_votes(ens, x_values)) for x_values in values_of]
     voted = [(x_values, votes) for x_values, votes in voted if votes.sum() <= 0]
     rows: list[SweepRow] = []
     for epsilon in epsilon_grid:

@@ -93,6 +93,27 @@ class TestTweakCommand:
         assert doc["skipped_positive"] == [0, 1]
         assert doc["results"] == []
 
+    @pytest.mark.parametrize("corruption", ["infinite-child", "deep-nesting"])
+    def test_corrupt_model_exits_1_with_one_error_line(
+        self, tmp_path, capsys, corruption
+    ):
+        model = write_stump_model(tmp_path / "model.json")
+        if corruption == "infinite-child":
+            text = model.read_text()
+            assert '"right": 2' in text
+            model.write_text(text.replace('"right": 2', '"right": Infinity'))
+        else:
+            model.write_text("[" * 200_000)
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n-1.0\n")
+        out = tmp_path / "out.json"
+        code = main(
+            ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_stump_fixture_contains_analytic_candidate(self, tmp_path):
         model = write_stump_model(tmp_path / "model.json")
         data = tmp_path / "inst.csv"

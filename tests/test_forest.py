@@ -22,6 +22,7 @@ from treetweak.forest import (
     predict_tree,
     route,
     save_model,
+    tree_votes,
     vote_sum,
     vote_sums,
 )
@@ -30,21 +31,28 @@ from conftest import plain_space, random_ensemble, random_tree, stump
 
 
 def replay(tree, path):
-    """Walk the tree following the recorded conditions; return the leaf."""
-    node = tree.root
+    """Walk the tree following the recorded conditions; return the leaf's
+    label."""
+    node = 0
     for feature, direction, threshold in path.conditions:
-        assert isinstance(node, Internal)
-        assert node.feature == feature
-        assert node.threshold == threshold
-        node = node.left if direction == LE else node.right
-    assert isinstance(node, Leaf)
-    return node
+        assert tree.label[node] == 0
+        assert tree.feature[node] == feature
+        assert tree.threshold[node] == threshold
+        node = tree.children[node, int(direction == LE)]
+    assert tree.label[node] != 0
+    return tree.label[node]
 
 
-def count_leaves(node):
-    if isinstance(node, Leaf):
-        return 1
-    return count_leaves(node.left) + count_leaves(node.right)
+def count_leaves(tree):
+    """Leaves reached from the root by following child indices."""
+    count, stack = 0, [0]
+    while stack:
+        node = stack.pop()
+        if tree.label[node]:
+            count += 1
+        else:
+            stack.extend(tree.children[node].tolist())
+    return count
 
 
 class TestPredictTree:
@@ -109,24 +117,26 @@ class TestPredictEnsemble:
 
 
 class TestFlatView:
+    """The preorder node arrays a tree is stored as."""
+
     def test_matches_serialized_preorder_layout(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             tree = random_tree(rng, 4, 5)
-            flat = tree.flat
+            right, left = tree.children[:, 0], tree.children[:, 1]
             nodes = ensemble_to_dict(
                 TreeEnsemble((tree,), plain_space(4))
             )["trees"][0]["nodes"]
-            assert len(flat.left) == len(nodes)
+            assert len(left) == len(nodes)
             for slot, entry in enumerate(nodes):
                 if "leaf" in entry:
-                    assert flat.label[slot] == entry["leaf"]
-                    assert flat.left[slot] == flat.right[slot] == slot
+                    assert tree.label[slot] == entry["leaf"]
+                    assert left[slot] == right[slot] == slot
                 else:
-                    assert flat.feature[slot] == entry["feature"]
-                    assert flat.threshold[slot] == entry["threshold"]
-                    assert flat.left[slot] == entry["left"]
-                    assert flat.right[slot] == entry["right"]
+                    assert tree.feature[slot] == entry["feature"]
+                    assert tree.threshold[slot] == entry["threshold"]
+                    assert left[slot] == entry["left"]
+                    assert right[slot] == entry["right"]
 
     def test_vote_sums_match_scalar_votes(self):
         rng = np.random.default_rng(8)
@@ -134,8 +144,23 @@ class TestFlatView:
             ens = random_ensemble(rng, int(rng.integers(1, 6)), 3, 5)
             X = rng.normal(0, 2, (50, 3))
             # put some rows exactly on thresholds
-            X[:5, 0] = ens.trees[0].flat.threshold[0]
+            X[:5, 0] = ens.trees[0].threshold[0]
             assert list(vote_sums(ens, X)) == [vote_sum(ens, x) for x in X]
+
+    def test_tree_votes_match_scalar_predictions(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            ens = random_ensemble(rng, int(rng.integers(1, 8)), 3, 5)
+            X = rng.normal(0, 2, (30, 3))
+            # rows exactly on thresholds of internal nodes of every tree
+            for row, tree in zip(X[:10], ens.trees * 10):
+                inner = np.flatnonzero(tree.label == 0)
+                if inner.size:
+                    node = rng.choice(inner)
+                    row[tree.feature[node]] = tree.threshold[node]
+            for x in X:
+                expected = [predict_tree(t, x) for t in ens.trees]
+                assert tree_votes(ens, x).tolist() == expected
 
     def test_threshold_ties_route_left(self):
         ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(1))
@@ -178,15 +203,14 @@ class TestExtractPaths:
         for _ in range(30):
             tree = random_tree(rng, 5, int(rng.integers(1, 6)))
             paths = extract_paths(tree, "all")
-            assert len(paths) == count_leaves(tree.root)
+            assert len(paths) == count_leaves(tree)
             assert len(extract_paths(tree, "positive")) + len(
                 extract_paths(tree, "negative")
             ) == len(paths)
             # ordinals are exactly 0..leaves-1 in order
             assert [p.path_index for p in paths] == list(range(len(paths)))
             for path in paths:
-                leaf = replay(tree, path)
-                assert leaf.label == path.leaf_label
+                assert replay(tree, path) == path.leaf_label
 
     def test_leaf_bound(self):
         rng = np.random.default_rng(6)
@@ -215,7 +239,7 @@ class TestRoute:
             x = Instance(rng.normal(0, 2, 6))
             path = route(tree, x)
             assert path.leaf_label == predict_tree(tree, x)
-            assert replay(tree, path).label == path.leaf_label
+            assert replay(tree, path) == path.leaf_label
 
 
 class TestEnsembleValidation:
@@ -314,6 +338,48 @@ class TestSerialization:
         path.write_text(json.dumps(doc).replace(f'"{value}"', value))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    @pytest.mark.parametrize("field", ["right", "feature"])
+    def test_infinite_integer_field_is_corrupt(self, tmp_path, field):
+        # int() of an infinite float raises OverflowError, which the loader
+        # must report as a corrupt model.
+        doc = ensemble_to_dict(self._ensemble(seed=10, num_trees=2))
+        doc["trees"][0]["nodes"][0][field] = "Infinity"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc).replace('"Infinity"', "Infinity"))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    def test_deeply_nested_json_is_corrupt(self, tmp_path):
+        # json.loads raises RecursionError on this.
+        path = tmp_path / "m.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    def test_nodes_in_breadth_first_order_load_as_preorder(self):
+        ens = self._ensemble(seed=11, num_trees=3)
+        doc = ensemble_to_dict(ens)
+        for tree in doc["trees"]:
+            nodes = tree["nodes"]
+            order = [0]  # file slots in breadth-first order
+            for slot in order:
+                if "leaf" not in nodes[slot]:
+                    order += [nodes[slot]["left"], nodes[slot]["right"]]
+            new = {old: i for i, old in enumerate(order)}
+            tree["nodes"] = [dict(nodes[old]) for old in order]
+            for entry in tree["nodes"]:
+                if "leaf" not in entry:
+                    entry["left"] = new[entry["left"]]
+                    entry["right"] = new[entry["right"]]
+        assert doc != ensemble_to_dict(ens)
+        loaded = ensemble_from_dict(doc)
+        assert dumps_model(loaded) == dumps_model(ens)
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = Instance(rng.normal(0, 2, 6))
+            for k, (a, b) in enumerate(zip(ens.trees, loaded.trees)):
+                assert route(b, x, k) == route(a, x, k)
 
     def test_non_finite_importances_are_corrupt(self):
         doc = ensemble_to_dict(self._ensemble(seed=7, num_trees=2))

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
 from treetweak.feature_space import Instance
 from treetweak.forest import (
-    Internal,
-    Leaf,
     TreeEnsemble,
     dumps_model,
     predict_ensemble,
@@ -166,8 +164,7 @@ class TestTrainTree:
     def test_pure_positive_dataset(self):
         data = labeled(np.zeros((5, 2)), [1] * 5)
         tree = train_tree(data, TrainConfig(), np.random.default_rng(0))
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.label == 1
+        assert tree.label[0] == 1  # the root is a leaf
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -176,8 +173,8 @@ class TestTrainTree:
     def test_separable_1d_stump(self):
         data = labeled([[0.1], [0.2], [0.8], [0.9]], [-1, -1, 1, 1])
         tree = train_tree(data, TrainConfig(), np.random.default_rng(0))
-        assert isinstance(tree.root, Internal)
-        assert 0.2 < tree.root.threshold < 0.8
+        assert tree.label[0] == 0  # the root is a split
+        assert 0.2 < tree.threshold[0] < 0.8
         for inst in data:
             assert predict_tree(tree, inst) == inst.label
 
@@ -208,19 +205,20 @@ class TestTrainTree:
             data, TrainConfig(max_depth=3, features_per_split=3), np.random.default_rng(1)
         )
 
-        def collect(node, rows):
-            if isinstance(node, Leaf):
+        stack = [(0, data)]
+        while stack:
+            node, rows = stack.pop()
+            if tree.label[node]:
                 pos = sum(1 for inst in rows if inst.label == 1)
                 neg = len(rows) - pos
                 assert len(rows) > 0
-                assert node.label == (1 if pos > neg else -1)
-                return
-            left = [r for r in rows if r.values[node.feature] <= node.threshold]
-            right = [r for r in rows if r.values[node.feature] > node.threshold]
-            collect(node.left, left)
-            collect(node.right, right)
-
-        collect(tree.root, data)
+                assert tree.label[node] == (1 if pos > neg else -1)
+                continue
+            feature, threshold = tree.feature[node], tree.threshold[node]
+            right_child, left_child = tree.children[node]
+            left = [r for r in rows if r.values[feature] <= threshold]
+            right = [r for r in rows if r.values[feature] > threshold]
+            stack += [(left_child, left), (right_child, right)]
 
     def test_splits_never_increase_impurity(self):
         # Recompute the weighted impurity change of every trained split.
@@ -230,13 +228,16 @@ class TestTrainTree:
             data, TrainConfig(max_depth=4, features_per_split=4), np.random.default_rng(2)
         )
 
-        def check(node, rows):
-            if isinstance(node, Leaf):
-                return
+        stack = [(0, data)]
+        while stack:
+            node, rows = stack.pop()
+            if tree.label[node]:
+                continue
+            feature, threshold = tree.feature[node], tree.threshold[node]
             pos = sum(1 for inst in rows if inst.label == 1)
             parent = impurity((len(rows) - pos, pos), "gini")
-            left = [r for r in rows if r.values[node.feature] <= node.threshold]
-            right = [r for r in rows if r.values[node.feature] > node.threshold]
+            left = [r for r in rows if r.values[feature] <= threshold]
+            right = [r for r in rows if r.values[feature] > threshold]
             lp = sum(1 for inst in left if inst.label == 1)
             rp = sum(1 for inst in right if inst.label == 1)
             child = (
@@ -244,10 +245,8 @@ class TestTrainTree:
                 + len(right) * impurity((len(right) - rp, rp), "gini")
             ) / len(rows)
             assert parent - child >= -1e-12
-            check(node.left, left)
-            check(node.right, right)
-
-        check(tree.root, data)
+            right_child, left_child = tree.children[node]
+            stack += [(left_child, left), (right_child, right)]
 
 
 class TestTrainForest:

@@ -23,6 +23,8 @@ from treetweak.forest import (
     Leaf,
     Path,
     TreeEnsemble,
+    ensemble_from_dict,
+    ensemble_to_dict,
     extract_paths,
     predict_ensemble,
     predict_tree,
@@ -335,6 +337,36 @@ class TestBruteForce:
                             )
         assert compared > 20
 
+    def test_deep_chain_agrees_with_tweak(self):
+        # Far deeper than Python's recursion limit, built like the loader's
+        # deep-chain test: every walk over the tree must be a loop.
+        depth = 3000
+        nodes = []
+        for i in range(depth):
+            slot = len(nodes)
+            nodes.append(
+                {"feature": i % 6, "threshold": i / 8,
+                 "left": slot + 1, "right": slot + 2}
+            )
+            nodes.append({"leaf": -1})
+        nodes.append({"leaf": 1})
+        doc = ensemble_to_dict(TreeEnsemble((DecisionTree(Leaf(1)),), plain_space(6)))
+        doc["trees"][0]["nodes"] = nodes
+        ens = ensemble_from_dict(doc)
+        tree = ens.trees[0]
+        x = Instance(np.zeros(6))
+        paths = extract_paths(tree)
+        assert len(paths) == depth + 1
+        assert predict_tree(tree, x) == -1
+        assert route(tree, x) == paths[0]
+        a = tweak(ens, x, "euclidean", 0.05)
+        b = brute_force_tweak(ens, x, "euclidean", 0.05, only_negative_trees=True)
+        assert isinstance(a, Found) and isinstance(b, Found)
+        np.testing.assert_array_equal(a.best.candidate.values, b.best.candidate.values)
+        assert a.best.sort_key() == b.best.sort_key() == (a.best.cost, 0, depth)
+        assert predict_tree(tree, a.best.candidate) == 1
+        assert route(tree, a.best.candidate) == paths[-1]
+
 
 class TestFoldingEquivalence:
     @pytest.mark.parametrize("delta", COST_NAMES)
@@ -586,7 +618,9 @@ class TestNotCoveredReason:
         trees = (
             interval_tree(0.0, 1.0),
             interval_tree(20.0, 20.05),
-            DecisionTree(Internal(0, 0.0, Leaf(-1), stump(0, 5.0, 1, 1).root)),
+            DecisionTree(
+                Internal(0, 0.0, Leaf(-1), Internal(0, 5.0, Leaf(1), Leaf(1)))
+            ),
             DecisionTree(Leaf(-1)),
             DecisionTree(Leaf(-1)),
         )
