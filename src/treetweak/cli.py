@@ -17,12 +17,7 @@ import sys
 from treetweak import __version__
 from treetweak.costs import COST_NAMES
 from treetweak.errors import TreeTweakError
-from treetweak.feature_space import (
-    ColumnSpec,
-    TableSchema,
-    load_instances,
-    load_table,
-)
+from treetweak.feature_space import load_instances, load_ratings, load_schema, load_table
 from treetweak.forest import load_model, predict_ensemble, save_model
 from treetweak.recommend import (
     RatingRecord,
@@ -44,23 +39,8 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_schema(path) -> TableSchema:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    columns = tuple(
-        ColumnSpec(
-            name=c["name"],
-            categorical=bool(c.get("categorical", False)),
-            categories=tuple(c["categories"]) if c.get("categories") else None,
-            adjustable=c.get("adjustable"),
-        )
-        for c in doc["columns"]
-    )
-    return TableSchema(columns, label_column=doc.get("label_column", "label"))
-
-
 def _cmd_train(args) -> int:
-    schema = _load_schema(args.schema) if args.schema else None
+    schema = load_schema(args.schema) if args.schema else None
     space, instances = load_table(args.data, schema)
     if any(inst.label is None for inst in instances):
         raise TreeTweakError("training data must include a label column")
@@ -199,32 +179,31 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _load_ratings(path) -> list[RatingRecord]:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows or rows[0] != ["feature_name", "verdict"]:
-        raise TreeTweakError(
-            "ratings file must have the header: feature_name,verdict"
-        )
-    return [RatingRecord(feature=name, verdict=verdict) for name, verdict in rows[1:]]
+def _load_rankings(path) -> list[list[list[str]]]:
+    """Per covered instance of a ``tweak --out`` document, the feature
+    names of each transformation's recommendations, best first."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        per_instance = []
+        for entry in doc.get("results", []):
+            if entry.get("status") != "found":
+                continue
+            ranked = [
+                [rec["feature"] for rec in trans.get("recommendations", [])]
+                for trans in entry.get("transformations", [])
+            ]
+            if ranked:
+                per_instance.append(ranked)
+    except (AttributeError, KeyError, TypeError, RecursionError) as exc:
+        raise TreeTweakError(f"{path} is not a 'tweak' document: {exc!r}") from None
+    if not all(isinstance(f, str) for r in per_instance for fs in r for f in fs):
+        raise TreeTweakError(f"{path} is not a 'tweak' document: non-string feature")
+    return per_instance
 
 
 def _cmd_report(args) -> int:
-    with open(args.recommendations, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    per_instance = []
-    for entry in doc.get("results", []):
-        if entry.get("status") != "found":
-            continue
-        ranked = [
-            [rec["feature"] for rec in trans.get("recommendations", [])]
-            for trans in entry.get("transformations", [])
-        ]
-        if ranked:
-            per_instance.append(ranked)
+    per_instance = _load_rankings(args.recommendations)
     frequency = feature_frequency_report(per_instance)
 
     correlations = {}
@@ -241,7 +220,8 @@ def _cmd_report(args) -> int:
 
     out_doc = {"frequency": frequency, "rank_correlations": correlations}
     if args.ratings:
-        scores = helpfulness(_load_ratings(args.ratings))
+        ratings = load_ratings(args.ratings)
+        scores = helpfulness(RatingRecord(name, verdict) for name, verdict in ratings)
         out_doc["helpfulness"] = {
             str(k): v
             for k, v in sorted(scores.items(), key=lambda kv: (-kv[1], str(kv[0])))
@@ -328,13 +308,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TreeTweakError, ValueError, json.JSONDecodeError) as exc:
+    except (TreeTweakError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

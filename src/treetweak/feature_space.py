@@ -1,15 +1,20 @@
-"""Feature schema, z-score standardization, and tabular ingestion.
+"""Feature schema, z-score standardization, and the readers of every
+table and schema file the CLI takes.
 
 All downstream math runs in standardized units: categorical columns are
 expanded to 0/1 indicator groups, then every column is mapped to z-scores
 using sample statistics fitted on the training table. The fitted
 :class:`FeatureSpace` is immutable and travels with the model so that new
-instances are encoded identically at tweak time.
+instances are encoded identically at tweak time. Training tables and new
+instances go through one parse; they, ratings and ``--schema`` files
+raise a typed error on malformed input, a CSV fault with its file line.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -254,12 +259,20 @@ class TableSchema:
 
 
 def _read_csv(path):
+    """The header and the ``(line, row)`` data rows of a CSV file, ``line``
+    1-based in the file. Skips blank lines; a csv error is a ParseError."""
+    rows = []
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    rows.append((reader.line_num, row))
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
     if not rows:
         raise ParseError(1, "empty file")
-    return rows[0], rows[1:]
+    return rows[0][1], rows[1:]
 
 
 def _parse_label(text: str, line: int) -> int:
@@ -274,13 +287,54 @@ def _parse_label(text: str, line: int) -> int:
 
 def _parse_float(text: str, column: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(line, f"column {column!r}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(line, f"column {column!r}: {text!r} is not a finite number")
+    return value
 
 
-def _not_finite(column: str, text: str, line: int) -> ParseError:
-    return ParseError(line, f"column {column!r}: {text!r} is not a finite number")
+def _parse_table(path, schema: TableSchema | None):
+    """Read and one-hot encode a raw CSV; the parse both loaders share.
+
+    The header must be the schema's column names, optionally followed by
+    its label column. Without a schema, every column is continuous and a
+    trailing "label" column is the label. Faults are reported in one
+    order: first each row's width and label, over all rows; then the
+    columns left to right, each at its first bad row (not a number, not
+    finite, an unknown category). Returns the column specs (categorical
+    ones with the categories used), the ``[m, n]`` encoded matrix and the
+    labels (None without a label column).
+    """
+    header, rows = _read_csv(path)
+    if schema is None:
+        names = header[:-1] if header[-1] == LABEL_COLUMN else header
+        schema = TableSchema(tuple(ColumnSpec(name) for name in names))
+    expected = [c.name for c in schema.columns]
+    if header not in (expected, expected + [schema.label_column]):
+        raise SchemaMismatch(
+            f"header {header!r} does not match the columns {expected!r}"
+        )
+    has_label = len(header) > len(expected)
+    labels = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
+        labels.append(_parse_label(row[-1], line) if has_label else None)
+
+    columns = []
+    blocks = [np.empty((len(rows), 0))]
+    for j, col in enumerate(schema.columns):
+        if col.categorical:
+            raw = [row[j] for _, row in rows]
+            col = replace(col, categories=col.categories or tuple(sorted(set(raw))))
+            blocks.append(one_hot_encode(raw, col.categories))
+        else:
+            parsed = [_parse_float(row[j], col.name, line) for line, row in rows]
+            blocks.append(np.asarray(parsed, dtype=float).reshape(-1, 1))
+        columns.append(col)
+    return tuple(columns), np.hstack(blocks), labels
 
 
 def load_table(path, schema: TableSchema | None = None):
@@ -289,88 +343,55 @@ def load_table(path, schema: TableSchema | None = None):
     Returns ``(fitted_space, instances)``. The header row must match the
     schema's column names, optionally followed by a final label column.
     Without a schema, every column is treated as continuous and adjustable,
-    and a trailing column named "label" is taken as the label.
+    and a trailing column named "label" is taken as the label. Faults are
+    reported in the order :func:`_parse_table` gives; a file without data
+    rows raises ParseError.
     """
-    header, data_rows = _read_csv(path)
-    if schema is None:
-        names = header[:-1] if header and header[-1] == LABEL_COLUMN else header
-        schema = TableSchema(tuple(ColumnSpec(name) for name in names))
-    expected = [c.name for c in schema.columns]
-    if header == expected:
-        has_label = False
-    elif header == expected + [schema.label_column]:
-        has_label = True
-    else:
-        raise SchemaMismatch(
-            f"header {header!r} does not match schema columns {expected!r}"
-        )
-
-    width = len(expected) + (1 if has_label else 0)
-    labels: list[int | None] = []
-    cells: list[list[str]] = []
-    for offset, row in enumerate(data_rows):
-        line = offset + 2  # 1-based, after the header
-        if len(row) != width:
-            raise ParseError(line, f"expected {width} fields, got {len(row)}")
-        if has_label:
-            labels.append(_parse_label(row[-1], line))
-            cells.append(row[:-1])
-        else:
-            labels.append(None)
-            cells.append(row)
-    if not cells:
+    columns, encoded, labels = _parse_table(path, schema)
+    if not labels:
         raise ParseError(2, "no data rows")
-
     metas: list[FeatureMeta] = []
-    blocks: list[np.ndarray] = []
-    for j, col in enumerate(schema.columns):
-        raw = [row[j] for row in cells]
+    for col in columns:
+        adjustable = not col.categorical if col.adjustable is None else col.adjustable
         if col.categorical:
-            categories = col.categories or tuple(sorted(set(raw)))
-            adjustable = False if col.adjustable is None else col.adjustable
-            blocks.append(one_hot_encode(raw, categories))
             metas.extend(
-                FeatureMeta(
-                    name=f"{col.name}={cat}",
-                    one_hot=OneHotMember(col.name, cat),
-                    adjustable=adjustable,
-                )
-                for cat in categories
+                FeatureMeta(f"{col.name}={cat}", OneHotMember(col.name, cat), adjustable)
+                for cat in col.categories
             )
         else:
-            parsed = np.asarray(
-                [
-                    _parse_float(text, col.name, offset + 2)
-                    for offset, text in enumerate(raw)
-                ],
-                dtype=float,
-            )
-            if not np.isfinite(parsed).all():
-                offset = int(np.flatnonzero(~np.isfinite(parsed))[0])
-                raise _not_finite(col.name, raw[offset], offset + 2)
-            blocks.append(parsed.reshape(-1, 1))
-            adjustable = True if col.adjustable is None else col.adjustable
-            metas.append(FeatureMeta(name=col.name, adjustable=adjustable))
-
-    encoded = np.hstack(blocks)
+            metas.append(FeatureMeta(col.name, adjustable=adjustable))
     space = fit_standardizer(encoded, FeatureSpace(metas))
-    instances = [
-        standardize(encoded[i], space, label=labels[i]) for i in range(len(cells))
-    ]
-    return space, instances
+    z = (encoded - space._means) / space._stds
+    return space, [Instance(row, label=label) for row, label in zip(z, labels)]
+
+
+def _raw_schema(space: FeatureSpace) -> tuple[TableSchema, list[int]]:
+    """The raw columns a fitted space encodes, and the space's feature
+    index of each encoded column, in encoded order.
+
+    A categorical group is one column, at its first member, with its
+    members' categories in member order; the members need not be
+    contiguous in the space.
+    """
+    columns: list[ColumnSpec] = []
+    index: list[int] = []
+    for i, f in enumerate(space.features):
+        if f.one_hot is None:
+            columns.append(ColumnSpec(f.name))
+            index.append(i)
+        elif space.one_hot_groups[f.one_hot.group][0] == i:
+            members = space.one_hot_groups[f.one_hot.group]
+            categories = tuple(space.features[j].one_hot.category for j in members)
+            columns.append(
+                ColumnSpec(f.one_hot.group, categorical=True, categories=categories)
+            )
+            index.extend(members)
+    return TableSchema(tuple(columns)), index
 
 
 def expected_raw_header(space: FeatureSpace) -> list[str]:
     """Raw CSV header for a fitted space: group columns appear once."""
-    header: list[str] = []
-    seen_groups: set[str] = set()
-    for f in space.features:
-        if f.one_hot is None:
-            header.append(f.name)
-        elif f.one_hot.group not in seen_groups:
-            seen_groups.add(f.one_hot.group)
-            header.append(f.one_hot.group)
-    return header
+    return [c.name for c in _raw_schema(space)[0].columns]
 
 
 def load_instances(path, space: FeatureSpace) -> list[Instance]:
@@ -378,54 +399,58 @@ def load_instances(path, space: FeatureSpace) -> list[Instance]:
 
     Used at tweak time: the file's columns are the raw ones the model was
     trained from (categorical groups as single columns), and the model's
-    stored statistics are applied, never refitted.
+    stored statistics are applied, never refitted. Faults are reported in
+    the order :func:`_parse_table` gives; a file without data rows loads
+    as no instances.
     """
-    header, data_rows = _read_csv(path)
-    expected = expected_raw_header(space)
-    if header == expected:
-        has_label = False
-    elif header == expected + [LABEL_COLUMN]:
-        has_label = True
-    else:
-        raise SchemaMismatch(
-            f"header {header!r} does not match the model's columns {expected!r}"
-        )
+    schema, index = _raw_schema(space)
+    _, encoded, labels = _parse_table(path, schema)
+    raw = np.empty_like(encoded)
+    raw[:, index] = encoded
+    z = (raw - space._means) / space._stds
+    return [Instance(row, label=label) for row, label in zip(z, labels)]
 
-    # Per raw column: either a continuous feature index or the group members.
-    group_members: dict[str, list[tuple[int, str]]] = {}
-    continuous_index: dict[str, int] = {}
-    for i, f in enumerate(space.features):
-        if f.one_hot is None:
-            continuous_index[f.name] = i
-        else:
-            group_members.setdefault(f.one_hot.group, []).append(
-                (i, f.one_hot.category)
-            )
 
-    instances = []
-    for offset, row in enumerate(data_rows):
-        line = offset + 2
-        width = len(expected) + (1 if has_label else 0)
-        if len(row) != width:
-            raise ParseError(line, f"expected {width} fields, got {len(row)}")
-        label = _parse_label(row[-1], line) if has_label else None
-        raw = np.zeros(space.n, dtype=float)
-        for name, text in zip(expected, row):
-            if name in continuous_index:
-                raw[continuous_index[name]] = _parse_float(text, name, line)
-            else:
-                members = group_members[name]
-                if text not in {cat for _, cat in members}:
-                    raise UnknownCategory(text, tuple(cat for _, cat in members))
-                for idx, cat in members:
-                    raw[idx] = 1.0 if cat == text else 0.0
-        if not np.isfinite(raw).all():
-            name, text = next(
-                (name, text)
-                for name, text in zip(expected, row)
-                if name in continuous_index
-                and not np.isfinite(raw[continuous_index[name]])
+def load_schema(path) -> TableSchema:
+    """Read a JSON schema ``{"columns": [{"name", "categorical", "categories",
+    "adjustable"}, ...], "label_column"}``; only ``columns`` and each
+    ``name`` are required. Any other shape raises SchemaMismatch."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SchemaMismatch(f"schema {path}: nested too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
+        raise SchemaMismatch(f"schema {path}: expected an object with a 'columns' list")
+    columns = []
+    for c in doc["columns"]:
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+            raise SchemaMismatch(f"schema {path}: every column needs a string 'name'")
+        categorical = c.get("categorical", False)
+        adjustable = c.get("adjustable")
+        categories = c.get("categories", [])
+        if not (
+            isinstance(categorical, bool)
+            and isinstance(adjustable, (bool, type(None)))
+            and isinstance(categories, list)
+            and all(isinstance(v, str) for v in categories)
+        ):
+            raise SchemaMismatch(
+                f"schema {path}: column {c['name']!r} needs a boolean 'categorical' "
+                "and 'adjustable' and a list of strings as 'categories'"
             )
-            raise _not_finite(name, text, line)
-        instances.append(standardize(raw, space, label=label))
-    return instances
+        spec = ColumnSpec(c["name"], categorical, tuple(categories) or None, adjustable)
+        columns.append(spec)
+    return TableSchema(tuple(columns), doc.get("label_column", LABEL_COLUMN))
+
+
+def load_ratings(path) -> list[tuple[str, str]]:
+    """Read a ratings CSV with the header ``feature_name,verdict`` into
+    ``(feature_name, verdict)`` pairs."""
+    header, rows = _read_csv(path)
+    if header != ["feature_name", "verdict"]:
+        raise SchemaMismatch("ratings file must have the header: feature_name,verdict")
+    for line, row in rows:
+        if len(row) != 2:
+            raise ParseError(line, f"expected 2 fields, got {len(row)}")
+    return [tuple(row) for _, row in rows]

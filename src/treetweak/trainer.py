@@ -138,43 +138,6 @@ def _best_split(rows, pos, parent_imp, criterion):
     return float(row_best[r]), r, (v[r, b] + v[r, b + 1]) / 2.0
 
 
-def _grow(Xt, idx, pos, depth, limits, rng, gains, n_root, criterion, nodes):
-    """Append the subtree of the samples ``idx`` (columns of ``Xt``) to
-    ``nodes``, in preorder and in the JSON node layout."""
-    max_depth, fps, min_split = limits
-    n_pos = int(pos.sum())
-    n_neg = len(idx) - n_pos
-    label = 1 if n_pos > n_neg else -1  # majority, ties to -1
-    if n_pos == 0 or n_neg == 0 or depth >= max_depth or len(idx) < min_split:
-        nodes.append({"leaf": label})
-        return
-
-    n_features = Xt.shape[0]
-    if fps >= n_features:
-        feature_ids = np.arange(n_features)
-    else:
-        feature_ids = np.sort(rng.choice(n_features, size=fps, replace=False))
-    rows = Xt[feature_ids[:, None], idx]
-    found = _best_split(rows, pos, impurity((n_neg, n_pos), criterion), criterion)
-    if found is None:
-        nodes.append({"leaf": label})
-        return
-    best_gain, r, threshold = found
-    # Positive-gain splits are preferred; an impure node where every
-    # candidate has exactly zero gain (e.g. XOR patterns) still splits so
-    # the subtrees get a chance to separate. Terminates regardless: both
-    # children are nonempty and strictly smaller.
-    feature = int(feature_ids[r])
-    gains[feature] += (len(idx) / n_root) * max(best_gain, 0.0)
-    mask = rows[r] <= threshold
-    args = (depth + 1, limits, rng, gains, n_root, criterion, nodes)
-    split = {"feature": feature, "threshold": float(threshold), "left": len(nodes) + 1}
-    nodes.append(split)
-    _grow(Xt, idx[mask], pos[mask], *args)
-    split["right"] = len(nodes)
-    _grow(Xt, idx[~mask], pos[~mask], *args)
-
-
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     """The ``[n, m]`` transposed feature matrix and the float positive mask."""
     if len(data) == 0:
@@ -188,15 +151,46 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_tree_arrays(Xt, pos, idx, cfg: TrainConfig, rng) -> DecisionTree:
-    """Grow one tree on the samples ``idx`` (repeats allowed) of ``Xt``."""
-    n = Xt.shape[0]
-    max_depth, fps, _ = cfg.resolve(n)
-    gains = np.zeros(n)
+    """Grow one tree on the samples ``idx`` (repeats allowed) of ``Xt``,
+    depth first over an explicit stack, left child first: the nodes (in
+    the JSON layout), the draws from ``rng`` and the ``gains`` updates all
+    come in preorder."""
+    n_features, n_root = Xt.shape[0], len(idx)
+    max_depth, fps, _ = cfg.resolve(n_features)
+    gains = np.zeros(n_features)
     nodes: list[dict] = []
-    _grow(
-        Xt, idx, pos[idx], 0, (max_depth, fps, cfg.min_samples_split), rng,
-        gains, len(idx), cfg.criterion, nodes,
-    )
+    # (samples, their positive mask, depth, the split whose right child it is)
+    stack = [(idx, pos[idx], 0, None)]
+    while stack:
+        idx, node_pos, depth, parent = stack.pop()
+        if parent is not None:
+            parent["right"] = len(nodes)
+        n_pos = int(node_pos.sum())
+        n_neg = len(idx) - n_pos
+        found = None
+        if n_pos and n_neg and depth < max_depth and len(idx) >= cfg.min_samples_split:
+            if fps >= n_features:
+                feature_ids = np.arange(n_features)
+            else:
+                feature_ids = np.sort(rng.choice(n_features, size=fps, replace=False))
+            rows = Xt[feature_ids[:, None], idx]
+            parent_imp = impurity((n_neg, n_pos), cfg.criterion)
+            found = _best_split(rows, node_pos, parent_imp, cfg.criterion)
+        if found is None:
+            nodes.append({"leaf": 1 if n_pos > n_neg else -1})  # majority, ties to -1
+            continue
+        best_gain, r, threshold = found
+        # Positive-gain splits are preferred; an impure node where every
+        # candidate has exactly zero gain (e.g. XOR patterns) still splits so
+        # the subtrees get a chance to separate. Terminates regardless: both
+        # children are nonempty and strictly smaller.
+        feature = int(feature_ids[r])
+        gains[feature] += (len(idx) / n_root) * max(best_gain, 0.0)
+        mask = rows[r] <= threshold
+        split = dict(feature=feature, threshold=float(threshold), left=len(nodes) + 1)
+        nodes.append(split)
+        stack.append((idx[~mask], node_pos[~mask], depth + 1, split))
+        stack.append((idx[mask], node_pos[mask], depth + 1, None))
     tree = DecisionTree.from_nodes(nodes)
     tree.feature_gains = gains
     return tree

@@ -31,6 +31,12 @@ def write_gaussian_csv(path, seed=60, m=240, n=4):
     return path
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
 def write_stump_model(path):
     ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1), importances=[1.0])
     save_model(ens, path)
@@ -75,6 +81,43 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_oversized_field_exits_1_with_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("f0,label\n1.0,-1\n" + "1" * 200_000 + ",1\n")
+        model = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--model-out", str(model)])
+        assert code == 1
+        assert "line 3" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"name": "f0"}],
+            {"label_column": "label"},
+            {"columns": {"name": "f0"}},
+            {"columns": [{"categorical": True}]},
+            {"columns": [{"name": 3}]},
+            {"columns": [{"name": "f0", "categorical": True, "categories": "ab"}]},
+            {"columns": [{"name": "f0", "adjustable": "false"}]},
+        ],
+        ids=[
+            "not-an-object", "no-columns", "columns-not-a-list", "no-name",
+            "name-not-a-string", "categories-not-a-list", "adjustable-not-a-bool",
+        ],
+    )
+    def test_malformed_schema_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
+        data = write_gaussian_csv(tmp_path / "train.csv", m=20, n=1)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        code = main(
+            [
+                "train", "--data", str(data), "--schema", str(schema),
+                "--model-out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 1
+        assert "schema" in assert_one_error_line(capsys)
 
 
 class TestTweakCommand:
@@ -324,6 +367,9 @@ class TestSweepCommand:
         assert record["micro_avg_cost"] == ""
 
 
+NO_FEATURE = {"recommendations": [{"direction": "increase"}]}
+
+
 class TestReportCommand:
     def _write_recommendations(self, path):
         doc = {
@@ -396,6 +442,32 @@ class TestReportCommand:
             ranking_from_scores({f: freq["top_2"][f] for f in common}),
         )
         assert doc["rank_correlations"]["top_1_vs_top_2"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {"results": [{"status": "found", "transformations": [NO_FEATURE]}]}],
+        ids=["list-document", "recommendation-without-feature"],
+    )
+    def test_malformed_recommendations_exit_1(self, tmp_path, capsys, doc):
+        recs = tmp_path / "recs.json"
+        recs.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = main(["report", "--recommendations", str(recs), "--out", str(out)])
+        assert code == 1
+        assert "recs.json" in assert_one_error_line(capsys)
+
+    def test_ratings_row_width_reports_its_line(self, tmp_path, capsys):
+        recs = self._write_recommendations(tmp_path / "recs.json")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("feature_name,verdict\na,helpful\n\na,helpful,extra\n")
+        code = main(
+            [
+                "report", "--recommendations", str(recs),
+                "--ratings", str(ratings), "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert "line 4" in assert_one_error_line(capsys)
 
     def test_bad_ratings_header_fails(self, tmp_path, capsys):
         recs = self._write_recommendations(tmp_path / "recs.json")

@@ -1,12 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treetweak.errors import (
     LengthMismatch,
     ParseError,
     SchemaMismatch,
+    TreeTweakError,
     UnknownCategory,
     ZeroVariance,
 )
@@ -21,6 +25,8 @@ from treetweak.feature_space import (
     expected_raw_header,
     fit_standardizer,
     load_instances,
+    load_ratings,
+    load_schema,
     load_table,
     one_hot_decode,
     one_hot_encode,
@@ -265,3 +271,134 @@ class TestLoadInstances:
             load_instances(newfile, space)
         assert info.value.line == 3
         assert "'b'" in str(info.value)
+
+
+# The raw columns a, c (categorical), b, and a space encoded from them.
+_ACB = TableSchema(
+    (ColumnSpec("a"), ColumnSpec("c", categorical=True), ColumnSpec("b"))
+)
+_ACB_SPACE = FeatureSpace(
+    [FeatureMeta("a")]
+    + [FeatureMeta(f"c={v}", one_hot=OneHotMember("c", v)) for v in ("green", "red")]
+    + [FeatureMeta("b")]
+)
+_BOTH_LOADERS = pytest.mark.parametrize(
+    "load",
+    [
+        lambda path: load_table(path, _ACB),
+        lambda path: load_instances(path, _ACB_SPACE),
+    ],
+    ids=["load_table", "load_instances"],
+)
+
+
+class TestSharedParse:
+    @_BOTH_LOADERS
+    def test_line_numbers_count_blank_lines(self, tmp_path, load):
+        path = tmp_path / "new.csv"
+        path.write_text("a,c,b\n1,red,5\n\n\n3,green,x\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert info.value.line == 5
+        assert "'b'" in str(info.value)
+
+    @_BOTH_LOADERS
+    def test_row_checks_come_before_cell_checks(self, tmp_path, load):
+        # A bad cell on line 2, a short row on line 3: both loaders report
+        # the row first.
+        path = tmp_path / "new.csv"
+        path.write_text("a,c,b\n1,red,x\n2,green\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert info.value.line == 3
+        assert "expected 3 fields" in str(info.value)
+
+    def test_group_members_need_not_be_contiguous(self, tmp_path):
+        # A model file may list a group's members apart from each other.
+        space = FeatureSpace(
+            [
+                FeatureMeta("c=x", one_hot=OneHotMember("c", "x"), mean=0.5),
+                FeatureMeta("a", mean=1.0, std_dev=2.0),
+                FeatureMeta("c=y", one_hot=OneHotMember("c", "y"), mean=0.5),
+            ]
+        )
+        assert expected_raw_header(space) == ["c", "a"]
+        path = tmp_path / "new.csv"
+        path.write_text("c,a\ny,5\n")
+        [inst] = load_instances(path, space)
+        np.testing.assert_array_equal(inst.values, [-0.5, 2.0, 0.5])
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "new.csv"
+        path.write_text("a,c,b\n")
+        assert load_instances(path, _ACB_SPACE) == []
+        with pytest.raises(ParseError) as info:
+            load_table(path)
+        assert info.value.line == 2
+
+
+_CELLS = st.one_of(
+    st.sampled_from(
+        ["a", "b", "c", "label", "1", "-1", "2.5", "nan", "red", "green", '"', ""]
+    ),
+    st.text(max_size=3),
+)
+_CSV_TEXT = st.builds(
+    lambda header, rows, sep: sep.join([header] + [",".join(r) for r in rows]),
+    st.sampled_from(["a,c,b,label", "a,c,b", "feature_name,verdict", "label", ""]),
+    st.lists(st.lists(_CELLS, max_size=5), max_size=5),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+_FILE = st.one_of(_CSV_TEXT.map(str.encode), st.binary(max_size=16))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(
+            ["columns", "name", "categorical", "categories", "adjustable"]
+        ),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+_COLUMN = st.fixed_dictionaries(
+    {"name": st.sampled_from(["a", "b", "c"])},
+    optional={
+        "categorical": st.booleans() | _JSON,
+        "categories": st.lists(st.sampled_from(["red", "x"]), max_size=3) | _JSON,
+        "adjustable": st.none() | st.booleans() | _JSON,
+    },
+)
+_SCHEMA = st.one_of(
+    _JSON, st.fixed_dictionaries({"columns": st.lists(_COLUMN, max_size=3)})
+)
+
+
+class TestReadersFuzz:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=_FILE, schema_doc=_SCHEMA, ratings=_FILE)
+    def test_readers_raise_only_errors_the_cli_reports(
+        self, tmp_path, data, schema_doc, ratings
+    ):
+        # The CLI maps TreeTweakError and ValueError (UnicodeDecodeError is
+        # one) to exit code 1 and a single "error:" line.
+        paths = {name: tmp_path / name for name in ("d.csv", "s.json", "r.csv")}
+        paths["d.csv"].write_bytes(data)
+        paths["s.json"].write_text(json.dumps(schema_doc))
+        paths["r.csv"].write_bytes(ratings)
+        calls = [
+            lambda: load_table(paths["d.csv"]),
+            lambda: load_instances(paths["d.csv"], _ACB_SPACE),
+            lambda: load_table(paths["d.csv"], load_schema(paths["s.json"])),
+            lambda: load_ratings(paths["r.csv"]),
+        ]
+        for call in calls:
+            try:
+                call()
+            except (TreeTweakError, ValueError):
+                pass

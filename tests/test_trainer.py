@@ -196,6 +196,16 @@ class TestTrainTree:
             )
             assert tree.depth <= depth
 
+    def test_deeper_than_the_recursion_limit(self):
+        # Alternating 1-D labels: the best split peels one sample off an
+        # end, so the tree is as deep as the data is long.
+        x = np.arange(2400.0)
+        data = labeled(x[:, None], np.where(x % 2 == 0, -1, 1))
+        tree = train_tree(data, TrainConfig(max_depth=5000), np.random.default_rng(0))
+        assert tree.depth > 2000
+        for inst in data[::97]:
+            assert predict_tree(tree, inst) == inst.label
+
     def test_leaf_majority_rule_with_tie_to_negative(self):
         # Route the training data through a no-bootstrap tree: every leaf
         # label must be the majority of the samples it receives, -1 on ties.
