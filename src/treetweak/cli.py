@@ -121,7 +121,7 @@ def _cmd_tweak(args) -> int:
             covered += 1
             top = top_k_transformations(outcome, args.top_k)
             entry["status"] = "found"
-            entry["num_candidates"] = len(outcome.all_candidates)
+            entry["num_candidates"] = outcome.num_candidates
             entry["transformations"] = [
                 _transformation_entry(rank, trans, inst, ens)
                 for rank, trans in enumerate(top, start=1)

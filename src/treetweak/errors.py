@@ -24,10 +24,12 @@ class LengthMismatch(TreeTweakError):
 class UnknownCategory(TreeTweakError):
     """A categorical value is outside the declared category list."""
 
-    def __init__(self, value, categories=None):
+    def __init__(self, value, categories=None, line=None, column=None):
         self.value = value
         self.categories = categories
-        super().__init__(f"unknown category {value!r}")
+        self.line = line
+        where = "" if line is None else f"line {line}: column {column!r}: "
+        super().__init__(f"{where}unknown category {value!r}")
 
 
 class ParseError(TreeTweakError):

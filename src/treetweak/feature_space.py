@@ -329,7 +329,11 @@ def _parse_table(path, schema: TableSchema | None):
         if col.categorical:
             raw = [row[j] for _, row in rows]
             col = replace(col, categories=col.categories or tuple(sorted(set(raw))))
-            blocks.append(one_hot_encode(raw, col.categories))
+            try:
+                blocks.append(one_hot_encode(raw, col.categories))
+            except UnknownCategory as exc:
+                line = rows[raw.index(exc.value)][0]
+                raise UnknownCategory(exc.value, exc.categories, line, col.name) from None
         else:
             parsed = [_parse_float(row[j], col.name, line) for line, row in rows]
             blocks.append(np.asarray(parsed, dtype=float).reshape(-1, 1))
@@ -411,10 +415,16 @@ def load_instances(path, space: FeatureSpace) -> list[Instance]:
     return [Instance(row, label=label) for row, label in zip(z, labels)]
 
 
+def _reject_unknown_keys(path, obj: dict, known: set, where: str) -> None:
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise SchemaMismatch(f"schema {path}: {where} has the unknown key {unknown[0]!r}")
+
+
 def load_schema(path) -> TableSchema:
     """Read a JSON schema ``{"columns": [{"name", "categorical", "categories",
     "adjustable"}, ...], "label_column"}``; only ``columns`` and each
-    ``name`` are required. Any other shape raises SchemaMismatch."""
+    ``name`` are required. Any other shape or key raises SchemaMismatch."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -422,10 +432,13 @@ def load_schema(path) -> TableSchema:
             raise SchemaMismatch(f"schema {path}: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise SchemaMismatch(f"schema {path}: expected an object with a 'columns' list")
+    _reject_unknown_keys(path, doc, {"columns", "label_column"}, "the schema")
     columns = []
     for c in doc["columns"]:
         if not isinstance(c, dict) or not isinstance(c.get("name"), str):
             raise SchemaMismatch(f"schema {path}: every column needs a string 'name'")
+        known = {"name", "categorical", "categories", "adjustable"}
+        _reject_unknown_keys(path, c, known, f"column {c['name']!r}")
         categorical = c.get("categorical", False)
         adjustable = c.get("adjustable")
         categories = c.get("categories", [])
@@ -446,11 +459,16 @@ def load_schema(path) -> TableSchema:
 
 def load_ratings(path) -> list[tuple[str, str]]:
     """Read a ratings CSV with the header ``feature_name,verdict`` into
-    ``(feature_name, verdict)`` pairs."""
+    ``(feature_name, verdict)`` pairs; every verdict must be one of
+    :data:`treetweak.recommend.VERDICTS`."""
+    from treetweak.recommend import VERDICTS  # recommend imports this module
+
     header, rows = _read_csv(path)
     if header != ["feature_name", "verdict"]:
         raise SchemaMismatch("ratings file must have the header: feature_name,verdict")
     for line, row in rows:
         if len(row) != 2:
             raise ParseError(line, f"expected 2 fields, got {len(row)}")
+        if row[1] not in VERDICTS:
+            raise ParseError(line, f"verdict must be one of {VERDICTS}, got {row[1]!r}")
     return [tuple(row) for _, row in rows]

@@ -133,25 +133,25 @@ def categorical_switches(
 def top_k_transformations(outcome: TweakOutcome, k: int) -> list[Transformation]:
     """Up to k cheapest candidates, deduplicated on identical vectors.
 
-    Fewer than k come back when the pool is smaller; a NotCovered outcome
-    yields an empty list.
+    Ranks the rows of a Found table in (cost, tree, path) order; only the
+    rows returned become Transformation objects. Fewer than k come back
+    when the pool is smaller; a NotCovered outcome yields an empty list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not isinstance(outcome, Found):
         return []
-    ranked = sorted(outcome.all_candidates, key=Transformation.sort_key)
-    out: list[Transformation] = []
+    rows: list[int] = []
     seen: set[bytes] = set()
-    for cand in ranked:
-        key = cand.candidate.values.tobytes()
+    for i in outcome.order.tolist():
+        key = outcome.values[i].tobytes()
         if key in seen:
             continue
         seen.add(key)
-        out.append(cand)
-        if len(out) == k:
+        rows.append(i)
+        if len(rows) == k:
             break
-    return out
+    return outcome.transformations(rows)
 
 
 def feature_frequency_report(

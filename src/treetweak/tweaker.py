@@ -18,11 +18,14 @@ node arrays. Each search routes x through every tree at once
 negative-voting trees, places every candidate with array masks,
 re-validates all feasible candidates against the whole forest in one
 batched call, and prices them with one row-wise call to the cost
-function. The candidates stay one [C, n] matrix until the Transformation
-objects are built, in (tree, path) order. Instances with a NaN or
-infinite value are rejected before any of this. :func:`brute_force_tweak`
-keeps the scalar, path-by-path, candidate-by-candidate formulation as the
-test oracle.
+function. The accepted candidates stay a table: :class:`Found` keeps
+their tree, path, [C, n] values and cost arrays, ranks them with one
+lexsort, and builds a Transformation object only for a row it hands out
+(the best, the top-k a caller shows, or every row when ``all_candidates``
+is read). Instances with a NaN or infinite value are rejected before any
+of this. :func:`brute_force_tweak` keeps the scalar, path-by-path,
+candidate-by-candidate formulation as the test oracle, and stacks its
+candidates into the same table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import csv
 import logging
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
@@ -84,14 +88,56 @@ class Transformation:
 
 @dataclass(frozen=True, eq=False)
 class Found:
-    """A transformation exists; ``best`` is the cheapest candidate.
+    """A transformation exists: the table of accepted candidates.
 
-    Ties on cost break on smallest (source_tree, source_path), which is
-    deterministic and independent of evaluation order.
+    Row i comes from positive path ``path[i]`` of tree ``tree[i]``, with
+    values ``values[i]`` and cost ``costs[i]`` (inf where undefined); rows
+    run in (tree, path) order. ``best`` is the cheapest row, ties broken on
+    the smallest (tree, path) as in :meth:`Transformation.sort_key`. A row
+    becomes a Transformation only when read, and only once.
     """
 
-    best: Transformation
-    all_candidates: tuple[Transformation, ...]
+    x_values: np.ndarray
+    tree: np.ndarray
+    path: np.ndarray
+    values: np.ndarray
+    costs: np.ndarray
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def num_candidates(self) -> int:
+        return len(self.costs)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Row indices by (cost, tree, path); (tree, path) pairs are unique."""
+        return np.lexsort((self.path, self.tree, self.costs))
+
+    @property
+    def best(self) -> Transformation:
+        return self.transformations([self.order[0]])[0]
+
+    @cached_property
+    def all_candidates(self) -> tuple[Transformation, ...]:
+        """Every row as a Transformation, in (tree, path) order."""
+        return tuple(self.transformations(range(self.num_candidates)))
+
+    def transformations(self, rows) -> list[Transformation]:
+        """The given rows as Transformations, each built on first use."""
+        rows = [int(i) for i in rows]
+        new = [i for i in rows if i not in self._built]
+        features = range(len(self.x_values))
+        for i, k, p, cost, changed in zip(
+            new,
+            self.tree[new].tolist(),
+            self.path[new].tolist(),
+            self.costs[new].tolist(),
+            (self.values[new] != self.x_values).tolist(),
+        ):
+            self._built[i] = Transformation(
+                Instance(self.values[i]), k, p, cost, frozenset(compress(features, changed))
+            )
+        return [self._built[i] for i in rows]
 
 
 @dataclass(frozen=True)
@@ -356,23 +402,6 @@ def _row_costs(
     return costs
 
 
-def _to_transformations(
-    tree: np.ndarray, path: np.ndarray, values: np.ndarray, x_values, delta: Callable
-) -> list[Transformation]:
-    costs = _row_costs(delta, x_values, tree, path, values)
-    features = range(len(x_values))
-    return [
-        Transformation(Instance(v), k, p, cost, frozenset(compress(features, changed)))
-        for v, k, p, cost, changed in zip(
-            values,
-            tree.tolist(),
-            path.tolist(),
-            costs.tolist(),
-            (values != x_values).tolist(),
-        )
-    ]
-
-
 def candidate_set(
     ens: TreeEnsemble,
     x: Instance,
@@ -400,7 +429,8 @@ def candidate_set(
     tree, path, values, _ = _generate_candidates(
         ens, x_values, votes, epsilon, skip_satisfied, budget
     )
-    return _to_transformations(tree, path, values, x_values, delta_fn)
+    costs = _row_costs(delta_fn, x_values, tree, path, values)
+    return list(Found(x_values, tree, path, values, costs).all_candidates)
 
 
 def tweak(
@@ -413,8 +443,8 @@ def tweak(
 ) -> TweakOutcome:
     """Cheapest ensemble-flipping transformation of a negative instance.
 
-    Returns Found with the minimum-cost candidate (and the full candidate
-    pool), or NotCovered when no candidate flips the ensemble — an
+    Returns Found, the table of accepted candidates with the cheapest as
+    ``best``, or NotCovered when no candidate flips the ensemble — an
     explicit outcome rather than silently handing back x unchanged.
 
     A callable ``delta`` must accept the candidate matrix, as in
@@ -439,9 +469,8 @@ def tweak(
         if stats.truncated:
             reason += "; search truncated by budget"
         return NotCovered(reason)
-    candidates = _to_transformations(tree, path, values, x_values, delta_fn)
-    best = min(candidates, key=Transformation.sort_key)
-    return Found(best=best, all_candidates=tuple(candidates))
+    costs = _row_costs(delta_fn, x_values, tree, path, values)
+    return Found(x_values, tree, path, values, costs)
 
 
 def brute_force_tweak(
@@ -475,7 +504,7 @@ def brute_force_tweak(
             f"{total_paths} positive paths exceed the {BRUTE_FORCE_PATH_LIMIT} limit"
         )
 
-    candidates: list[Transformation] = []
+    rows = []
     for k in scope:
         for path in extract_paths(ens.trees[k], POSITIVE, tree_index=k):
             try:
@@ -489,16 +518,11 @@ def brute_force_tweak(
             cost = _cost_or_incomparable(
                 delta_fn, x_values, inst.values, f"tree {k} path {path.path_index}"
             )
-            changed = frozenset(
-                int(i) for i in np.nonzero(inst.values != x_values)[0]
-            )
-            candidates.append(
-                Transformation(inst, k, path.path_index, cost, changed)
-            )
-    if not candidates:
+            rows.append((k, path.path_index, inst.values, cost))
+    if not rows:
         return NotCovered("exhaustive enumeration found no valid transformation")
-    best = min(candidates, key=Transformation.sort_key)
-    return Found(best=best, all_candidates=tuple(candidates))
+    tree, path_index, values, costs = map(np.array, zip(*rows))
+    return Found(x_values, tree, path_index, values, costs.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +551,7 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-SWEEP_COLUMNS = (
-    "epsilon",
-    "delta",
-    "eligible",
-    "covered",
-    "coverage",
-    "candidates_min",
-    "candidates_p25",
-    "candidates_p50",
-    "candidates_p75",
-    "candidates_max",
-    "micro_avg_cost",
-    "median_instance_avg_cost",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(
@@ -594,53 +605,22 @@ def sweep(
             else:
                 quantiles = (None,) * 5
                 coverage = 0.0
+            micro_avg = float(np.mean(all_costs)) if all_costs.size else None
+            median_avg = float(np.median(instance_means)) if instance_means else None
             rows.append(
                 SweepRow(
-                    epsilon=epsilon,
-                    delta=name,
-                    eligible=len(voted),
-                    covered=covered,
-                    coverage=coverage,
-                    candidates_min=quantiles[0],
-                    candidates_p25=quantiles[1],
-                    candidates_p50=quantiles[2],
-                    candidates_p75=quantiles[3],
-                    candidates_max=quantiles[4],
-                    micro_avg_cost=(
-                        float(np.mean(all_costs)) if all_costs.size else None
-                    ),
-                    median_instance_avg_cost=(
-                        float(np.median(instance_means)) if instance_means else None
-                    ),
+                    epsilon, name, len(voted), covered, coverage, *quantiles,
+                    micro_avg, median_avg,
                 )
             )
     return SweepReport(tuple(rows))
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    """Serialize a sweep report; floats keep full round-trip precision."""
+    """Serialize a sweep report, one row per (epsilon, delta) cell; floats
+    are written by ``str``, which keeps full round-trip precision, and
+    None as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    repr(row.epsilon),
-                    row.delta,
-                    row.eligible,
-                    row.covered,
-                    repr(row.coverage),
-                ]
-                + [
-                    "" if v is None else repr(v)
-                    for v in (
-                        row.candidates_min,
-                        row.candidates_p25,
-                        row.candidates_p50,
-                        row.candidates_p75,
-                        row.candidates_max,
-                        row.micro_avg_cost,
-                        row.median_instance_avg_cost,
-                    )
-                ]
-            )
+        writer.writerows(astuple(row) for row in report.rows)

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance
 from treetweak.forest import DecisionTree, Internal, Leaf, TreeEnsemble
+
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it; they fail on import
+    pass
+else:
+    # CI runs with HYPOTHESIS_PROFILE=ci: the examples derive from each
+    # test's name instead of a random seed, so a failure there reproduces
+    # locally under the same profile.
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def plain_space(n, adjustable=None):

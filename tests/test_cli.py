@@ -12,6 +12,7 @@ from treetweak.forest import (
     save_model,
 )
 from treetweak.feature_space import Instance
+from treetweak.tweaker import Found
 
 from conftest import plain_space, stump
 
@@ -100,10 +101,13 @@ class TestTrainCommand:
             {"columns": [{"name": 3}]},
             {"columns": [{"name": "f0", "categorical": True, "categories": "ab"}]},
             {"columns": [{"name": "f0", "adjustable": "false"}]},
+            {"columns": [{"name": "f0", "categorial": True}]},
+            {"columns": [{"name": "f0"}], "label_colum": "label"},
         ],
         ids=[
             "not-an-object", "no-columns", "columns-not-a-list", "no-name",
             "name-not-a-string", "categories-not-a-list", "adjustable-not-a-bool",
+            "unknown-column-key", "unknown-top-level-key",
         ],
     )
     def test_malformed_schema_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
@@ -222,6 +226,47 @@ class TestTweakCommand:
             assert revalidated > 0
 
 
+    def test_tweak_builds_objects_only_for_the_rows_it_shows(
+        self, tmp_path, monkeypatch
+    ):
+        import treetweak.cli as cli_mod
+
+        real_tweak = cli_mod.tweak
+        outcomes = []
+
+        def recording_tweak(*args, **kwargs):
+            outcomes.append(real_tweak(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli_mod, "tweak", recording_tweak)
+        data = write_gaussian_csv(tmp_path / "train.csv", seed=62, m=200, n=3)
+        model = tmp_path / "model.json"
+        assert main(
+            [
+                "train", "--data", str(data), "--model-out", str(model),
+                "--trees", "9", "--seed", "4",
+            ]
+        ) == 0
+        inst = tmp_path / "inst.csv"
+        inst.write_text("f0,f1,f2\n-1.0,-1.0,-1.0\n-0.5,-1.5,0.0\n")
+        out = tmp_path / "out.json"
+        assert main(
+            [
+                "tweak", "--model", str(model), "--data", str(inst),
+                "--out", str(out), "--top-k", "2",
+            ]
+        ) == 0
+        found = [o for o in outcomes if isinstance(o, Found)]
+        results = json.loads(out.read_text())["results"]
+        shown = [r for r in results if r["status"] == "found"]
+        assert len(found) == len(shown) > 0
+        assert max(o.num_candidates for o in found) > 2
+        for outcome, result in zip(found, shown):
+            assert "all_candidates" not in vars(outcome)
+            assert result["num_candidates"] == outcome.num_candidates
+            assert len(outcome._built) == len(result["transformations"]) <= 2
+
+
 class TestSchemaPipeline:
     def test_categorical_and_frozen_columns_end_to_end(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -282,6 +327,37 @@ class TestSchemaPipeline:
             for trans in result["transformations"]:
                 for rec in trans["recommendations"]:
                     assert rec["feature"] == "signal"
+
+
+    def test_unknown_category_names_its_line_and_column(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        rows = [f"{i % 7 - 3},{('list', 'grid')[i % 2]},{(-1, 1)[i % 2]}" for i in range(40)]
+        train.write_text("\n".join(["signal,layout,label"] + rows) + "\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(
+            json.dumps({"columns": [{"name": "signal"},
+                                    {"name": "layout", "categorical": True}]})
+        )
+        model = tmp_path / "model.json"
+        assert main(
+            [
+                "train", "--data", str(train), "--schema", str(schema),
+                "--model-out", str(model), "--trees", "3", "--seed", "1",
+            ]
+        ) == 0
+        capsys.readouterr()
+        inst = tmp_path / "inst.csv"
+        inst.write_text("signal,layout\n0.1,list\n\n0.2,tiles\n0.3,tiles\n")
+        code = main(
+            [
+                "tweak", "--model", str(model), "--data", str(inst),
+                "--out", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 1
+        assert assert_one_error_line(capsys) == (
+            "error: line 4: column 'layout': unknown category 'tiles'"
+        )
 
 
 class TestFlagsAndEnv:
@@ -468,6 +544,20 @@ class TestReportCommand:
         )
         assert code == 1
         assert "line 4" in assert_one_error_line(capsys)
+
+    def test_ratings_unknown_verdict_reports_its_line(self, tmp_path, capsys):
+        recs = self._write_recommendations(tmp_path / "recs.json")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("feature_name,verdict\na,helpful\na,useful\n")
+        code = main(
+            [
+                "report", "--recommendations", str(recs),
+                "--ratings", str(ratings), "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "line 3" in err and "'useful'" in err
 
     def test_bad_ratings_header_fails(self, tmp_path, capsys):
         recs = self._write_recommendations(tmp_path / "recs.json")

@@ -277,6 +277,13 @@ class TestLoadInstances:
 _ACB = TableSchema(
     (ColumnSpec("a"), ColumnSpec("c", categorical=True), ColumnSpec("b"))
 )
+_ACB_DECLARED = TableSchema(
+    (
+        ColumnSpec("a"),
+        ColumnSpec("c", categorical=True, categories=("green", "red")),
+        ColumnSpec("b"),
+    )
+)
 _ACB_SPACE = FeatureSpace(
     [FeatureMeta("a")]
     + [FeatureMeta(f"c={v}", one_hot=OneHotMember("c", v)) for v in ("green", "red")]
@@ -312,6 +319,53 @@ class TestSharedParse:
             load(path)
         assert info.value.line == 3
         assert "expected 3 fields" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda path: load_table(path, _ACB_DECLARED),
+            lambda path: load_instances(path, _ACB_SPACE),
+        ],
+        ids=["load_table", "load_instances"],
+    )
+    def test_unknown_category_names_the_first_row_holding_it(self, tmp_path, load):
+        path = tmp_path / "new.csv"
+        path.write_text("a,c,b\n1,red,5\n\n2,blue,6\n3,blue,7\n")
+        with pytest.raises(UnknownCategory) as info:
+            load(path)
+        assert info.value.line == 4
+        assert info.value.value == "blue"
+        assert info.value.categories == ("green", "red")
+        assert str(info.value) == "line 4: column 'c': unknown category 'blue'"
+
+    @pytest.mark.parametrize(
+        "doc, where, key",
+        [
+            ({"columns": [{"name": "a", "categorial": True}]}, "column 'a'", "categorial"),
+            ({"columns": [{"name": "a"}], "label": "y"}, "the schema", "label"),
+        ],
+        ids=["column", "top-level"],
+    )
+    def test_schema_with_an_unknown_key_is_rejected(self, tmp_path, doc, where, key):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch) as info:
+            load_schema(path)
+        assert f"{where} has the unknown key {key!r}" in str(info.value)
+
+    def test_schema_with_every_known_key_loads(self, tmp_path):
+        path = tmp_path / "s.json"
+        column = {"name": "c", "categorical": True, "categories": ["x"], "adjustable": True}
+        path.write_text(json.dumps({"columns": [column], "label_column": "y"}))
+        assert load_schema(path) == TableSchema((ColumnSpec("c", True, ("x",), True),), "y")
+
+    def test_unknown_verdict_reports_its_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("feature_name,verdict\na,helpful\n\nb,useful\n")
+        with pytest.raises(ParseError) as info:
+            load_ratings(path)
+        assert info.value.line == 4
+        assert "'useful'" in str(info.value)
 
     def test_group_members_need_not_be_contiguous(self, tmp_path):
         # A model file may list a group's members apart from each other.

@@ -121,15 +121,16 @@ class TestCategoricalSwitches:
 
 class TestTopK:
     def _outcome(self, costs, values=None):
-        x = Instance([0.0])
-        cands = tuple(
-            make_transformation(
-                x, values[i] if values else [float(i) + 1.0], cost=c, tree=i, path=0
-            )
-            for i, c in enumerate(costs)
+        # Candidate i comes from tree i, path 0, with value i + 1 unless
+        # ``values`` gives its row.
+        rows = values if values else [[float(i) + 1.0] for i in range(len(costs))]
+        return Found(
+            np.zeros(1),
+            np.arange(len(costs)),
+            np.zeros(len(costs), dtype=int),
+            np.asarray(rows, dtype=float),
+            np.asarray(costs, dtype=float),
         )
-        best = min(cands, key=Transformation.sort_key)
-        return Found(best=best, all_candidates=cands)
 
     def test_fewer_than_k(self):
         out = self._outcome([0.3])

@@ -13,6 +13,7 @@ from treetweak.errors import (
     SearchSpaceTooLarge,
 )
 from treetweak.feature_space import Instance
+from treetweak.recommend import top_k_transformations
 from treetweak.forest import (
     GT,
     LE,
@@ -34,6 +35,7 @@ import treetweak.tweaker as tweaker_mod
 from treetweak.tweaker import (
     Found,
     NotCovered,
+    Transformation,
     brute_force_tweak,
     build_positive_instance,
     candidate_set,
@@ -587,6 +589,138 @@ class TestRowwiseCosting:
         assert costs[0] == math.inf and all(math.isfinite(c) for c in costs[1:])
         assert out.best is out.all_candidates[1]
         assert "cost undefined for candidate tree 0 path 0" in caplog.text
+
+
+def reference_top_k(candidates, k):
+    """The object ranking: sort every Transformation, then drop rows whose
+    values repeat an earlier row's."""
+    out, seen = [], set()
+    for cand in sorted(candidates, key=Transformation.sort_key):
+        key = cand.candidate.values.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+    return out[:k]
+
+
+def table(costs, values, tree=None, path=None):
+    """A Found table over x = 0 with the given rows; tree i, path 0 by
+    default."""
+    values = np.asarray(values, dtype=float)
+    return Found(
+        np.zeros(values.shape[1]),
+        np.arange(len(costs)) if tree is None else np.asarray(tree),
+        np.zeros(len(costs), dtype=int) if path is None else np.asarray(path),
+        values,
+        np.asarray(costs, dtype=float),
+    )
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("delta", COST_NAMES)
+    def test_ranking_matches_sorted_transformations(self, delta):
+        rng = np.random.default_rng(83)
+        compared = ties = 0
+        for _ in range(12):
+            ens = random_ensemble(rng, int(rng.integers(3, 9)), 4, 4)
+            for x in sample_negative_instances(ens, rng, 3):
+                out = tweak(ens, x, delta, 0.1)
+                if not isinstance(out, Found):
+                    continue
+                count = out.num_candidates
+                # Ranked before any Transformation of the pool exists.
+                shown = {k: top_k_transformations(out, k) for k in (1, 3, count)}
+                assert "all_candidates" not in vars(out)
+                assert len(out.all_candidates) == count
+                assert [(c.source_tree, c.source_path) for c in out.all_candidates] == (
+                    sorted(zip(out.tree.tolist(), out.path.tolist()))
+                )
+                for k, top in shown.items():
+                    expected = reference_top_k(out.all_candidates, k)
+                    assert len(top) == len(expected)
+                    assert all(a is b for a, b in zip(top, expected))
+                assert out.best is shown[1][0]
+                assert out.best is min(out.all_candidates, key=Transformation.sort_key)
+                costs = [c.cost for c in out.all_candidates]
+                ties += len(costs) - len(set(costs))
+                compared += count
+        assert compared > 100
+        if delta == "tweaked_feature_rate":
+            assert ties > 50
+
+    def test_undefined_costs_rank_last_in_tree_path_order(self):
+        rng = np.random.default_rng(89)
+        seen = 0
+        for _ in range(10):
+            ens = random_ensemble(rng, 7, 4, 4)
+
+            def every_third_undefined(x_values, Y):
+                costs = np.abs(Y - x_values).sum(axis=1)
+                costs[::3] = np.nan
+                return costs
+
+            for x in sample_negative_instances(ens, rng, 3):
+                out = tweak(ens, x, every_third_undefined, 0.1)
+                if not isinstance(out, Found) or out.num_candidates < 4:
+                    continue
+                top = top_k_transformations(out, out.num_candidates)
+                assert all(a is b for a, b in zip(top, reference_top_k(
+                    out.all_candidates, out.num_candidates
+                )))
+                costs = [t.cost for t in top]
+                first_inf = costs.index(math.inf)
+                assert all(math.isfinite(c) for c in costs[:first_inf])
+                assert all(c == math.inf for c in costs[first_inf:])
+                last = [(t.source_tree, t.source_path) for t in top[first_inf:]]
+                assert last == sorted(last)
+                seen += 1
+        assert seen > 5
+
+    def test_duplicate_rows_are_shown_once_from_the_first_tree(self):
+        # Two identical stumps give the same candidate row, from their
+        # right leaf (path 1).
+        trees = (stump(0, 0.0, -1, 1), stump(0, 0.0, -1, 1), stump(1, 5.0, 1, -1))
+        ens = TreeEnsemble(trees, plain_space(2))
+        out = tweak(ens, Instance([-1.0, 0.0]), "euclidean", 0.1)
+        assert isinstance(out, Found) and out.num_candidates == 2
+        assert np.array_equal(out.values[0], out.values[1])
+        (only,) = top_k_transformations(out, 3)
+        assert (only.source_tree, only.source_path) == (0, 1)
+        assert only is out.best
+
+    def test_ties_and_duplicates_in_a_hand_built_table(self):
+        # Rows 1, 2 and 4 tie on cost; rows 2 and 4 hold the same values,
+        # and row 3's cost is undefined.
+        out = table(
+            [0.2, 0.1, 0.1, math.inf, 0.1],
+            [[1.0], [2.0], [3.0], [4.0], [3.0]],
+            tree=[0, 0, 1, 1, 2],
+            path=[0, 1, 0, 1, 0],
+        )
+        top = top_k_transformations(out, 5)
+        assert [(t.source_tree, t.source_path) for t in top] == [
+            (0, 1), (1, 0), (0, 0), (1, 1)
+        ]
+        assert all(a is b for a, b in zip(top, reference_top_k(out.all_candidates, 5)))
+        assert out.best is top[0]
+        assert top[0].changed_indices == frozenset({0})
+
+    def test_rows_become_transformations_once(self):
+        out = table([0.3, 0.1], [[1.0, 0.0], [0.0, 0.0]])
+        best = out.best
+        assert best is top_k_transformations(out, 1)[0]
+        assert best is out.all_candidates[1]
+        assert best.changed_indices == frozenset()
+        assert out.all_candidates[0].changed_indices == frozenset({0})
+        assert out.all_candidates is out.all_candidates
+
+    def test_brute_force_builds_the_same_table(self):
+        ens, x = TestRowwiseCosting()._ensemble()
+        fast = tweak(ens, x, "euclidean", 0.1)
+        oracle = brute_force_tweak(ens, x, "euclidean", 0.1, only_negative_trees=True)
+        assert isinstance(oracle, Found)
+        for name in ("x_values", "tree", "path", "values", "costs"):
+            assert np.array_equal(getattr(fast, name), getattr(oracle, name)), name
 
 
 class TestNonFiniteInstance:
