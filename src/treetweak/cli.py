@@ -30,7 +30,7 @@ from treetweak.recommend import (
     top_k_transformations,
 )
 from treetweak.trainer import TrainConfig, evaluate_classifier, stratified_split, train_forest
-from treetweak.tweaker import Found, sweep, tweak, write_sweep_csv
+from treetweak.tweaker import Found, check_search_args, sweep, tweak, write_sweep_csv
 
 DEFAULT_EPSILON_GRID = "0.01,0.05,0.1,0.5,1.0"
 
@@ -98,6 +98,10 @@ def _transformation_entry(rank, trans, x, ens):
 
 
 def _cmd_tweak(args) -> int:
+    # Before any file is read, so a bad value fails with no eligible row too.
+    if args.top_k < 1:
+        raise ValueError(f"top-k must be >= 1, got {args.top_k}")
+    check_search_args([], [args.epsilon], [], args.budget)
     ens = load_model(args.model)
     instances = load_instances(args.data, ens.feature_space)
     results = []
@@ -163,7 +167,7 @@ def _cmd_sweep(args) -> int:
         delta_names = list(COST_NAMES)
     else:
         delta_names = [v.strip() for v in args.deltas.split(",") if v.strip()]
-    report = sweep(
+    rows = sweep(
         ens,
         instances,
         epsilon_grid,
@@ -171,10 +175,10 @@ def _cmd_sweep(args) -> int:
         skip_satisfied=args.allow_satisfied_skip,
         budget=args.budget,
     )
-    write_sweep_csv(report, args.out)
+    write_sweep_csv(rows, args.out)
     _info(
         f"sweep of {len(epsilon_grid)} epsilon x {len(delta_names)} delta "
-        f"values written to {args.out} ({len(report.rows)} rows)"
+        f"values written to {args.out} ({len(rows)} rows)"
     )
     return 0
 

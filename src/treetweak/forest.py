@@ -10,6 +10,9 @@ Conventions pinned here and relied on everywhere else:
 A tree is stored only as preorder node arrays, the layout of the JSON
 ``nodes``, and every walk over it is a loop over node indices;
 :class:`Internal` and :class:`Leaf` are a builder for hand-made trees.
+No other module reads that layout: an ensemble hands out its trees' node
+arrays concatenated (``nodes``) and the folded box of every positive leaf
+(``positive_boxes``), each built once.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -194,6 +197,21 @@ class ForestNodes(NamedTuple):
     depth: int
 
 
+class PositiveBoxes(NamedTuple):
+    """The folded (lo, hi] box of every positive leaf of an ensemble.
+
+    Rows run in (tree, leaf ordinal) order. ``tested[r, f]`` marks the
+    features some condition on the leaf's path tests (see
+    :func:`extract_paths`); an untested feature has bounds (-inf, inf).
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    tested: np.ndarray
+    tree: np.ndarray
+    ordinal: np.ndarray
+
+
 def _values(x) -> np.ndarray:
     return x.values if isinstance(x, Instance) else np.asarray(x, dtype=float)
 
@@ -219,15 +237,11 @@ def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
     return nodes.label[node]
 
 
-def vote_sum(ens: "TreeEnsemble", x) -> int:
-    return int(tree_votes(ens, x).sum())
-
-
 def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     """Vote sum of every row of a ``[C, n]`` matrix, routing <= left.
 
-    Equal to ``vote_sum`` row by row. Trees are routed one at a time, so
-    temporaries stay of size C.
+    Equal to ``tree_votes(ens, row).sum()`` row by row. Trees are routed
+    one at a time, so temporaries stay of size C.
     """
     X = np.asarray(X, dtype=float)
     cells = X.ravel()
@@ -245,7 +259,7 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
     """Majority vote: -1 iff the vote sum is <= 0, else +1."""
-    return -1 if vote_sum(ens, x) <= 0 else 1
+    return -1 if tree_votes(ens, x).sum() <= 0 else 1
 
 
 def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
@@ -346,6 +360,46 @@ class TreeEnsemble:
             root,
             max(tree.depth for tree in trees),
         )
+
+    @cached_property
+    def positive_boxes(self) -> PositiveBoxes:
+        """The box of every positive leaf, built on first use by one climb
+        over :attr:`nodes`."""
+        feature, threshold, children, label, root, _ = self.nodes
+        left, right = children[:, 1], children[:, 0]
+        nodes = np.arange(len(label))
+        internal = left != nodes
+        parent = np.full(len(nodes), -1)
+        parent[left[internal]] = nodes[internal]
+        parent[right[internal]] = nodes[internal]
+        # Preorder lists each tree's leaves left to right, so the positive
+        # leaves come out in (tree, leaf ordinal) order.
+        leaves = np.flatnonzero(label == 1)
+        tree_of = np.searchsorted(root, leaves, side="right") - 1
+        leaves_before = np.cumsum(~internal) - ~internal
+        ordinal = leaves_before[leaves] - leaves_before[root[tree_of]]
+
+        n = self.feature_space.n
+        lo = np.full((len(leaves), n), -np.inf)
+        hi = np.full((len(leaves), n), np.inf)
+        tested = np.zeros((len(leaves), n), dtype=bool)
+        # Climb from every positive leaf of the forest to its root at once,
+        # folding each edge into its row; fmin/fmax skip NaN thresholds like
+        # min/max do.
+        rows = np.arange(len(leaves))
+        child = leaves
+        while child.size:
+            par = parent[child]
+            up = par >= 0
+            rows, child, par = rows[up], child[up], par[up]
+            f, t = feature[par], threshold[par]
+            tested[rows, f] = True
+            le = left[par] == child
+            hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
+            gt = ~le
+            lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
+            child = par
+        return PositiveBoxes(lo, hi, tested, tree_of, ordinal)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,6 @@ def train_forest(
     data: list[Instance],
     cfg: TrainConfig,
     space: FeatureSpace,
-    seed: int | None = None,
 ) -> TreeEnsemble:
     """Train a bagged forest of cfg.num_trees trees.
 
@@ -218,12 +217,10 @@ def train_forest(
         raise ValueError(
             f"data has {Xt.shape[0]} features but the space declares {space.n}"
         )
-    if seed is None:
-        seed = cfg.seed
     max_depth, fps, bootstrap = cfg.resolve(space.n)
     m = len(pos)
     trees = []
-    for stream in np.random.SeedSequence(seed).spawn(cfg.num_trees):
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees):
         rng = np.random.default_rng(stream)
         idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
         trees.append(_train_tree_arrays(Xt, pos, idx, cfg, rng))
@@ -234,7 +231,7 @@ def train_forest(
         "features_per_split": fps,
         "min_samples_split": cfg.min_samples_split,
         "bootstrap": bootstrap,
-        "seed": seed,
+        "seed": cfg.seed,
     }
     ens = TreeEnsemble(trees, space, metadata=metadata)
     object.__setattr__(ens, "importances", feature_importances(ens))

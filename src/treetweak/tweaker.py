@@ -10,20 +10,22 @@ the pool; the cheapest one under the chosen cost function is the answer.
 Epsilon is expressed in standardized units, i.e. multiples of one standard
 deviation of each feature.
 
-A positive leaf's folded (lower, upper] box depends only on the model, so
-the boxes of all positive leaves are built once per ensemble, as [P, n]
-arrays, on the first search, by one climb over the ensemble's concatenated
-node arrays. Each search routes x through every tree at once
-(:func:`~treetweak.forest.tree_votes`), selects the rows of x's
-negative-voting trees, places every candidate with array masks,
-re-validates all feasible candidates against the whole forest in one
-batched call, and prices them with one row-wise call to the cost
+One search serves every entry point. :func:`tweak` first checks its
+arguments (x finite, epsilon finite and > 0, the budget None or >= 0, a
+known cost name), then routes x through every tree at once
+(:func:`~treetweak.forest.tree_votes`) and rejects an ensemble-positive x
+with NotNegative. It selects the ensemble's positive-leaf boxes
+(:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`, built once per
+model) of x's negative-voting trees, places every candidate with array
+masks, re-validates all feasible candidates against the whole forest in
+one batched call, and prices them with one row-wise call to the cost
 function. The accepted candidates stay a table: :class:`Found` keeps
 their tree, path, [C, n] values and cost arrays, ranks them with one
 lexsort, and builds a Transformation object only for a row it hands out
 (the best, the top-k a caller shows, or every row when ``all_candidates``
-is read). Instances with a NaN or infinite value are rejected before any
-of this. :func:`brute_force_tweak` keeps the scalar, path-by-path,
+is read). :func:`candidate_set` is tweak's ``all_candidates``, and
+:func:`sweep` runs the same checks and candidate generation over a grid.
+:func:`brute_force_tweak` keeps the scalar, path-by-path,
 candidate-by-candidate formulation as the test oracle, and stacks its
 candidates into the same table.
 """
@@ -33,11 +35,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import weakref
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 from itertools import compress
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,8 +161,8 @@ class SearchStats:
 
 
 def _check_epsilon(epsilon: float) -> float:
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+    if not 0 < epsilon < INF:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     return float(epsilon)
 
 
@@ -235,78 +236,25 @@ def build_positive_instance(
     return Instance(values)
 
 
-class _Boxes(NamedTuple):
-    """The folded (lo, hi] box of every positive leaf of an ensemble.
-
-    Rows run in (tree, leaf ordinal) order. ``tested[r, f]`` marks the
-    features some condition on the leaf's path tests, i.e. the keys of
-    :func:`_fold_conditions`; an untested feature has bounds (-inf, inf).
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    tested: np.ndarray
-    tree: np.ndarray
-    ordinal: np.ndarray
-
-
-_BOXES: "weakref.WeakKeyDictionary[TreeEnsemble, _Boxes]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _leaf_boxes(ens: TreeEnsemble) -> _Boxes:
-    """The ensemble's positive-leaf boxes, built on first use and cached."""
-    boxes = _BOXES.get(ens)
-    if boxes is None:
-        boxes = _BOXES[ens] = _build_leaf_boxes(ens)
-    return boxes
-
-
-def _build_leaf_boxes(ens: TreeEnsemble) -> _Boxes:
-    feature, threshold, children, label, offset, _ = ens.nodes
-    left, right = children[:, 1], children[:, 0]
-    nodes = np.arange(len(label))
-    internal = left != nodes
-    parent = np.full(len(nodes), -1)
-    parent[left[internal]] = nodes[internal]
-    parent[right[internal]] = nodes[internal]
-    # Preorder lists each tree's leaves left to right, so the positive
-    # leaves come out in (tree, leaf ordinal) order.
-    leaves = np.flatnonzero(label == 1)
-    tree_of = np.searchsorted(offset, leaves, side="right") - 1
-    leaves_before = np.cumsum(~internal) - ~internal
-    ordinal = leaves_before[leaves] - leaves_before[offset[tree_of]]
-
-    n = ens.feature_space.n
-    lo = np.full((len(leaves), n), -INF)
-    hi = np.full((len(leaves), n), INF)
-    tested = np.zeros((len(leaves), n), dtype=bool)
-    # Climb from every positive leaf of the forest to its root at once,
-    # folding each edge into its row; fmin/fmax skip NaN thresholds like
-    # min/max do.
-    rows = np.arange(len(leaves))
-    child = leaves
-    while child.size:
-        par = parent[child]
-        up = par >= 0
-        rows, child, par = rows[up], child[up], par[up]
-        f, t = feature[par], threshold[par]
-        tested[rows, f] = True
-        le = left[par] == child
-        hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
-        gt = ~le
-        lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
-        child = par
-    return _Boxes(lo, hi, tested, tree_of, ordinal)
-
-
-def _finite_values(x: Instance) -> np.ndarray:
-    """x's values, rejected when any is NaN or infinite."""
-    if not np.isfinite(x.values).all():
-        bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
-        raise NonFiniteValue(f"instance has non-finite values at features {bad}")
-    return x.values
+def check_search_args(
+    instances: Sequence[Instance],
+    epsilons: Sequence[float],
+    deltas: Sequence[Callable | str],
+    budget: int | None,
+) -> tuple[list[np.ndarray], list[float], list[Callable]]:
+    """Every instance's values, epsilon and cost function, once all pass:
+    NonFiniteValue for a NaN or infinite value; ValueError unless epsilon
+    is finite and > 0, the budget None or >= 0 and a cost name known.
+    Every search calls it before it routes an instance."""
+    for x in instances:
+        if not np.isfinite(x.values).all():
+            bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
+            raise NonFiniteValue(f"instance has non-finite values at features {bad}")
+    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be None or >= 0, got {budget!r}")
+    deltas = [cost_by_name(d) if isinstance(d, str) else d for d in deltas]
+    return [x.values for x in instances], epsilons, deltas
 
 
 def _generate_candidates(
@@ -317,26 +265,21 @@ def _generate_candidates(
     skip_satisfied: bool,
     budget: int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]:
-    """All ensemble-positive candidates from negative-voting trees, in
-    (tree, path) order, plus counters describing the search.
+    """All ensemble-positive candidates from the negative-voting trees of
+    an ensemble-negative x, in (tree, path) order, plus counters
+    describing the search.
 
     The candidates come as three arrays: the source tree and path of each
     and the ``[C, n]`` matrix of their values. ``votes`` are x's per-tree
-    votes. A tree is searched only when the ensemble prediction and its
-    own vote are both negative; for an ensemble-positive instance nothing
-    is selected and the set is empty.
+    votes; callers pass only an x whose votes sum to <= 0.
     """
-    if votes.sum() > 0:
-        none = np.empty(0, dtype=np.intp)
-        stats = SearchStats(0, 0, 0, 0, False)
-        return none, none, np.empty((0, len(x_values))), stats
-    boxes = _leaf_boxes(ens)
+    boxes = ens.positive_boxes
     rows = np.flatnonzero(votes[boxes.tree] == -1)
     # The budget is spent in (tree, ordinal) order, so the truncation
     # point is the same for every run.
     truncated = budget is not None and len(rows) > budget
     if truncated:
-        rows = rows[: max(budget, 0)]
+        rows = rows[:budget]
         logger.warning(
             "tweak search truncated by budget=%s after %d paths", budget, len(rows)
         )
@@ -373,14 +316,6 @@ def _generate_candidates(
     return boxes.tree[kept], boxes.ordinal[kept], values[accepted], stats
 
 
-def _cost_or_incomparable(delta: Callable, x_values, cand_values, where: str) -> float:
-    try:
-        return delta(x_values, cand_values)
-    except (ZeroVector, ZeroVariance) as exc:
-        logger.warning("cost undefined for candidate %s (%s); ranked last", where, exc)
-        return INF
-
-
 def _row_costs(
     delta: Callable, x_values, tree: np.ndarray, path: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -410,27 +345,17 @@ def candidate_set(
     skip_satisfied: bool = False,
     budget: int | None = None,
 ) -> list[Transformation]:
-    """Every valid transformation of x: built from a positive path of a
-    negative-voting tree and re-predicted positive by the whole ensemble.
+    """Every valid transformation of x: :func:`tweak`'s ``all_candidates``,
+    in (tree, path) order.
 
-    Empty when nothing qualifies — including when x is already predicted
-    positive, since no tree passes the both-negative selection then.
-
-    A callable ``delta`` is called once, as ``delta(x_values, Y)`` with the
-    ``[C, n]`` matrix of all candidates, and must return a ``[C]`` array
-    of costs, NaN where undefined (see :mod:`treetweak.costs`); any other
-    shape raises LengthMismatch. Raises NonFiniteValue when x has a NaN
-    or infinite value.
+    Empty when nothing qualifies, including when x is already predicted
+    positive. The arguments are checked, and errors raised, as in tweak.
     """
-    x_values = _finite_values(x)
-    epsilon = _check_epsilon(epsilon)
-    delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
-    votes = tree_votes(ens, x_values)
-    tree, path, values, _ = _generate_candidates(
-        ens, x_values, votes, epsilon, skip_satisfied, budget
-    )
-    costs = _row_costs(delta_fn, x_values, tree, path, values)
-    return list(Found(x_values, tree, path, values, costs).all_candidates)
+    try:
+        outcome = tweak(ens, x, delta, epsilon, skip_satisfied, budget)
+    except NotNegative:
+        return []
+    return list(outcome.all_candidates) if isinstance(outcome, Found) else []
 
 
 def tweak(
@@ -447,16 +372,18 @@ def tweak(
     ``best``, or NotCovered when no candidate flips the ensemble — an
     explicit outcome rather than silently handing back x unchanged.
 
-    A callable ``delta`` must accept the candidate matrix, as in
-    :func:`candidate_set`. Raises NonFiniteValue when x has a NaN or
-    infinite value.
+    A callable ``delta`` is called once, as ``delta(x_values, Y)`` with the
+    ``[C, n]`` matrix of all candidates, and must return a ``[C]`` array
+    of costs, NaN where undefined (see :mod:`treetweak.costs`); any other
+    shape raises LengthMismatch. The arguments are checked by
+    :func:`check_search_args` before x is routed; NotNegative comes after.
     """
-    x_values = _finite_values(x)
+    (x_values,), (epsilon,), (delta_fn,) = check_search_args(
+        [x], [epsilon], [delta], budget
+    )
     votes = tree_votes(ens, x_values)
     if votes.sum() > 0:
         raise NotNegative("instance is already predicted positive by the ensemble")
-    epsilon = _check_epsilon(epsilon)
-    delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
     tree, path, values, stats = _generate_candidates(
         ens, x_values, votes, epsilon, skip_satisfied, budget
     )
@@ -490,9 +417,9 @@ def brute_force_tweak(
     paths in scope. Costs each candidate on its own, through the vector
     form of ``delta``.
     """
-    x_values = _finite_values(x)
-    epsilon = _check_epsilon(epsilon)
-    delta_fn = cost_by_name(delta) if isinstance(delta, str) else delta
+    (x_values,), (epsilon,), (delta_fn,) = check_search_args(
+        [x], [epsilon], [delta], None
+    )
     scope = [
         k
         for k, tree in enumerate(ens.trees)
@@ -515,9 +442,14 @@ def brute_force_tweak(
                 continue
             if predict_ensemble(ens, inst) != 1:
                 continue
-            cost = _cost_or_incomparable(
-                delta_fn, x_values, inst.values, f"tree {k} path {path.path_index}"
-            )
+            try:
+                cost = delta_fn(x_values, inst.values)
+            except (ZeroVector, ZeroVariance) as exc:
+                logger.warning(
+                    "cost undefined for candidate tree %d path %d (%s); ranked last",
+                    k, path.path_index, exc,
+                )
+                cost = INF
             rows.append((k, path.path_index, inst.values, cost))
     if not rows:
         return NotCovered("exhaustive enumeration found no valid transformation")
@@ -546,11 +478,6 @@ class SweepRow:
     median_instance_avg_cost: float | None
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
@@ -561,7 +488,7 @@ def sweep(
     delta_names: Sequence[str],
     skip_satisfied: bool = False,
     budget: int | None = None,
-) -> SweepReport:
+) -> tuple[SweepRow, ...]:
     """Coverage and cost statistics over a tolerance x cost-function grid.
 
     For each (epsilon, delta): the fraction of eligible (model-negative)
@@ -572,16 +499,16 @@ def sweep(
     leaf boxes and per-tree votes across the whole grid; each cost
     function prices all candidates of an instance in one call.
 
-    Raises NonFiniteValue when an instance has a NaN or infinite value.
+    Every argument is checked by :func:`check_search_args` before any
+    instance is routed.
     """
-    values_of = [_finite_values(inst) for inst in instances]
-    for name in delta_names:
-        cost_by_name(name)  # validate upfront
+    values_of, epsilons, delta_fns = check_search_args(
+        instances, epsilon_grid, delta_names, budget
+    )
     voted = [(x_values, tree_votes(ens, x_values)) for x_values in values_of]
     voted = [(x_values, votes) for x_values, votes in voted if votes.sum() <= 0]
     rows: list[SweepRow] = []
-    for epsilon in epsilon_grid:
-        epsilon = _check_epsilon(epsilon)
+    for epsilon in epsilons:
         found = [
             (x_values,) + _generate_candidates(
                 ens, x_values, votes, epsilon, skip_satisfied, budget
@@ -589,22 +516,16 @@ def sweep(
             for x_values, votes in voted
         ]
         counts = np.asarray([len(values) for *_, values in found], dtype=float)
-        for name in delta_names:
-            delta_fn = cost_by_name(name)
-            finite = []
-            for x_values, tree, path, values in found:
-                costs = _row_costs(delta_fn, x_values, tree, path, values)
-                finite.append(costs[np.isfinite(costs)])
+        covered = int(np.count_nonzero(counts > 0))
+        coverage = covered / len(voted) if voted else 0.0
+        quantiles = (None,) * 5
+        if voted:
+            quantiles = tuple(np.percentile(counts, [0, 25, 50, 75, 100]).tolist())
+        for name, delta_fn in zip(delta_names, delta_fns):
+            costs = [_row_costs(delta_fn, *candidates) for candidates in found]
+            finite = [c[np.isfinite(c)] for c in costs]
             all_costs = np.concatenate(finite) if finite else np.empty(0)
             instance_means = [float(np.mean(c)) for c in finite if c.size]
-            covered = int(np.count_nonzero(counts > 0))
-            if len(voted) > 0:
-                q = np.percentile(counts, [0, 25, 50, 75, 100])
-                quantiles = tuple(float(v) for v in q)
-                coverage = covered / len(voted)
-            else:
-                quantiles = (None,) * 5
-                coverage = 0.0
             micro_avg = float(np.mean(all_costs)) if all_costs.size else None
             median_avg = float(np.median(instance_means)) if instance_means else None
             rows.append(
@@ -613,14 +534,14 @@ def sweep(
                     micro_avg, median_avg,
                 )
             )
-    return SweepReport(tuple(rows))
+    return tuple(rows)
 
 
-def write_sweep_csv(report: SweepReport, path) -> None:
-    """Serialize a sweep report, one row per (epsilon, delta) cell; floats
+def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
+    """Serialize the rows of a sweep, one per (epsilon, delta) cell; floats
     are written by ``str``, which keeps full round-trip precision, and
     None as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(astuple(row) for row in report.rows)
+        writer.writerows(astuple(row) for row in rows)

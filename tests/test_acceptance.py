@@ -36,7 +36,7 @@ from treetweak.forest import (
     predict_tree,
     route,
     save_model,
-    vote_sum,
+    tree_votes,
 )
 from treetweak.recommend import (
     HELPFUL,
@@ -228,7 +228,7 @@ def test_criterion_04_majority_vote_semantics():
             x = Instance(rng.normal(0, 2, 3))
             pairs += 1
             total = sum(predict_tree(tree, x) for tree in ens.trees)
-            assert vote_sum(ens, x) == total
+            assert tree_votes(ens, x).sum() == total
             assert predict_ensemble(ens, x) == (-1 if total <= 0 else 1)
             ties += total == 0
     _criterion(
@@ -356,9 +356,9 @@ def test_criterion_08_sweep_harness():
     ens, negatives = _sweep_setup()
     assert len(negatives) >= 8
     grid = [0.01, 0.05, 0.1, 0.5, 1.0]
-    report = sweep(ens, negatives, grid, list(COST_NAMES))
-    ok = len(report.rows) == 25
-    for row in report.rows:
+    rows = sweep(ens, negatives, grid, list(COST_NAMES))
+    ok = len(rows) == 25
+    for row in rows:
         ok &= 0.0 <= row.coverage <= 1.0
         recount = sum(
             1
@@ -371,7 +371,7 @@ def test_criterion_08_sweep_harness():
         8,
         "tolerance grid sweep: 25 rows, coverage recount matches exactly",
         ok,
-        f"{len(report.rows)} rows over {len(negatives)} instances",
+        f"{len(rows)} rows over {len(negatives)} instances",
     )
 
 

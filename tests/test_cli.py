@@ -404,6 +404,44 @@ class TestFlagsAndEnv:
             ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
         ) == 0
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("tweak", ["--epsilon", "inf"]),
+            ("tweak", ["--epsilon", "nan"]),
+            ("tweak", ["--budget", "-1"]),
+            ("tweak", ["--top-k", "0"]),
+            ("sweep", ["--epsilon-grid", "0.1,inf"]),
+            ("sweep", ["--budget", "-1"]),
+        ],
+    )
+    @pytest.mark.parametrize("x0", ["-1.0", "1.0"], ids=["eligible", "all-positive"])
+    def test_out_of_range_value_exits_1_without_output(
+        self, tmp_path, capsys, command, flags, x0
+    ):
+        model = write_stump_model(tmp_path / "model.json")
+        data = tmp_path / "inst.csv"
+        data.write_text(f"x0\n{x0}\n")
+        out = tmp_path / "out"
+        code = main(
+            [command, "--model", str(model), "--data", str(data), "--out", str(out)]
+            + flags
+        )
+        assert code == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_top_k_checked_before_the_model_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "out.json"
+        code = main(
+            ["tweak", "--model", missing, "--data", missing, "--out", str(out),
+             "--top-k", "0"]
+        )
+        assert code == 1
+        assert "top-k" in assert_one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_default_grid_emits_25_rows(self, tmp_path):

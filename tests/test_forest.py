@@ -23,7 +23,6 @@ from treetweak.forest import (
     route,
     save_model,
     tree_votes,
-    vote_sum,
     vote_sums,
 )
 
@@ -102,7 +101,7 @@ class TestPredictEnsemble:
     def test_even_tie_resolves_negative(self):
         trees = (DecisionTree(Leaf(1)), DecisionTree(Leaf(-1)))
         ens = TreeEnsemble(trees, plain_space(1))
-        assert vote_sum(ens, Instance([0.0])) == 0
+        assert tree_votes(ens, Instance([0.0])).sum() == 0
         assert predict_ensemble(ens, Instance([0.0])) == -1
 
     def test_sign_rule_matches_recomputation(self):
@@ -145,7 +144,7 @@ class TestFlatView:
             X = rng.normal(0, 2, (50, 3))
             # put some rows exactly on thresholds
             X[:5, 0] = ens.trees[0].threshold[0]
-            assert list(vote_sums(ens, X)) == [vote_sum(ens, x) for x in X]
+            assert list(vote_sums(ens, X)) == [tree_votes(ens, x).sum() for x in X]
 
     def test_tree_votes_match_scalar_predictions(self):
         rng = np.random.default_rng(11)
@@ -169,6 +168,21 @@ class TestFlatView:
     def test_empty_matrix(self):
         ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+
+    def test_positive_boxes_built_once_per_ensemble(self):
+        trees = (stump(0, 0.5, -1, 1), stump(1, -0.5, 1, -1))
+        a = TreeEnsemble(trees, plain_space(2))
+        b = TreeEnsemble(trees, plain_space(2))
+        boxes = a.positive_boxes
+        assert a.positive_boxes is boxes
+        assert b.positive_boxes is not boxes
+        for got, want in zip(b.positive_boxes, boxes):
+            assert np.array_equal(got, want)
+        # Tree 0 is positive above 0.5 on x0, tree 1 at or below -0.5 on x1.
+        assert boxes.lo.tolist() == [[0.5, -math.inf], [-math.inf, -math.inf]]
+        assert boxes.hi.tolist() == [[math.inf, math.inf], [math.inf, -0.5]]
+        assert boxes.tested.tolist() == [[True, False], [False, True]]
+        assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == ([0, 1], [1, 0])
 
 
 class TestExtractPaths:

@@ -141,8 +141,8 @@ class TestCandidateSet:
         assert cands[0].changed_indices == frozenset({0})
 
     def test_positive_instance_yields_empty_set(self):
-        # No tree passes the both-negative selection for a positive
-        # instance, so the set is empty rather than an error.
+        # tweak rejects a positive instance with NotNegative, which
+        # candidate_set turns into an empty set rather than an error.
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
         assert candidate_set(ens, Instance([2.0]), 0.1, "euclidean") == []
 
@@ -477,7 +477,7 @@ class TestBatchedSearchEdges:
         trees = (DecisionTree(Leaf(-1)), stump(1, 0.0, -1, -1))
         ens = TreeEnsemble(trees, plain_space(2))
         out = tweak(ens, Instance([0.0, 0.0]), "euclidean", 0.1)
-        assert tweaker_mod._leaf_boxes(ens).lo.shape == (0, 2)
+        assert ens.positive_boxes.lo.shape == (0, 2)
         assert out == NotCovered(
             "no candidate flips the ensemble: 0 positive paths over 2 "
             "negative-voting trees (0 infeasible, 0 rejected)"
@@ -529,7 +529,7 @@ class TestBatchedSearchEdges:
                 for _ in range(int(rng.integers(1, 6)))
             )
             ens = TreeEnsemble(trees, plain_space(4))
-            boxes = tweaker_mod._build_leaf_boxes(ens)
+            boxes = ens.positive_boxes
             paths = [
                 path
                 for k, tree in enumerate(trees)
@@ -744,6 +744,78 @@ class TestNonFiniteInstance:
             entry(ens, Instance([-1.0, bad]))
 
 
+BAD_ARGUMENTS = {
+    "epsilon-inf": {"epsilon": math.inf},
+    "epsilon-minus-inf": {"epsilon": -math.inf},
+    "epsilon-nan": {"epsilon": math.nan},
+    "epsilon-zero": {"epsilon": 0.0},
+    "budget-negative": {"budget": -1},
+    "unknown-cost": {"delta": "manhattan"},
+}
+
+
+class TestSearchArguments:
+    """Every entry point checks its arguments before it routes x, so a bad
+    one fails the same way for a negative and a positive instance."""
+
+    def _ensemble(self):
+        return TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+
+    def _args(self, bad):
+        return {"delta": "euclidean", "epsilon": 0.1, "budget": None, **bad}
+
+    @pytest.mark.parametrize("x0", [-1.0, 2.0], ids=["negative", "positive"])
+    @pytest.mark.parametrize("bad", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+    def test_tweak_raises_value_error_before_not_negative(self, bad, x0):
+        with pytest.raises(ValueError):
+            tweak(self._ensemble(), Instance([x0]), **self._args(bad))
+
+    @pytest.mark.parametrize("x0", [-1.0, 2.0], ids=["negative", "positive"])
+    @pytest.mark.parametrize("bad", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+    def test_candidate_set_raises_value_error_instead_of_empty(self, bad, x0):
+        with pytest.raises(ValueError):
+            candidate_set(self._ensemble(), Instance([x0]), **self._args(bad))
+
+    @pytest.mark.parametrize("x0", [-1.0, 2.0], ids=["negative", "positive"])
+    @pytest.mark.parametrize("bad", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+    def test_sweep_raises_value_error_before_routing(self, bad, x0):
+        args = self._args(bad)
+        with pytest.raises(ValueError):
+            sweep(
+                self._ensemble(), [Instance([x0])], [0.5, args["epsilon"]],
+                ["cosine", args["delta"]], budget=args["budget"],
+            )
+
+    @pytest.mark.parametrize(
+        "bad", [b for b in BAD_ARGUMENTS.values() if "budget" not in b],
+        ids=[k for k, b in BAD_ARGUMENTS.items() if "budget" not in b],
+    )
+    def test_brute_force_raises_value_error(self, bad):
+        args = self._args(bad)
+        del args["budget"]
+        with pytest.raises(ValueError):
+            brute_force_tweak(self._ensemble(), Instance([2.0]), **args)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_build_positive_instance_rejects_non_finite_epsilon(self, epsilon):
+        path = positive_path((0, GT, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            build_positive_instance(Instance([-1.0]), path, epsilon, plain_space(1))
+
+    def test_huge_finite_epsilon_is_searched_without_warnings(self):
+        # The stump's positive leaf is open above, so any finite epsilon
+        # places a candidate; an infinite one used to make inf - inf.
+        out = tweak(self._ensemble(), Instance([-1.0]), "euclidean", 1e100)
+        assert isinstance(out, Found)
+        assert out.best.candidate.values.tolist() == [1e100]
+
+    def test_search_reuses_the_ensembles_boxes(self):
+        ens = self._ensemble()
+        boxes = ens.positive_boxes
+        assert isinstance(tweak(ens, Instance([-1.0]), "euclidean", 0.1), Found)
+        assert ens.positive_boxes is boxes
+
+
 class TestNotCoveredReason:
     def _ensemble(self):
         # At x0 = -5 all five trees vote -1. In (tree, path) order the four
@@ -796,17 +868,16 @@ class TestSweep:
     def test_full_grid_emits_all_rows(self):
         ens, instances = self._fixture()
         grid = [0.01, 0.05, 0.1, 0.5, 1.0]
-        report = sweep(ens, instances, grid, list(COST_NAMES))
-        assert len(report.rows) == 25
-        for row in report.rows:
+        rows = sweep(ens, instances, grid, list(COST_NAMES))
+        assert len(rows) == 25
+        for row in rows:
             assert 0.0 <= row.coverage <= 1.0
             assert row.eligible == 8
 
     def test_fully_covered_set(self):
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
         instances = [Instance([-v]) for v in (0.5, 1.0, 2.0)]
-        report = sweep(ens, instances, [0.1], ["euclidean"])
-        (row,) = report.rows
+        (row,) = sweep(ens, instances, [0.1], ["euclidean"])
         assert row.coverage == 1.0
         assert row.covered == 3
         assert row.micro_avg_cost == pytest.approx((0.6 + 1.1 + 2.1) / 3)
@@ -814,8 +885,8 @@ class TestSweep:
     def test_coverage_matches_recount_from_outcomes(self):
         ens, instances = self._fixture()
         grid = [0.05, 0.5]
-        report = sweep(ens, instances, grid, ["euclidean", "jaccard"])
-        for row in report.rows:
+        rows = sweep(ens, instances, grid, ["euclidean", "jaccard"])
+        for row in rows:
             recount = sum(
                 1
                 for inst in instances
@@ -827,8 +898,7 @@ class TestSweep:
 
     def test_positive_instances_are_not_eligible(self):
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
-        report = sweep(ens, [Instance([2.0]), Instance([3.0])], [0.1], ["euclidean"])
-        (row,) = report.rows
+        (row,) = sweep(ens, [Instance([2.0]), Instance([3.0])], [0.1], ["euclidean"])
         assert row.eligible == 0
         assert row.coverage == 0.0
         assert row.micro_avg_cost is None
@@ -837,15 +907,40 @@ class TestSweep:
         import csv as csv_mod
 
         ens, instances = self._fixture()
-        report = sweep(ens, instances, [0.1, 0.5], ["euclidean"])
+        rows = sweep(ens, instances, [0.1, 0.5], ["euclidean"])
         out = tmp_path / "sweep.csv"
-        write_sweep_csv(report, out)
+        write_sweep_csv(rows, out)
         with open(out, newline="") as fh:
-            rows = list(csv_mod.reader(fh))
-        assert len(rows) == 1 + len(report.rows)
-        header = rows[0]
-        for text_row, row in zip(rows[1:], report.rows):
+            text_rows = list(csv_mod.reader(fh))
+        assert len(text_rows) == 1 + len(rows)
+        header = text_rows[0]
+        for text_row, row in zip(text_rows[1:], rows):
             record = dict(zip(header, text_row))
             assert float(record["epsilon"]) == row.epsilon
             assert float(record["coverage"]) == row.coverage  # exact round-trip
             assert int(record["covered"]) == row.covered
+
+    # SHA-256 of the CSV bytes as written when sweep still returned its rows
+    # wrapped in a report object.
+    @pytest.mark.parametrize(
+        "instances, digest",
+        [
+            ("random", "e6f7475473b2546ee8287ceea798fd1b403cd6ef8a975bbf350e7d5fe21ccf67"),
+            ("positive", "9045738baf4e152d3b6ddb5b81f84c6a270fbfd82adf8a8239fce4a22136ea79"),
+        ],
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, instances, digest):
+        import hashlib
+
+        if instances == "random":
+            rng = np.random.default_rng(31)
+            ens = random_ensemble(rng, 9, 3, 4)
+            xs = sample_negative_instances(ens, rng, 12)
+        else:
+            ens, _ = self._fixture()
+            xs = [Instance([5.0, 0.0])]
+        rows = sweep(ens, xs, [0.05, 0.5, 1.0], list(COST_NAMES))
+        assert isinstance(rows, tuple)
+        out = tmp_path / "sweep.csv"
+        write_sweep_csv(rows, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
