@@ -36,19 +36,31 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _rowwise(undefined=None):
-    """Turn a kernel ``(x, Y) -> (costs, undefined_rows)`` over a ``[C, n]``
-    matrix ``Y`` into a cost function of a vector or a matrix ``y``.
+def _rowwise(undefined=None, degree=0):
+    """Turn a kernel ``(x, Y) -> (costs, undefined_rows, overflowed_rows)``
+    over a ``[C, n]`` matrix ``Y`` into a cost function of a vector or a
+    matrix ``y``.
 
     ``undefined(n)`` builds the exception the vector form raises for an
-    undefined row.
+    undefined row. An overflowed row is computed again on x and the row,
+    each scaled exactly by a power of two to magnitudes below 1, so every
+    other row keeps its bits; a distance (``degree=1``) shares the smaller
+    scale, its kernel taking x as one row per candidate, and divides it out.
     """
 
     def wrap(kernel):
         @functools.wraps(kernel)
         def cost(x, y):
             a, b = _pair(x, y)
-            costs, bad = kernel(a, np.ascontiguousarray(np.atleast_2d(b)))
+            Y = np.ascontiguousarray(np.atleast_2d(b))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                costs, bad, over = kernel(a, Y)
+                if over.any():
+                    sx, sy = _unit_scale(a), _unit_scale(Y[over])
+                    if degree:
+                        sx = sy = np.minimum(sx, sy)
+                    again, bad[over], _ = kernel(a * sx, Y[over] * sy)
+                    costs[over] = again / sy[:, 0] ** degree
             if b.ndim == 2:
                 costs[bad] = np.nan
                 return costs
@@ -61,20 +73,27 @@ def _rowwise(undefined=None):
     return wrap
 
 
-def _no_undefined_rows(costs: np.ndarray):
-    return costs, np.zeros(len(costs), dtype=bool)
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    """Per row of ``v``, the power of two that brings its largest magnitude
+    into [0.5, 1) (1 for an all-zero row), keeping the last axis as 1."""
+    return np.ldexp(1.0, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
+
+
+def _always_defined(costs: np.ndarray):
+    """A kernel result with no undefined row; an inf cost has overflowed."""
+    return costs, np.zeros(len(costs), dtype=bool), np.isinf(costs)
 
 
 @_rowwise()
 def tweaked_feature_rate(x, Y):
     """Proportion of components that changed; range [0, 1]."""
-    return _no_undefined_rows((Y != x).sum(axis=1) / len(x))
+    return _always_defined((Y != x).sum(axis=1) / len(x))
 
 
-@_rowwise()
+@_rowwise(degree=1)
 def euclidean_distance(x, Y):
     """L2 norm of the change vector."""
-    return _no_undefined_rows(np.sqrt(((Y - x) ** 2).sum(axis=1)))
+    return _always_defined(np.sqrt(((Y - x) ** 2).sum(axis=1)))
 
 
 @_rowwise(lambda n: ZeroVector("cosine distance undefined for a zero-norm vector"))
@@ -82,11 +101,10 @@ def cosine_distance(x, Y):
     """1 minus the cosine of the angle between the vectors; range [0, 2]."""
     nx = np.sqrt((x * x).sum())
     ny = np.sqrt((Y * Y).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (Y * x).sum(axis=1) / (nx * ny)
-    costs = 1.0 - np.clip(cos, -1.0, 1.0)
+    dot, norms = (Y * x).sum(axis=1), nx * ny
+    costs = 1.0 - np.clip(dot / norms, -1.0, 1.0)
     costs[(Y == x).all(axis=1)] = 0.0
-    return costs, (nx == 0.0) | (ny == 0.0)
+    return costs, (nx == 0.0) | (ny == 0.0), np.isinf(norms) | np.isinf(dot)
 
 
 @_rowwise()
@@ -99,7 +117,7 @@ def jaccard_distance(x, Y):
     value signs, unlike min/max generalizations.
     """
     c = (Y != x).sum(axis=1)
-    return _no_undefined_rows(2.0 * c / (len(x) + c))
+    return _always_defined(2.0 * c / (len(x) + c))
 
 
 def _zero_variance(n: int) -> ZeroVariance:
@@ -115,12 +133,12 @@ def pearson_correlation_distance(x, Y):
     dY = Y - Y.mean(axis=1, keepdims=True)
     vx = (dx * dx).sum()
     vy = (dY * dY).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = (dY * dx).sum(axis=1) / np.sqrt(vx * vy)
-    costs = 1.0 - np.clip(corr, -1.0, 1.0)
+    dot, var = (dY * dx).sum(axis=1), vx * vy
+    costs = 1.0 - np.clip(dot / np.sqrt(var), -1.0, 1.0)
     same = (Y == x).all(axis=1)
     costs[same] = 0.0
-    return costs, ~same & ((len(x) < 2) | (vx == 0.0) | (vy == 0.0))
+    undefined = ~same & ((len(x) < 2) | (vx == 0.0) | (vy == 0.0))
+    return costs, undefined, ~np.isfinite(var) | np.isinf(dot)
 
 
 COST_FUNCTIONS = {

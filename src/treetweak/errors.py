@@ -81,7 +81,7 @@ class SearchSpaceTooLarge(TreeTweakError):
 
 
 class NonFiniteValue(TreeTweakError):
-    """An instance handed to the search has a NaN or infinite value."""
+    """A NaN or infinite value in an instance or a feature's statistics."""
 
 
 class NotNegative(TreeTweakError):

@@ -22,6 +22,7 @@ import numpy as np
 
 from treetweak.errors import (
     LengthMismatch,
+    NonFiniteValue,
     ParseError,
     SchemaMismatch,
     UnknownCategory,
@@ -73,6 +74,8 @@ class FeatureSpace:
         if len(set(names)) != len(names):
             raise SchemaMismatch("duplicate feature names")
         for f in feats:
+            if not (math.isfinite(f.mean) and math.isfinite(f.std_dev)):
+                raise NonFiniteValue(f"feature {f.name!r}: mean or std_dev not finite")
             if not f.std_dev > 0:
                 raise ZeroVariance(f.name, f"feature {f.name!r} has std_dev <= 0")
         groups: dict[str, list[int]] = {}
@@ -180,8 +183,11 @@ def fit_standardizer(
         )
     if arr.shape[0] < 2:
         raise ValueError("fitting needs at least 2 rows")
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0, ddof=1)
+    # A column too large to sum overflows to inf or NaN here, which the
+    # FeatureSpace below rejects by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = arr.mean(axis=0)
+        stds = arr.std(axis=0, ddof=1)
     fitted = []
     for i, f in enumerate(space.features):
         std = float(stds[i])

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from treetweak.errors import CorruptModel, SchemaVersionMismatch
+from treetweak.errors import CorruptModel, NonFiniteValue, SchemaVersionMismatch
 from treetweak.feature_space import FeatureSpace, Instance
 
 FORMAT_VERSION = 1
@@ -182,7 +182,6 @@ class DecisionTree:
         self.leaf_count = int(np.count_nonzero(leaf))
         self.positive_leaf_count = int(np.count_nonzero(label == 1))
         self.max_feature_index = int(feature.max(where=~leaf, initial=-1))
-        self.feature_gains: np.ndarray | None = None  # set by the trainer
 
 
 class ForestNodes(NamedTuple):
@@ -440,19 +439,13 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
             f"unsupported model format version {version!r} (expected {FORMAT_VERSION})"
         )
     try:
-        stats = np.array(
-            [(f["mean"], f["std_dev"]) for f in doc["feature_space"]["features"]],
-            dtype=float,
-        )
-        if not np.isfinite(stats).all():
-            raise CorruptModel("feature mean or std_dev is not finite")
         space = FeatureSpace.from_dict(doc["feature_space"])
         trees = tuple(DecisionTree.from_nodes(t["nodes"]) for t in doc["trees"])
         if not all(np.isfinite(tree.threshold).all() for tree in trees):
             raise CorruptModel("tree threshold is not finite")
         importances = np.asarray(doc["importances"], dtype=float)
         return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonFiniteValue) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
 
 

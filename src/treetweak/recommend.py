@@ -19,6 +19,7 @@ import numpy as np
 from treetweak.errors import DegenerateRanking, EmptyInput
 from treetweak.feature_space import Instance
 from treetweak.forest import TreeEnsemble
+from treetweak.trainer import midranks
 from treetweak.tweaker import Found, Transformation, TweakOutcome
 
 INCREASE = "increase"
@@ -64,13 +65,10 @@ def importance_ranks(ens: TreeEnsemble) -> list[int]:
 
     Ties in importance break on the lower feature index.
     """
-    order = sorted(
-        range(ens.feature_space.n), key=lambda i: (-ens.importances[i], i)
-    )
-    ranks = [0] * ens.feature_space.n
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = rank
-    return ranks
+    order = np.argsort(-ens.importances, kind="stable")
+    ranks = np.empty(len(order), dtype=int)
+    ranks[order] = np.arange(1, len(order) + 1)
+    return ranks.tolist()
 
 
 def diff_to_recommendations(
@@ -81,8 +79,7 @@ def diff_to_recommendations(
     space = ens.feature_space
     diff = transformation.candidate.values - x.values
     recs = []
-    for i in np.nonzero(diff != 0.0)[0]:
-        i = int(i)
+    for i in np.flatnonzero(diff != 0.0).tolist():
         meta = space.features[i]
         recs.append(
             Recommendation(
@@ -205,18 +202,8 @@ def helpfulness(ratings: Iterable[RatingRecord]) -> dict:
 
 def ranking_from_scores(scores: Mapping) -> dict:
     """Midrank features by descending score (rank 1 = best)."""
-    items = sorted(scores.items(), key=lambda kv: (-kv[1], str(kv[0])))
-    ranks: dict = {}
-    i = 0
-    while i < len(items):
-        j = i
-        while j + 1 < len(items) and items[j + 1][1] == items[i][1]:
-            j += 1
-        rank = (i + j) / 2.0 + 1.0
-        for key, _ in items[i : j + 1]:
-            ranks[key] = rank
-        i = j + 1
-    return ranks
+    ranks = midranks(-np.asarray(list(scores.values()), dtype=float))
+    return dict(zip(scores, ranks.tolist()))
 
 
 def rank_correlation(ranking_a: Mapping, ranking_b: Mapping) -> float:

@@ -150,11 +150,14 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(X.T), pos
 
 
-def _train_tree_arrays(Xt, pos, idx, cfg: TrainConfig, rng) -> DecisionTree:
+def _train_tree_arrays(
+    Xt, pos, idx, cfg: TrainConfig, rng
+) -> tuple[DecisionTree, np.ndarray]:
     """Grow one tree on the samples ``idx`` (repeats allowed) of ``Xt``,
     depth first over an explicit stack, left child first: the nodes (in
     the JSON layout), the draws from ``rng`` and the ``gains`` updates all
-    come in preorder."""
+    come in preorder. Returns the tree and its per-feature impurity
+    decreases, each split adding (node sample fraction x gain)."""
     n_features, n_root = Xt.shape[0], len(idx)
     max_depth, fps, _ = cfg.resolve(n_features)
     gains = np.zeros(n_features)
@@ -191,15 +194,13 @@ def _train_tree_arrays(Xt, pos, idx, cfg: TrainConfig, rng) -> DecisionTree:
         nodes.append(split)
         stack.append((idx[~mask], node_pos[~mask], depth + 1, split))
         stack.append((idx[mask], node_pos[mask], depth + 1, None))
-    tree = DecisionTree.from_nodes(nodes)
-    tree.feature_gains = gains
-    return tree
+    return DecisionTree.from_nodes(nodes), gains
 
 
 def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
     """Grow a single tree; ``rng`` is a numpy Generator."""
     Xt, pos = _as_arrays(data)
-    return _train_tree_arrays(Xt, pos, np.arange(len(pos)), cfg, rng)
+    return _train_tree_arrays(Xt, pos, np.arange(len(pos)), cfg, rng)[0]
 
 
 def train_forest(
@@ -211,6 +212,9 @@ def train_forest(
 
     Each tree draws its bootstrap sample and feature subsets from its own
     generator, spawned from the master seed; trees are built in index order.
+    The importances, set as the ensemble is built, are the trees' impurity
+    decreases averaged over trees and normalized to sum 1, or all zeros
+    when no split ever gained (e.g. a forest of single leaves).
     """
     Xt, pos = _as_arrays(data)
     if Xt.shape[0] != space.n:
@@ -219,11 +223,15 @@ def train_forest(
         )
     max_depth, fps, bootstrap = cfg.resolve(space.n)
     m = len(pos)
-    trees = []
+    grown = []
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees):
         rng = np.random.default_rng(stream)
         idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-        trees.append(_train_tree_arrays(Xt, pos, idx, cfg, rng))
+        grown.append(_train_tree_arrays(Xt, pos, idx, cfg, rng))
+    trees, gains = zip(*grown)
+    mean = np.mean(gains, axis=0)
+    total = mean.sum()
+    importances = mean / total if total > 0.0 else np.zeros_like(mean)
     metadata = {
         "num_trees": cfg.num_trees,
         "criterion": cfg.criterion,
@@ -233,29 +241,7 @@ def train_forest(
         "bootstrap": bootstrap,
         "seed": cfg.seed,
     }
-    ens = TreeEnsemble(trees, space, metadata=metadata)
-    object.__setattr__(ens, "importances", feature_importances(ens))
-    return ens
-
-
-def feature_importances(ens: TreeEnsemble) -> np.ndarray:
-    """Mean decrease in impurity, averaged over trees, normalized to sum 1.
-
-    Per tree, each split contributes (node sample fraction x impurity
-    decrease) to its feature; these are recorded while training. An
-    all-zero vector is returned when no split ever gained (e.g. a forest
-    of single leaves).
-    """
-    gains = []
-    for tree in ens.trees:
-        if tree.feature_gains is None:
-            raise ValueError("tree has no recorded impurity decreases")
-        gains.append(tree.feature_gains)
-    mean = np.mean(gains, axis=0)
-    total = mean.sum()
-    if total <= 0.0:
-        return np.zeros_like(mean)
-    return mean / total
+    return TreeEnsemble(trees, space, importances, metadata)
 
 
 def stratified_split(
@@ -264,6 +250,8 @@ def stratified_split(
     """Deterministic stratified train/test split on labeled instances."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
+    if any(inst.label is None for inst in data):
+        raise ValueError("a stratified split needs every instance labeled")
     rng = np.random.default_rng(seed)
     train: list[Instance] = []
     test: list[Instance] = []
@@ -287,18 +275,12 @@ class ClassifierMetrics:
     roc_auc: float
 
 
-def _rank_average(scores: np.ndarray) -> np.ndarray:
-    """Midrank transform (1-based); ties share their average rank."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def midranks(values) -> np.ndarray:
+    """1-based ascending ranks of ``values``; each group of ties shares
+    the mean (first + last) / 2 of the ranks it spans."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((last - counts + 1 + last) / 2.0)[group]
 
 
 def roc_auc_from_scores(scores, labels) -> float:
@@ -309,8 +291,7 @@ def roc_auc_from_scores(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("ROC AUC needs both classes present")
-    ranks = _rank_average(scores)
-    rank_sum = float(ranks[labels == 1].sum())
+    rank_sum = float(midranks(scores)[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -91,6 +91,28 @@ class TestTrainCommand:
         assert code == 1
         assert "line 3" in assert_one_error_line(capsys)
 
+    def test_overflowing_column_exits_1_and_writes_no_model(self, tmp_path, capsys):
+        # The column's mean and std overflow a float; the model would hold
+        # Infinity, which a strict JSON reader and the loader reject.
+        data = tmp_path / "train.csv"
+        column = ["1e308", "1e308", "1e308", "1.5e308", "-1e308", "1e308"]
+        rows = [f"{v},{i},{(-1) ** i}" for i, v in enumerate(column)]
+        data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--model-out", str(model)])
+        assert code == 1
+        assert "'a'" in assert_one_error_line(capsys)
+        assert not model.exists()
+
+    def test_no_label_column_exits_1_and_writes_no_model(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("f0,f1\n1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+        model = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--model-out", str(model)])
+        assert code == 1
+        assert "label" in assert_one_error_line(capsys)
+        assert not model.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from treetweak.costs import (
     tweaked_feature_rate,
 )
 from treetweak.errors import LengthMismatch, ZeroVariance, ZeroVector
+from treetweak.feature_space import Instance
+from treetweak.forest import TreeEnsemble
+from treetweak.tweaker import Found, tweak
+
+from conftest import plain_space, stump
 
 
 class TestTweakedFeatureRate:
@@ -226,3 +232,50 @@ class TestMatrixForm:
         for fn in COST_FUNCTIONS.values():
             with pytest.raises(LengthMismatch):
                 fn([1.0, 2.0], np.zeros((4, 3)))
+
+
+class TestOverflow:
+    """Rows whose squares or products overflow are recomputed at a
+    power-of-two scale: finite, correct and without a warning, in the
+    vector form and the matrix form alike."""
+
+    @staticmethod
+    def checked(fn, x, rows, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x, np.array(rows))
+            assert got.tolist() == [fn(x, np.array(row)) for row in rows]
+        assert np.isfinite(got).all()
+        assert got.tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_euclidean(self):
+        x = [-1.0, 0.0]
+        self.checked(
+            euclidean_distance, x, [[-1.0, 1.0], [1e300, 1e300]],
+            [1.0, math.sqrt(2) * 1e300],
+        )
+
+    def test_euclidean_tweak_with_a_huge_epsilon(self):
+        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = tweak(ens, Instance([-1.0]), "euclidean", 1e300)
+        assert isinstance(outcome, Found)
+        assert outcome.best.cost == 1e300  # 1e300 + 1 rounds to 1e300
+
+    def test_cosine(self):
+        # x * x overflows on every row. At 1e-200 scale the second row is
+        # [1, 1] against [1, 0], 45 degrees apart.
+        x = [1e200, 1e200]
+        self.checked(
+            cosine_distance, x, [[-1.0, 1.0], [1e200, 0.0]], [1.0, 1 - math.sqrt(0.5)]
+        )
+
+    def test_pearson(self):
+        # At 1e-200 scale the second row is [1, 0, -1] against [1, 1, 0],
+        # correlation sqrt(3)/2.
+        x = [1e200, 0.0, -1e200]
+        self.checked(
+            pearson_correlation_distance, x, [[-1.0, 0.0, 1.0], [1e200, 1e200, 0.0]],
+            [2.0, 1 - math.sqrt(3) / 2],
+        )

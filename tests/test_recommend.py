@@ -74,6 +74,7 @@ class TestDiffToRecommendations:
     def test_importance_ties_break_on_index(self):
         ens = make_ens([0.25, 0.25, 0.25, 0.25])
         assert importance_ranks(ens) == [1, 2, 3, 4]
+        assert importance_ranks(make_ens([0.3, 0.2, 0.3, 0.2])) == [1, 3, 2, 4]
 
     def test_random_pairs_reconstruct_exactly(self):
         rng = np.random.default_rng(3)

@@ -21,8 +21,8 @@ from treetweak.trainer import (
     _best_split,
     _impurity_vec,
     evaluate_classifier,
-    feature_importances,
     impurity,
+    midranks,
     roc_auc_from_scores,
     stratified_split,
     train_forest,
@@ -268,8 +268,7 @@ class TestTrainForest:
         solo = train_tree(
             data, cfg, np.random.default_rng(np.random.SeedSequence(17).spawn(1)[0])
         )
-        ens_solo = TreeEnsemble((solo,), plain_space(3), metadata=ens.metadata)
-        object.__setattr__(ens_solo, "importances", ens.importances)
+        ens_solo = TreeEnsemble((solo,), plain_space(3), ens.importances, ens.metadata)
         assert dumps_model(ens) == dumps_model(ens_solo)
 
     def test_same_seed_is_bitwise_identical(self):
@@ -306,7 +305,14 @@ class TestFeatureImportances:
         ens = train_forest(data, TrainConfig(num_trees=5, seed=2), plain_space(5))
         assert np.all(ens.importances >= 0)
         assert ens.importances.sum() == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(feature_importances(ens), ens.importances)
+
+    def test_single_class_data_gives_zero_importances(self):
+        # No node is impure, so every tree is one leaf and nothing gains.
+        rng = np.random.default_rng(12)
+        data = labeled(rng.normal(0, 1, (30, 3)), [1] * 30)
+        ens = train_forest(data, TrainConfig(num_trees=3, seed=4), plain_space(3))
+        assert all(len(tree.label) == 1 for tree in ens.trees)
+        np.testing.assert_array_equal(ens.importances, np.zeros(3))
 
     def test_informative_feature_ranks_first(self):
         rng = np.random.default_rng(10)
@@ -390,6 +396,26 @@ class TestEvaluate:
         assert roc_auc_from_scores(scores, y) == pytest.approx(wins + 0.5 * ties)
 
 
+class TestMidranks:
+    @staticmethod
+    def oracle(values):
+        # rank = #less + (#equal + 1) / 2, straight from the definition.
+        return [
+            sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2
+            for v in values
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3), max_size=40))
+    def test_matches_definition(self, values):
+        assert midranks(np.array(values, dtype=float)).tolist() == self.oracle(values)
+
+    def test_empty_single_and_all_tied(self):
+        assert midranks(np.array([])).shape == (0,)
+        assert midranks(np.array([7.5])).tolist() == [1.0]
+        assert midranks(np.full(4, 2.0)).tolist() == [2.5] * 4
+
+
 class TestStratifiedSplit:
     def test_preserves_class_balance(self):
         space, data = gaussian_instances(seed=40, m=500, n=3)
@@ -397,6 +423,12 @@ class TestStratifiedSplit:
         assert len(train) + len(test) == len(data)
         test_pos = sum(1 for inst in test if inst.label == 1)
         assert abs(test_pos - len(test) / 2) <= 2
+
+    def test_unlabeled_instances_rejected(self):
+        space, data = gaussian_instances(seed=42, m=10, n=2)
+        unlabeled = [Instance(inst.values) for inst in data[:5]]
+        with pytest.raises(ValueError, match="labeled"):
+            stratified_split(data + unlabeled, 0.2, seed=0)
 
     def test_deterministic(self):
         space, data = gaussian_instances(seed=41, m=100, n=2)
