@@ -42,7 +42,8 @@ def _rowwise(undefined=None, degree=0):
     matrix ``y``.
 
     ``undefined(n)`` builds the exception the vector form raises for an
-    undefined row. An overflowed row is computed again on x and the row,
+    undefined row. A row whose intermediates overflowed, or underflowed
+    although neither vector is zero, is computed again on x and the row,
     each scaled exactly by a power of two to magnitudes below 1, so every
     other row keeps its bits; a distance (``degree=1``) shares the smaller
     scale, its kernel taking x as one row per candidate, and divides it out.
@@ -56,11 +57,11 @@ def _rowwise(undefined=None, degree=0):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 costs, bad, over = kernel(a, Y)
                 if over.any():
-                    sx, sy = _unit_scale(a), _unit_scale(Y[over])
+                    ex, ey = _unit_exponent(a), _unit_exponent(Y[over])
                     if degree:
-                        sx = sy = np.minimum(sx, sy)
-                    again, bad[over], _ = kernel(a * sx, Y[over] * sy)
-                    costs[over] = again / sy[:, 0] ** degree
+                        ex = ey = np.minimum(ex, ey)
+                    again, bad[over], _ = kernel(np.ldexp(a, ex), np.ldexp(Y[over], ey))
+                    costs[over] = np.ldexp(again, -degree * ey[:, 0])
             if b.ndim == 2:
                 costs[bad] = np.nan
                 return costs
@@ -73,10 +74,18 @@ def _rowwise(undefined=None, degree=0):
     return wrap
 
 
-def _unit_scale(v: np.ndarray) -> np.ndarray:
-    """Per row of ``v``, the power of two that brings its largest magnitude
-    into [0.5, 1) (1 for an all-zero row), keeping the last axis as 1."""
-    return np.ldexp(1.0, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
+def _unit_exponent(v: np.ndarray) -> np.ndarray:
+    """Per row of ``v``, the power of two (as its exponent) that brings its
+    largest magnitude into [0.5, 1) (0 for an all-zero row), keeping the
+    last axis as 1. A subnormal row needs a power of two above the float
+    range, so callers scale with ``np.ldexp``, never by multiplying."""
+    return -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
+
+
+# The smallest normal float64: a sum of squares below it, or a norm below
+# its square root, has lost bits to underflow or is exactly zero.
+_TINY = np.finfo(float).tiny
+_TINY_NORM = np.sqrt(_TINY)
 
 
 def _always_defined(costs: np.ndarray):
@@ -104,7 +113,10 @@ def cosine_distance(x, Y):
     dot, norms = (Y * x).sum(axis=1), nx * ny
     costs = 1.0 - np.clip(dot / norms, -1.0, 1.0)
     costs[(Y == x).all(axis=1)] = 0.0
-    return costs, (nx == 0.0) | (ny == 0.0), np.isinf(norms) | np.isinf(dot)
+    # A zero row stays undefined when computed again; a zero x would flag
+    # every row for nothing.
+    small = (ny < _TINY_NORM) | (nx < _TINY_NORM and x.any())
+    return costs, (nx == 0.0) | (ny == 0.0), np.isinf(norms) | np.isinf(dot) | small
 
 
 @_rowwise()
@@ -138,7 +150,8 @@ def pearson_correlation_distance(x, Y):
     same = (Y == x).all(axis=1)
     costs[same] = 0.0
     undefined = ~same & ((len(x) < 2) | (vx == 0.0) | (vy == 0.0))
-    return costs, undefined, ~np.isfinite(var) | np.isinf(dot)
+    small = (vy < _TINY) | (vx < _TINY and dx.any())
+    return costs, undefined, ~np.isfinite(var) | np.isinf(dot) | small
 
 
 COST_FUNCTIONS = {

@@ -188,6 +188,14 @@ def fit_standardizer(
     with np.errstate(over="ignore", invalid="ignore"):
         means = arr.mean(axis=0)
         stds = arr.std(axis=0, ddof=1)
+        # Squared deviations overflow long before the std does: take the
+        # std of such a column again at a power-of-two scale, leaving every
+        # other column's bits alone.
+        wide = np.flatnonzero(~np.isfinite(stds))
+        if wide.size:
+            exponent = np.frexp(np.abs(arr[:, wide]).max(axis=0))[1]
+            scaled = np.ldexp(arr[:, wide], -exponent)
+            stds[wide] = np.ldexp(scaled.std(axis=0, ddof=1), exponent)
     fitted = []
     for i, f in enumerate(space.features):
         std = float(stds[i])

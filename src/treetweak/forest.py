@@ -422,14 +422,20 @@ def _flatten_tree(tree: DecisionTree) -> list[dict]:
     ]
 
 
-def ensemble_to_dict(ens: TreeEnsemble) -> dict:
+def _document_head(ens: TreeEnsemble) -> dict:
+    """The model document without its ``trees``."""
     return {
         "format_version": FORMAT_VERSION,
         "feature_space": ens.feature_space.to_dict(),
-        "trees": [{"nodes": _flatten_tree(t)} for t in ens.trees],
         "importances": [float(v) for v in ens.importances],
         "metadata": ens.metadata,
     }
+
+
+def ensemble_to_dict(ens: TreeEnsemble) -> dict:
+    doc = _document_head(ens)
+    doc["trees"] = [{"nodes": _flatten_tree(t)} for t in ens.trees]
+    return doc
 
 
 def ensemble_from_dict(doc: dict) -> TreeEnsemble:
@@ -449,8 +455,38 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         raise CorruptModel(f"malformed model document: {exc}") from exc
 
 
+def _tree_text(tree: DecisionTree) -> str:
+    """One entry of the document's ``trees`` as ``json.dumps(indent=2)``
+    writes it two levels deep: keys sorted, floats as ``float.__repr__``
+    (non-finite ones as json spells them)."""
+    threshold = tree.threshold.tolist()
+    if np.isfinite(tree.threshold).all():
+        threshold = map(float.__repr__, threshold)
+    else:
+        threshold = map(json.dumps, threshold)
+    nodes = [
+        f'        {{\n          "leaf": {label}\n        }}'
+        if label
+        else f'        {{\n          "feature": {feature},\n          "left": {left},'
+        f'\n          "right": {right},\n          "threshold": {text}\n        }}'
+        for feature, text, (right, left), label in zip(
+            tree.feature.tolist(), threshold, tree.children.tolist(), tree.label.tolist()
+        )
+    ]
+    return '    {\n      "nodes": [\n' + ",\n".join(nodes) + "\n      ]\n    }"
+
+
 def dumps_model(ens: TreeEnsemble) -> str:
-    return json.dumps(ensemble_to_dict(ens), indent=2, sort_keys=True) + "\n"
+    """The canonical model text: ``json.dumps(ensemble_to_dict(ens),
+    indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    ``"trees"`` sorts last among the top-level keys, so ``json`` writes the
+    rest of the document and the trees are appended, formatted straight
+    from their node arrays.
+    """
+    head = json.dumps(_document_head(ens), indent=2, sort_keys=True)
+    trees = ",\n".join(_tree_text(tree) for tree in ens.trees)
+    return f'{head[:-2]},\n  "trees": [\n{trees}\n  ]\n}}\n'
 
 
 def save_model(ens: TreeEnsemble, path) -> None:

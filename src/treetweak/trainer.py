@@ -1,22 +1,26 @@
 """CART-style decision-tree and bagged random-forest training.
 
-Greedy recursive best-split trees: at every node a random subset of
-features is scanned, candidate thresholds are midpoints between
-consecutive distinct sorted values, and the split with the largest
-impurity decrease wins. Leaves carry the majority label with ties resolved
-to -1, matching the ensemble's vote-tie rule.
+Greedy best-split trees: at every node a random subset of features is
+scanned, candidate thresholds are midpoints between consecutive distinct
+sorted values, and the split with the largest impurity decrease wins.
+Leaves carry the majority label with ties resolved to -1, matching the
+ensemble's vote-tie rule.
 
 Training is a pure function of (data, config, seed): bootstrap resampling
 and feature subsampling draw from per-tree generators spawned
-deterministically from the master seed, and trees are built in index
-order. Each node sorts all of its sampled features in one call and scores
-every threshold of every feature at once.
+deterministically from the master seed. All trees grow in lockstep, each
+depth first over its own explicit stack: wave w takes node w, in
+preorder, of every tree still growing, so each tree makes the same draws
+and the same splits as it would alone. The feature columns are sorted
+once per forest, and one segmented search scores every splittable node
+of a wave, in calls of at most COLUMN_CAP sample columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -104,38 +108,118 @@ def _impurity_vec(neg: np.ndarray, pos: np.ndarray, criterion: str) -> np.ndarra
     return -(plogp(p_neg) + plogp(p_pos))
 
 
-def _best_split(rows, pos, parent_imp, criterion):
-    """Best (gain, row, threshold) over the rows of ``rows``, or None.
+# Sample columns one segmented split search takes at most. More nodes per
+# call save per-call overhead; fewer keep its [features, columns]
+# temporaries small. A node with more samples than this is searched alone.
+COLUMN_CAP = 8192
 
-    ``rows`` is the ``[f, m]`` matrix of a node's sampled features, one
-    feature per row, and ``pos`` its ``[m]`` float vector of positive
-    labels (0.0 or 1.0). Thresholds are midpoints between consecutive
-    distinct sorted values; within a row the lowest-threshold maximizer
-    wins, and across rows the first, keeping the scan deterministic.
+
+class _SortedColumns(NamedTuple):
+    """Every feature column sorted once per training run.
+
+    ``rank[f, i]`` is sample i's place in the stable sort of feature f.
+    ``sample``, ``values`` and ``pos`` are the samples in that order, their
+    values and their positive masks, flat, so that ``f * m + rank``
+    indexes them.
     """
-    m = rows.shape[1]
-    order = rows.argsort(axis=1)
-    v = rows[np.arange(len(rows))[:, None], order]
-    # Exact integer counts, read only at value boundaries, so the order of
-    # tied values inside the sort does not matter.
-    cum_pos = pos[order].cumsum(axis=1)
-    n_left = np.arange(1.0, m)
-    pos_left = cum_pos[:, :-1]
+
+    rank: np.ndarray
+    sample: np.ndarray
+    values: np.ndarray
+    pos: np.ndarray
+
+
+def _sort_columns(Xt: np.ndarray, pos: np.ndarray) -> _SortedColumns:
+    order = Xt.argsort(axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(Xt.shape[1]), axis=1)
+    values = np.take_along_axis(Xt, order, axis=1)
+    return _SortedColumns(rank, order.ravel(), values.ravel(), pos[order].ravel())
+
+
+class _Splits(NamedTuple):
+    """The best split of each node of a segmented search.
+
+    ``gain`` is -inf where no sampled feature has two distinct values;
+    ``row`` indexes the winning feature in the node's feature ids.
+    ``samples`` holds every node's samples ascending on its winning
+    feature, in the node's own columns; the first ``n_left`` of them, with
+    ``pos_left`` positives, have values <= ``threshold``.
+    """
+
+    gain: np.ndarray
+    row: np.ndarray
+    threshold: np.ndarray
+    samples: np.ndarray
+    n_left: np.ndarray
+    pos_left: np.ndarray
+
+
+def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criterion) -> _Splits:
+    """Search the best split of S nodes at once, as one segmented array.
+
+    Node s owns the sample columns ``idx[starts[s]:starts[s + 1]]``
+    (repeats allowed, at least two), the sorted feature ids
+    ``features[s]`` and the impurity ``parent_imp[s]``. Every node gets
+    what a search of it alone gives: thresholds are midpoints between
+    consecutive distinct sorted values; within a feature the lowest
+    threshold of the largest gain wins, and across features the first.
+    """
+    width, m, S = len(idx), cols.rank.shape[1], len(starts)
+    sizes = np.diff(starts, append=width)
+    seg = np.repeat(np.arange(S), sizes)
+    # Offsets of every column's features into the flat [n, m] tables.
+    offset = (features * m).T.take(seg, axis=1)
+    # One sort per feature row by (node, rank) puts each node's samples in
+    # ascending value order inside its own columns.
+    at = cols.rank.take(offset + idx)
+    at += seg * m
+    at.sort(axis=1)
+    at += offset - seg * m  # feature * m + rank
+    v = cols.values.take(at)
+    # Exact integer counts (float64 holds them), read only at value
+    # boundaries, so the order of tied values inside the sort does not
+    # matter. Taking each node's total off at the next node's first column
+    # makes one cumsum restart at every node.
+    pos_left = cols.pos.take(at)
+    n_pos = np.add.reduceat(pos_left[0], starts)
+    pos_left[:, starts[1:]] -= n_pos[:-1]
+    pos_left.cumsum(axis=1, out=pos_left)
+    n_node = sizes.astype(float)[seg]
+    n_left = np.arange(1.0, width + 1) - starts[seg]
     neg_left = n_left - pos_left
-    n_right = m - n_left
-    pos_right = cum_pos[:, -1:] - pos_left
+    n_right = n_node - n_left
+    pos_right = n_pos[seg] - pos_left
     neg_right = n_right - pos_right
-    child = (
-        n_left * _impurity_vec(neg_left, pos_left, criterion)
-        + n_right * _impurity_vec(neg_right, pos_right, criterion)
-    ) / m
-    gains = np.where(v[:, 1:] > v[:, :-1], parent_imp - child, -math.inf)
-    row_best = gains.max(axis=1)
-    r = int(row_best.argmax())
-    if row_best[r] == -math.inf:
-        return None
-    b = int(gains[r].argmax())
-    return float(row_best[r]), r, (v[r, b] + v[r, b + 1]) / 2.0
+    # A node's last column has nothing on its right: its 0/0 is masked out
+    # below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        child = (
+            n_left * _impurity_vec(neg_left, pos_left, criterion)
+            + n_right * _impurity_vec(neg_right, pos_right, criterion)
+        ) / n_node
+    boundary = np.zeros(v.shape, dtype=bool)
+    np.greater(v[:, 1:], v[:, :-1], out=boundary[:, :-1])
+    boundary[:, starts + sizes - 1] = False
+    gains = np.where(boundary, parent_imp[seg] - child, -math.inf)
+    feature_best = np.maximum.reduceat(gains, starts, axis=1)
+    row = feature_best.argmax(axis=0)  # the first feature wins a tie
+    gain = feature_best.take(row * S + np.arange(S))
+    # The lowest threshold wins within the feature: the first column of the
+    # winning row that reaches the best gain.
+    column = np.arange(width)
+    win = row[seg] * width + column
+    hit = gains.take(win) == gain[seg]
+    b = np.minimum.reduceat(np.where(hit, column, width), starts)
+    v = v.take(win)
+    threshold = (v[b] + v[b + 1]) / 2.0
+    # The partition compares values with the threshold, as routing does;
+    # a midpoint may round up onto the next value.
+    n_left = np.add.reduceat(v <= threshold[seg], starts)
+    last = row * width + starts + n_left - 1
+    return _Splits(
+        gain, row, threshold, cols.sample.take(at.take(win)), n_left, pos_left.take(last)
+    )
 
 
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
@@ -150,57 +234,97 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(X.T), pos
 
 
-def _train_tree_arrays(
-    Xt, pos, idx, cfg: TrainConfig, rng
-) -> tuple[DecisionTree, np.ndarray]:
-    """Grow one tree on the samples ``idx`` (repeats allowed) of ``Xt``,
-    depth first over an explicit stack, left child first: the nodes (in
-    the JSON layout), the draws from ``rng`` and the ``gains`` updates all
-    come in preorder. Returns the tree and its per-feature impurity
-    decreases, each split adding (node sample fraction x gain)."""
-    n_features, n_root = Xt.shape[0], len(idx)
+def _chunks(wave: list) -> Iterator[list]:
+    """Consecutive runs of the wave's nodes holding at most COLUMN_CAP
+    samples in all; a node larger than that forms a run alone."""
+    chunk, width = [], 0
+    for node in wave:
+        if chunk and width + len(node[1]) > COLUMN_CAP:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append(node)
+        width += len(node[1])
+    if chunk:
+        yield chunk
+
+
+def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
+    """Grow one tree per sample ``samples[k]`` (an index array into ``Xt``,
+    repeats allowed) and generator ``rngs[k]``, all trees in lockstep.
+
+    Each tree grows depth first over its own explicit stack, left child
+    first, so its nodes (in the JSON layout), its draws from its generator
+    and its ``gains`` updates all come in preorder, as if it grew alone.
+    Wave w takes node w of every tree still growing; the wave's splittable
+    nodes are then scored together by :func:`_best_splits`, in calls of at
+    most COLUMN_CAP sample columns. Returns the trees and the ``[K, n]``
+    per-feature impurity decreases, each split adding (node sample fraction
+    x gain).
+    """
+    n_features = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n_features)
-    gains = np.zeros(n_features)
-    nodes: list[dict] = []
-    # (samples, their positive mask, depth, the split whose right child it is)
-    stack = [(idx, pos[idx], 0, None)]
-    while stack:
-        idx, node_pos, depth, parent = stack.pop()
-        if parent is not None:
-            parent["right"] = len(nodes)
-        n_pos = int(node_pos.sum())
-        n_neg = len(idx) - n_pos
-        found = None
-        if n_pos and n_neg and depth < max_depth and len(idx) >= cfg.min_samples_split:
-            if fps >= n_features:
-                feature_ids = np.arange(n_features)
+    cols = _sort_columns(Xt, pos)
+    all_features = np.arange(n_features)
+    gains = np.zeros((len(samples), n_features))
+    nodes: list[list[dict]] = [[] for _ in samples]
+    # Per tree: (samples, positives among them, depth, the split whose
+    # right child it is).
+    stacks = [[(idx, int(pos.take(idx).sum()), 0, None)] for idx in samples]
+    growing = range(len(samples))
+    while growing:
+        wave = []
+        for k in growing:
+            idx, n_pos, depth, parent = stacks[k].pop()
+            if parent is not None:
+                parent["right"] = len(nodes[k])
+            n_neg = len(idx) - n_pos
+            leaf = {"leaf": 1 if n_pos > n_neg else -1}  # majority, ties to -1
+            if n_pos and n_neg and depth < max_depth and len(idx) >= cfg.min_samples_split:
+                if fps >= n_features:
+                    feature_ids = all_features
+                else:
+                    feature_ids = np.sort(rngs[k].choice(n_features, size=fps, replace=False))
+                parent_imp = impurity((n_neg, n_pos), cfg.criterion)
+                wave.append((k, idx, n_pos, depth, leaf, feature_ids, parent_imp))
             else:
-                feature_ids = np.sort(rng.choice(n_features, size=fps, replace=False))
-            rows = Xt[feature_ids[:, None], idx]
-            parent_imp = impurity((n_neg, n_pos), cfg.criterion)
-            found = _best_split(rows, node_pos, parent_imp, cfg.criterion)
-        if found is None:
-            nodes.append({"leaf": 1 if n_pos > n_neg else -1})  # majority, ties to -1
-            continue
-        best_gain, r, threshold = found
-        # Positive-gain splits are preferred; an impure node where every
-        # candidate has exactly zero gain (e.g. XOR patterns) still splits so
-        # the subtrees get a chance to separate. Terminates regardless: both
-        # children are nonempty and strictly smaller.
-        feature = int(feature_ids[r])
-        gains[feature] += (len(idx) / n_root) * max(best_gain, 0.0)
-        mask = rows[r] <= threshold
-        split = dict(feature=feature, threshold=float(threshold), left=len(nodes) + 1)
-        nodes.append(split)
-        stack.append((idx[~mask], node_pos[~mask], depth + 1, split))
-        stack.append((idx[mask], node_pos[mask], depth + 1, None))
-    return DecisionTree.from_nodes(nodes), gains
+                nodes[k].append(leaf)
+        for chunk in _chunks(wave):
+            _, idx, _, _, _, features, parent_imp = zip(*chunk)
+            starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
+            found = _best_splits(
+                cols, np.concatenate(idx), starts, np.stack(features),
+                np.array(parent_imp), cfg.criterion,
+            )
+            ordered = found.samples
+            for node, start, gain, row, threshold, n_left, pos_left in zip(
+                chunk, starts.tolist(), found.gain.tolist(), found.row.tolist(),
+                found.threshold.tolist(), found.n_left.tolist(), found.pos_left.tolist(),
+            ):
+                k, idx, n_pos, depth, leaf, feature_ids, _ = node
+                if gain == -math.inf:
+                    nodes[k].append(leaf)
+                    continue
+                # Positive-gain splits are preferred; an impure node where
+                # every candidate has exactly zero gain (e.g. XOR patterns)
+                # still splits so the subtrees get a chance to separate.
+                # Terminates regardless: both children are nonempty and
+                # strictly smaller.
+                feature = int(feature_ids[row])
+                gains[k, feature] += (len(idx) / len(samples[k])) * max(gain, 0.0)
+                split = dict(feature=feature, threshold=threshold, left=len(nodes[k]) + 1)
+                nodes[k].append(split)
+                cut, end = start + n_left, start + len(idx)
+                pos_left = int(pos_left)
+                stacks[k].append((ordered[cut:end].copy(), n_pos - pos_left, depth + 1, split))
+                stacks[k].append((ordered[start:cut].copy(), pos_left, depth + 1, None))
+        growing = [k for k in growing if stacks[k]]
+    return [DecisionTree.from_nodes(tree) for tree in nodes], gains
 
 
 def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
-    """Grow a single tree; ``rng`` is a numpy Generator."""
+    """Grow a single tree on all of ``data``; ``rng`` is a numpy Generator."""
     Xt, pos = _as_arrays(data)
-    return _train_tree_arrays(Xt, pos, np.arange(len(pos)), cfg, rng)[0]
+    return _grow(Xt, pos, [np.arange(len(pos))], cfg, [rng])[0][0]
 
 
 def train_forest(
@@ -211,7 +335,7 @@ def train_forest(
     """Train a bagged forest of cfg.num_trees trees.
 
     Each tree draws its bootstrap sample and feature subsets from its own
-    generator, spawned from the master seed; trees are built in index order.
+    generator, spawned from the master seed; the trees grow in lockstep.
     The importances, set as the ensemble is built, are the trees' impurity
     decreases averaged over trees and normalized to sum 1, or all zeros
     when no split ever gained (e.g. a forest of single leaves).
@@ -223,12 +347,10 @@ def train_forest(
         )
     max_depth, fps, bootstrap = cfg.resolve(space.n)
     m = len(pos)
-    grown = []
-    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees):
-        rng = np.random.default_rng(stream)
-        idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-        grown.append(_train_tree_arrays(Xt, pos, idx, cfg, rng))
-    trees, gains = zip(*grown)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    samples = [rng.integers(0, m, size=m) if bootstrap else np.arange(m) for rng in rngs]
+    trees, gains = _grow(Xt, pos, samples, cfg, rngs)
     mean = np.mean(gains, axis=0)
     total = mean.sum()
     importances = mean / total if total > 0.0 else np.zeros_like(mean)

@@ -279,3 +279,47 @@ class TestOverflow:
             pearson_correlation_distance, x, [[-1.0, 0.0, 1.0], [1e200, 1e200, 0.0]],
             [2.0, 1 - math.sqrt(3) / 2],
         )
+
+    def test_cosine_of_tiny_vectors(self):
+        # x * x underflows to 0 although x is not zero. At 1e170 scale the
+        # first row is [1, 0] against [1, 1], 45 degrees apart.
+        x = [1e-170, 1e-170]
+        self.checked(
+            cosine_distance, x, [[1e-170, 0.0], [1.0, 1.0], [-1e-200, -1e-200]],
+            [1 - math.sqrt(0.5), 0.0, 2.0],
+        )
+
+    def test_cosine_of_a_tiny_row(self):
+        self.checked(cosine_distance, [1.0, 1.0], [[1e-170, 0.0]], [1 - math.sqrt(0.5)])
+
+    def test_subnormal_rows(self):
+        # Bringing a subnormal row to unit scale takes a power of two that
+        # is itself above the float range.
+        self.checked(
+            cosine_distance, [1.0, 1.0], [[5e-324, 0.0], [2.2e-313, 2.2e-313]],
+            [1 - math.sqrt(0.5), 0.0],
+        )
+        self.checked(
+            pearson_correlation_distance, [1.0, 0.0, -1.0], [[5e-324, 0.0, -5e-324]], [0.0]
+        )
+
+    def test_pearson_of_tiny_vectors(self):
+        # At 1e170 scale the second row is [1, 0, -1] against [1, 1, 0],
+        # correlation sqrt(3)/2.
+        x = [1e-170, 0.0, -1e-170]
+        self.checked(
+            pearson_correlation_distance, x, [[-1.0, 0.0, 1.0], [1e-170, 1e-170, 0.0]],
+            [2.0, 1 - math.sqrt(3) / 2],
+        )
+
+    def test_zero_vectors_stay_undefined(self):
+        # Zero and constant rows are computed again and stay undefined.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cosine_distance([1e-170, 1.0], np.array([[0.0, 0.0], [1e-170, 1.0]]))
+            assert math.isnan(got[0]) and got[1] == 0.0
+            assert np.isnan(cosine_distance([0.0, 0.0], np.array([[1e-170, 1.0]]))).all()
+            got = pearson_correlation_distance(
+                [1e-170, 0.0, 2e-170], np.array([[3e-170, 3e-170, 3e-170], [1.0, 0.0, 2.0]])
+            )
+            assert math.isnan(got[0]) and got[1] == 0.0

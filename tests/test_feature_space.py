@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from treetweak.errors import (
     LengthMismatch,
+    NonFiniteValue,
     ParseError,
     SchemaMismatch,
     TreeTweakError,
@@ -59,6 +60,21 @@ class TestFitStandardizer:
         z = np.stack([standardize(row, fitted).values for row in table])
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) < 1e-9)
+
+    def test_std_of_a_huge_column_is_representable(self):
+        # The squared deviations of +-1e200 overflow; the std, about
+        # 1.15e200, does not. The other column keeps np.std's bits.
+        rng = np.random.default_rng(3)
+        small = rng.normal(0, 1, 4)
+        table = np.column_stack([[1e200, -1e200, 1e200, -1e200], small])
+        fitted = fit_standardizer(table, plain_space(2))
+        assert fitted.features[0].mean == 0.0
+        assert fitted.features[0].std_dev == pytest.approx(2e200 / math.sqrt(3), rel=1e-15)
+        assert fitted.features[1].std_dev == float(np.std(small, ddof=1))
+
+    def test_column_too_wide_for_a_std_is_rejected(self):
+        with pytest.raises(NonFiniteValue, match="'a'"):
+            fit_standardizer([[1.7e308], [-1.7e308]], FeatureSpace([FeatureMeta("a")]))
 
     def test_column_names_checked(self):
         space = FeatureSpace([FeatureMeta("a"), FeatureMeta("b")])

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetweak.errors import CorruptModel, SchemaVersionMismatch
-from treetweak.feature_space import Instance
+from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
 from treetweak.forest import (
     GT,
     LE,
@@ -460,3 +462,80 @@ class TestSerialization:
         ens = ensemble_from_dict(json.loads(text))
         assert ens.trees[0].depth == depth
         assert dumps_model(ens) == text
+
+
+def reference_dumps(ens):
+    """The model writer before it formatted trees itself: ``json`` encodes
+    the whole document."""
+    return json.dumps(ensemble_to_dict(ens), indent=2, sort_keys=True) + "\n"
+
+
+# Floats whose shortest repr is easy to get wrong.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-7]
+# Characters json escapes or spells out: quotes, backslashes, control
+# characters, non-ASCII (escaped as \uXXXX) and a lone surrogate.
+NAME_CHARS = ['"', "\\", "\u0000", "\n", "\x7f", "é", "日", "\U0001f600", "\ud800", "x", " "]
+
+
+@st.composite
+def edge_ensembles(draw):
+    n = draw(st.integers(1, 4))
+    name = st.text(st.sampled_from(NAME_CHARS), max_size=5)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    group = draw(name)
+    features = [
+        FeatureMeta(
+            label,
+            one_hot=OneHotMember(group, label) if draw(st.booleans()) else None,
+            adjustable=draw(st.booleans()),
+            mean=draw(st.sampled_from(EDGE_FLOATS)),
+        )
+        for label in names
+    ]
+    threshold = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    leaf = st.sampled_from([-1, 1]).map(Leaf)
+    node = st.recursive(
+        leaf,
+        lambda kids: st.builds(Internal, st.integers(0, n - 1), threshold, kids, kids),
+        max_leaves=10,
+    )
+    trees = [DecisionTree(root) for root in draw(st.lists(node, min_size=1, max_size=4))]
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    importances = weights / weights.sum() if weights.sum() else None
+    metadata = draw(st.dictionaries(
+        name, st.none() | st.booleans() | st.integers() | name | st.sampled_from(EDGE_FLOATS),
+        max_size=3,
+    ))
+    return TreeEnsemble(tuple(trees), FeatureSpace(features), importances, metadata)
+
+
+class TestWriterParity:
+    @settings(max_examples=100, deadline=None)
+    @given(edge_ensembles())
+    def test_matches_json_and_survives_a_round_trip(self, tmp_path_factory, ens):
+        text = dumps_model(ens)
+        assert text == reference_dumps(ens)
+        path = tmp_path_factory.mktemp("model") / "m.json"
+        path.write_text(text, encoding="utf-8")
+        assert dumps_model(load_model(path)) == text
+
+    def test_edge_thresholds_and_lone_leaves(self):
+        trees = [DecisionTree(Leaf(1))] + [
+            DecisionTree(Internal(0, t, Leaf(-1), Internal(1, -t, Leaf(1), Leaf(-1))))
+            for t in EDGE_FLOATS
+        ] + [DecisionTree(Leaf(-1))]
+        names = ['a"b', "c\\d", "\u00e9\u0000"]
+        ens = TreeEnsemble(tuple(trees), FeatureSpace(FeatureMeta(s) for s in names))
+        text = dumps_model(ens)
+        assert text == reference_dumps(ens)
+        assert "5e-324" in text and "1.7976931348623157e+308" in text
+        assert "0.30000000000000004" in text and "-0.0" in text
+
+    def test_non_finite_threshold_is_spelled_as_json_does(self):
+        # The loader refuses such a model, but the writer still matches json.
+        trees = tuple(
+            DecisionTree(Internal(0, t, Leaf(-1), Leaf(1)))
+            for t in (math.inf, -math.inf, math.nan)
+        )
+        ens = TreeEnsemble(trees, plain_space(1))
+        assert dumps_model(ens) == reference_dumps(ens)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from treetweak.forest import (
     predict_tree,
     vote_sums,
 )
+from treetweak import trainer
 from treetweak.trainer import (
     ClassifierMetrics,
     TrainConfig,
-    _best_split,
+    _best_splits,
     _impurity_vec,
+    _sort_columns,
     evaluate_classifier,
     impurity,
     midranks,
@@ -56,7 +59,7 @@ class TestImpurity:
 def reference_split_on_feature(column, pos_mask, parent_imp, criterion):
     """Scalar oracle: best (gain, threshold) of one feature, or None.
 
-    The per-feature scan that ``_best_split`` vectorizes, kept verbatim.
+    The per-feature scan that ``_best_splits`` vectorizes, kept verbatim.
     """
     order = np.argsort(column, kind="stable")
     v = column[order]
@@ -112,6 +115,19 @@ def split_nodes(draw):
     return rows, pos
 
 
+def best_split(rows, pos, parent_imp, criterion):
+    """The one-segment case of ``_best_splits``: a node holding every column
+    of ``rows`` and searching every row, as (gain, row, threshold) or None."""
+    f, m = rows.shape
+    found = _best_splits(
+        _sort_columns(rows, pos), np.arange(m), np.array([0]),
+        np.arange(f)[None, :], np.array([parent_imp]), criterion,
+    )
+    if found.gain[0] == -math.inf:
+        return None
+    return float(found.gain[0]), int(found.row[0]), found.threshold[0]
+
+
 class TestBestSplit:
     @settings(max_examples=200, deadline=None)
     @given(split_nodes(), st.sampled_from(["gini", "entropy"]))
@@ -119,23 +135,110 @@ class TestBestSplit:
         rows, pos = node
         n_pos = int(pos.sum())
         parent_imp = impurity((len(pos) - n_pos, n_pos), criterion)
-        assert _best_split(rows, pos, parent_imp, criterion) == reference_best_split(
+        assert best_split(rows, pos, parent_imp, criterion) == reference_best_split(
             rows, pos, parent_imp, criterion
         )
 
     def test_constant_rows_give_none(self):
         rows = np.array([[1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
-        assert _best_split(rows, np.array([1.0, 0.0, 1.0]), 0.5, "gini") is None
+        assert best_split(rows, np.array([1.0, 0.0, 1.0]), 0.5, "gini") is None
 
     def test_first_feature_wins_a_tie(self):
         rows = np.array([[0.0, 0.0, 1.0, 1.0], [5.0, 5.0, 7.0, 7.0]])
         pos = np.array([0.0, 0.0, 1.0, 1.0])
-        assert _best_split(rows, pos, 0.5, "gini") == (0.5, 0, 0.5)
+        assert best_split(rows, pos, 0.5, "gini") == (0.5, 0, 0.5)
+
+
+@st.composite
+def segmented_searches(draw):
+    """A tie-heavy ``[n, m]`` table with its positive mask, and 1-6 nodes
+    over it with the same number of sampled features each. A node's samples
+    repeat as a bootstrap sample's do; some nodes hold one sample repeated
+    (every feature constant), some hold two samples."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 30))
+    levels = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.integers(0, levels - 1).map(lambda v: v / 10),
+        st.floats(-100, 100, allow_nan=False),
+    )
+    table = np.array(draw(st.lists(
+        st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n
+    )), dtype=float)
+    pos = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=float)
+    sample = st.integers(0, m - 1)
+    node_samples = st.one_of(
+        st.lists(sample, min_size=2, max_size=25),
+        st.tuples(sample, sample).map(list),
+        st.tuples(sample, st.integers(2, 6)).map(lambda s: [s[0]] * s[1]),
+    )
+    f = draw(st.integers(1, n))
+    features = st.lists(
+        st.integers(0, n - 1), min_size=f, max_size=f, unique=True
+    ).map(sorted)
+    nodes = draw(st.lists(st.tuples(node_samples, features), min_size=1, max_size=6))
+    return table, pos, nodes
+
+
+class TestSegmentedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(segmented_searches(), st.sampled_from(["gini", "entropy"]))
+    def test_each_node_equals_its_own_scalar_search(self, search, criterion):
+        table, pos, nodes = search
+        idx = [np.array(samples) for samples, _ in nodes]
+        features = np.array([ids for _, ids in nodes])
+        starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
+        parent_imp = []
+        for i in idx:
+            n_pos = int(pos[i].sum())
+            parent_imp.append(impurity((len(i) - n_pos, n_pos), criterion))
+        found = _best_splits(
+            _sort_columns(table, pos), np.concatenate(idx), starts, features,
+            np.array(parent_imp), criterion,
+        )
+        for s, i in enumerate(idx):
+            rows = table[features[s]][:, i]
+            expected = reference_best_split(rows, pos[i], parent_imp[s], criterion)
+            if expected is None:
+                assert found.gain[s] == -math.inf
+                continue
+            r, threshold = int(found.row[s]), found.threshold[s]
+            assert (float(found.gain[s]), r, threshold) == expected
+            # The node's samples come back ordered on the winning feature,
+            # those routed left first.
+            go_left = rows[r] <= threshold
+            cut, end = starts[s] + found.n_left[s], starts[s] + len(i)
+            assert sorted(found.samples[starts[s]:cut]) == sorted(i[go_left])
+            assert sorted(found.samples[cut:end]) == sorted(i[~go_left])
+            assert found.pos_left[s] == pos[i[go_left]].sum()
+
+    def test_a_midpoint_that_rounds_up_sends_both_values_left(self):
+        # (a + b) / 2 rounds to b here, and routing sends b left too, so the
+        # partition follows the values, not the position of the midpoint.
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        found = _best_splits(
+            _sort_columns(np.array([[a, b]]), np.array([0.0, 1.0])), np.array([0, 1]),
+            np.array([0]), np.array([[0]]), np.array([0.5]), "gini",
+        )
+        assert found.threshold[0] == b
+        assert found.n_left[0] == 2 and found.pos_left[0] == 1.0
+
+    @pytest.mark.parametrize("cap", [1, sys.maxsize])
+    def test_column_cap_does_not_change_the_model(self, monkeypatch, cap):
+        # A cap of 1 searches every node alone; no cap searches each wave
+        # in one call.
+        space, data = gaussian_instances(seed=61, m=200, n=5)
+        data = [Instance(np.round(inst.values, 1), label=inst.label) for inst in data]
+        cfg = TrainConfig(num_trees=6, seed=3)
+        default = dumps_model(train_forest(data, cfg, space))
+        monkeypatch.setattr(trainer, "COLUMN_CAP", cap)
+        assert dumps_model(train_forest(data, cfg, space)) == default
 
 
 # SHA-256 of ``dumps_model`` for forests trained on tie-heavy data (values
-# rounded to 0.1). Pinned when split search was a per-feature loop; the
-# vectorized search must reproduce every byte.
+# rounded to 0.1). Pinned when split search was a per-feature loop, tree by
+# tree; the lockstep segmented search must reproduce every byte.
 GOLDEN_MODEL_SHA256 = {
     "gini": "8fa5f6d27eea7ffaa9e0d24a8a57b6e13bc687c7e4a96586e79064fef40dab63",
     "entropy": "28d6b754272f8c2a594413939dd8837ade7506a1e92cced9d9a0fb39e27c6772",
