@@ -307,8 +307,10 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 # Positive-gain splits are preferred; an impure node where
                 # every candidate has exactly zero gain (e.g. XOR patterns)
                 # still splits so the subtrees get a chance to separate.
-                # Terminates regardless: both children are nonempty and
-                # strictly smaller.
+                # Terminates regardless: both children are strictly smaller,
+                # unless the midpoint rounds onto (or overflows past) the
+                # node's largest value and the right child is empty, which
+                # max_depth stops.
                 feature = int(feature_ids[row])
                 gains[k, feature] += (len(idx) / len(samples[k])) * max(gain, 0.0)
                 split = dict(feature=feature, threshold=threshold, left=len(nodes[k]) + 1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treetweak import trainer
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
 from treetweak.feature_space import Instance
 from treetweak.forest import (
@@ -16,7 +17,6 @@ from treetweak.forest import (
     predict_tree,
     vote_sums,
 )
-from treetweak import trainer
 from treetweak.trainer import (
     ClassifierMetrics,
     TrainConfig,
