@@ -25,8 +25,6 @@ from treetweak.feature_space import (
 )
 from treetweak.forest import (
     DecisionTree,
-    Internal,
-    Leaf,
     Path,
     TreeEnsemble,
     extract_paths,
@@ -78,8 +76,6 @@ __all__ = [
     "FeatureSpace",
     "Found",
     "Instance",
-    "Internal",
-    "Leaf",
     "NotCovered",
     "OneHotMember",
     "Path",

@@ -102,7 +102,16 @@ def tweaked_feature_rate(x, Y):
 @_rowwise(degree=1)
 def euclidean_distance(x, Y):
     """L2 norm of the change vector."""
-    return _always_defined(np.sqrt(((Y - x) ** 2).sum(axis=1)))
+    costs = np.sqrt(((Y - x) ** 2).sum(axis=1))
+    # A norm this small may have lost its squares to underflow: such rows
+    # are summed again from their own difference at its power-of-two
+    # scale, which shares no scale with x.
+    small = costs < _TINY_NORM
+    if small.any():
+        D = Y[small] - x
+        e = _unit_exponent(D)
+        costs[small] = np.ldexp(np.sqrt((np.ldexp(D, e) ** 2).sum(axis=1)), -e[:, 0])
+    return _always_defined(costs)
 
 
 @_rowwise(lambda n: ZeroVector("cosine distance undefined for a zero-norm vector"))

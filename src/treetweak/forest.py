@@ -7,12 +7,12 @@ Conventions pinned here and relied on everywhere else:
 * the ensemble predicts -1 iff the sum of tree votes is <= 0, so an even
   split of votes resolves to -1.
 
-A tree is stored only as preorder node arrays, the layout of the JSON
-``nodes``, and every walk over it is a loop over node indices;
-:class:`Internal` and :class:`Leaf` are a builder for hand-made trees.
-No other module reads that layout: an ensemble hands out its trees' node
-arrays concatenated (``nodes``) and the folded box of every positive leaf
-(``positive_boxes``), each built once.
+A tree has one constructor, ``DecisionTree(nodes)`` over the JSON
+``nodes`` layout, and is stored only as preorder node arrays; every walk
+over it is a loop over node indices. No other module reads those arrays:
+an ensemble hands out its trees' node arrays concatenated (``nodes``) and
+the folded box of every positive leaf (``positive_boxes``), each built
+once.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,26 +38,6 @@ GT = "gt"  # value >  threshold
 POSITIVE = "positive"
 NEGATIVE = "negative"
 ALL = "all"
-
-
-@dataclass(frozen=True)
-class Leaf:
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"leaf label must be -1 or +1, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class Internal:
-    feature: int
-    threshold: float
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Internal]
 
 
 class Condition(NamedTuple):
@@ -94,45 +74,16 @@ class DecisionTree:
     steps always ends on its leaf. ``feature`` and ``threshold`` are 0 at
     leaves, and ``label`` is 0 at internal nodes.
 
-    ``DecisionTree(root)`` converts a hand-built :class:`Internal`/:class:`Leaf`
-    graph, whose node objects must be unique; :meth:`from_nodes` reads the
-    JSON node layout.
+    Built from JSON ``nodes`` in any order, node 0 the root, and stored
+    in preorder as found by a left-first walk from node 0, which also
+    derives the depth, the leaf counts and the largest feature index (-1
+    for a lone leaf). Raises ValueError unless every node is reached
+    exactly once (no cycles, no shared or orphaned nodes), leaf labels are
+    the integers -1 or +1, features and child indices are nonnegative
+    integers and thresholds are numbers (bool is neither).
     """
 
-    def __init__(self, root: Node):
-        # The graph as JSON nodes in breadth-first order.
-        nodes: list[dict] = []
-        objects, seen = [root], {id(root)}
-        for node in objects:  # grows while it is walked
-            if isinstance(node, Leaf):
-                nodes.append({"leaf": node.label})
-                continue
-            if not isinstance(node, Internal):
-                raise ValueError(f"not a tree node: {node!r}")
-            for child in (node.left, node.right):
-                if id(child) in seen:
-                    raise ValueError("tree nodes must be unique objects")
-                seen.add(id(child))
-            nodes.append(
-                {"feature": node.feature, "threshold": node.threshold,
-                 "left": len(objects), "right": len(objects) + 1}
-            )
-            objects += (node.left, node.right)
-        self._set_nodes(nodes)
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[dict]) -> "DecisionTree":
-        """A tree from JSON ``nodes`` in any order, node 0 the root."""
-        tree = cls.__new__(cls)
-        tree._set_nodes(nodes)
-        return tree
-
-    def _set_nodes(self, nodes: Sequence[dict]) -> None:
-        """Store the nodes in preorder, as found by a left-first walk from
-        node 0, and derive the depth, the leaf counts and the largest
-        feature index (-1 for a lone leaf). Raises ValueError unless every
-        node is reached exactly once (no cycles, no shared or orphaned
-        nodes), leaf labels are -1 or +1 and features are nonnegative."""
+    def __init__(self, nodes: Sequence[dict]):
         count = len(nodes)
         if not count:
             raise ValueError("tree with no nodes")
@@ -150,17 +101,25 @@ class DecisionTree:
                 depth = d
             entry = nodes[node]
             if "leaf" in entry:
-                rows.append([0, 0.0, slot, entry["leaf"]])
+                label = entry["leaf"]
+                if type(label) is not int or label not in (-1, 1):
+                    raise ValueError(f"node {node}: leaf label {label!r} is not -1 or +1")
+                rows.append([0, 0.0, slot, label])
                 continue
-            left, right = int(entry["left"]), int(entry["right"])
+            feature, threshold = entry["feature"], entry["threshold"]
+            left, right = entry["left"], entry["right"]
+            if type(feature) is not int or feature < 0:
+                raise ValueError(f"node {node}: feature {feature!r} is not an index")
+            if type(threshold) is bool or not isinstance(threshold, (int, float)):
+                raise ValueError(f"node {node}: threshold {threshold!r} is not a number")
             for child in (left, right):
-                if not 0 <= child < count or reached[child]:
+                if type(child) is not int or not 0 <= child < count or reached[child]:
                     raise ValueError(
-                        f"node {node} has child {child}, which is out of range "
-                        "or reached twice"
+                        f"node {node} has child {child!r}, which is not an index "
+                        "in range or is reached twice"
                     )
                 reached[child] = True
-            rows.append([entry["feature"], entry["threshold"], -1, 0])
+            rows.append([feature, threshold, -1, 0])
             stack += ((right, d + 1, slot), (left, d + 1, -1))
         if len(rows) != count:
             raise ValueError(f"{count - len(rows)} node(s) unreachable from the root")
@@ -170,10 +129,6 @@ class DecisionTree:
         right = np.asarray(right, dtype=np.intp)
         ids = np.arange(count)
         leaf = right == ids
-        if not np.array_equal(np.abs(label), leaf):
-            raise ValueError("leaf labels must be -1 or +1")
-        if np.any(feature < 0):
-            raise ValueError("feature index must be nonnegative")
         self.feature = feature
         self.threshold = np.asarray(threshold, dtype=float)
         self.children = np.stack([right, np.where(leaf, ids, ids + 1)], axis=1)
@@ -440,13 +395,13 @@ def ensemble_to_dict(ens: TreeEnsemble) -> dict:
 
 def ensemble_from_dict(doc: dict) -> TreeEnsemble:
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaVersionMismatch(
             f"unsupported model format version {version!r} (expected {FORMAT_VERSION})"
         )
     try:
         space = FeatureSpace.from_dict(doc["feature_space"])
-        trees = tuple(DecisionTree.from_nodes(t["nodes"]) for t in doc["trees"])
+        trees = tuple(DecisionTree(t["nodes"]) for t in doc["trees"])
         if not all(np.isfinite(tree.threshold).all() for tree in trees):
             raise CorruptModel("tree threshold is not finite")
         importances = np.asarray(doc["importances"], dtype=float)

@@ -157,10 +157,9 @@ def feature_frequency_report(
     """Relative feature frequencies in the top-1/2/3 transformations.
 
     Input: per instance, its ranked transformations, each a sequence of
-    recommendations (Recommendation objects or plain feature names). For
-    top-m, every recommendation occurrence in each instance's first m
-    transformations counts once; frequencies are normalized over all
-    occurrences, so each table sums to 1.
+    recommended feature names. For top-m, every name occurrence in each
+    instance's first m transformations counts once; frequencies are
+    normalized over all occurrences, so each table sums to 1.
     """
     if not per_instance_recs:
         raise EmptyInput("no instances to report on")
@@ -168,10 +167,8 @@ def feature_frequency_report(
     for m in (1, 2, 3):
         counts: Counter = Counter()
         for ranked in per_instance_recs:
-            for recs in ranked[:m]:
-                for rec in recs:
-                    name = rec.feature_name if isinstance(rec, Recommendation) else rec
-                    counts[name] += 1
+            for names in ranked[:m]:
+                counts.update(names)
         total = sum(counts.values())
         report[f"top_{m}"] = (
             {name: counts[name] / total for name in sorted(counts)} if total else {}

@@ -320,7 +320,7 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 stacks[k].append((ordered[cut:end].copy(), n_pos - pos_left, depth + 1, split))
                 stacks[k].append((ordered[start:cut].copy(), pos_left, depth + 1, None))
         growing = [k for k in growing if stacks[k]]
-    return [DecisionTree.from_nodes(tree) for tree in nodes], gains
+    return [DecisionTree(tree) for tree in nodes], gains
 
 
 def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:

@@ -26,8 +26,9 @@ lexsort, and builds a Transformation object only for a row it hands out
 is read). :func:`candidate_set` is tweak's ``all_candidates``, and
 :func:`sweep` runs the same checks and candidate generation over a grid.
 :func:`brute_force_tweak` keeps the scalar, path-by-path,
-candidate-by-candidate formulation as the test oracle, and stacks its
-candidates into the same table.
+candidate-by-candidate enumeration, placement and validation as the test
+oracle, stacks its candidates into the same table and prices them as
+tweak does.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from treetweak.errors import (
     NonFiniteValue,
     NotNegative,
     SearchSpaceTooLarge,
-    ZeroVariance,
-    ZeroVector,
 )
 from treetweak.feature_space import FeatureSpace, Instance
 from treetweak.forest import (
@@ -414,8 +413,8 @@ def brute_force_tweak(
     (pass ``only_negative_trees=True`` for a strict A/B against tweak),
     folds every path from scratch, and never budgets.
     Guarded to models with at most ``BRUTE_FORCE_PATH_LIMIT`` positive
-    paths in scope. Costs each candidate on its own, through the vector
-    form of ``delta``.
+    paths in scope. Prices the candidates as tweak does, with one call to
+    ``delta``.
     """
     (x_values,), (epsilon,), (delta_fn,) = check_search_args(
         [x], [epsilon], [delta], None
@@ -440,21 +439,13 @@ def brute_force_tweak(
                 )
             except InfeasiblePath:
                 continue
-            if predict_ensemble(ens, inst) != 1:
-                continue
-            try:
-                cost = delta_fn(x_values, inst.values)
-            except (ZeroVector, ZeroVariance) as exc:
-                logger.warning(
-                    "cost undefined for candidate tree %d path %d (%s); ranked last",
-                    k, path.path_index, exc,
-                )
-                cost = INF
-            rows.append((k, path.path_index, inst.values, cost))
+            if predict_ensemble(ens, inst) == 1:
+                rows.append((k, path.path_index, inst.values))
     if not rows:
         return NotCovered("exhaustive enumeration found no valid transformation")
-    tree, path_index, values, costs = map(np.array, zip(*rows))
-    return Found(x_values, tree, path_index, values, costs.astype(float))
+    tree, path_index, values = map(np.array, zip(*rows))
+    costs = _row_costs(delta_fn, x_values, tree, path_index, values)
+    return Found(x_values, tree, path_index, values, costs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance
-from treetweak.forest import DecisionTree, Internal, Leaf, TreeEnsemble
+from treetweak.forest import DecisionTree, TreeEnsemble
 
 try:
     from hypothesis import settings
@@ -30,10 +30,27 @@ def plain_space(n, adjustable=None):
     )
 
 
+def tree(spec):
+    """A DecisionTree from a nested spec: a leaf is its label, -1 or +1, and
+    an internal node is ``(feature, threshold, left, right)``."""
+    nodes = []
+    stack = [(spec, None)]  # (spec, the node whose right child it is)
+    while stack:
+        spec, parent = stack.pop()
+        if parent is not None:
+            parent["right"] = len(nodes)
+        if not isinstance(spec, tuple):
+            nodes.append({"leaf": spec})
+            continue
+        feature, threshold, left, right = spec
+        node = {"feature": feature, "threshold": threshold, "left": len(nodes) + 1}
+        nodes.append(node)
+        stack += ((right, node), (left, None))
+    return DecisionTree(nodes)
+
+
 def stump(feature, threshold, left_label, right_label):
-    return DecisionTree(
-        Internal(feature, threshold, Leaf(left_label), Leaf(right_label))
-    )
+    return tree((feature, threshold, left_label, right_label))
 
 
 def random_tree(rng, n_features, max_depth, p_leaf=0.3):
@@ -41,12 +58,12 @@ def random_tree(rng, n_features, max_depth, p_leaf=0.3):
 
     def grow(depth):
         if depth >= max_depth or (depth > 0 and rng.random() < p_leaf):
-            return Leaf(int(rng.choice((-1, 1))))
+            return int(rng.choice((-1, 1)))
         feature = int(rng.integers(n_features))
         threshold = float(rng.uniform(-2.0, 2.0))
-        return Internal(feature, threshold, grow(depth + 1), grow(depth + 1))
+        return (feature, threshold, grow(depth + 1), grow(depth + 1))
 
-    return DecisionTree(grow(0))
+    return tree(grow(0))
 
 
 def random_ensemble(rng, num_trees, n_features, max_depth, space=None):

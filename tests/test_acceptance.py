@@ -23,8 +23,6 @@ from treetweak.forest import (
     GT,
     LE,
     Condition,
-    DecisionTree,
-    Leaf,
     Path,
     TreeEnsemble,
     dumps_model,
@@ -68,6 +66,7 @@ from conftest import (
     plain_space,
     random_ensemble,
     sample_negative_instances,
+    tree,
 )
 
 EXACT_COSTS = ("tweaked_feature_rate", "jaccard")
@@ -219,7 +218,7 @@ def test_criterion_04_majority_vote_semantics():
     rng = np.random.default_rng(4000)
     pairs = ties = 0
     # An engineered everywhere-tied ensemble plus random even/odd forests.
-    tied = TreeEnsemble((DecisionTree(Leaf(1)), DecisionTree(Leaf(-1))), plain_space(3))
+    tied = TreeEnsemble((tree(1), tree(-1)), plain_space(3))
     forests = [tied] + [
         random_ensemble(rng, int(rng.integers(1, 7)), 3, 3) for _ in range(199)
     ]

@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treetweak.cli import main
 from treetweak.forest import (
     TreeEnsemble,
+    ensemble_to_dict,
     load_model,
     predict_ensemble,
     save_model,
@@ -14,7 +17,7 @@ from treetweak.forest import (
 from treetweak.feature_space import Instance
 from treetweak.tweaker import Found
 
-from conftest import plain_space, stump
+from conftest import plain_space, stump, tree
 
 
 def write_gaussian_csv(path, seed=60, m=240, n=4):
@@ -631,3 +634,92 @@ class TestReportCommand:
         )
         assert code == 1
         assert "feature_name" in capsys.readouterr().err
+
+
+# A small valid model: x = (-1, -1) is negative under both trees.
+_MODEL = ensemble_to_dict(
+    TreeEnsemble(
+        (tree((0, 0.0, -1, (1, 0.5, 1, -1))), stump(1, 0.0, -1, 1)),
+        plain_space(2),
+        importances=[0.5, 0.5],
+    )
+)
+_NEST = "nest-here"  # a placeholder that no model document contains
+_OTHER_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.just([]), st.just({}),
+)
+
+
+def json_paths(doc):
+    """The path (keys and indices) of every value below the document root."""
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            items = value.items()
+        elif isinstance(value, list):
+            items = enumerate(value)
+        else:
+            continue
+        for key, child in items:
+            paths.append(path + (key,))
+            stack.append((path + (key,), child))
+    return paths
+
+
+@st.composite
+def mutated_models(draw):
+    """The text of the small model after one to three mutations: a value of
+    another type, a dropped key or list item, a child index moved, or a
+    value wrapped in deeply nested lists."""
+    doc = json.loads(json.dumps(_MODEL))
+    depth = 0
+    for _ in range(draw(st.integers(1, 3))):
+        paths = json_paths(doc)
+        children = [p for p in paths if p[-1] in ("left", "right")]
+        kind = draw(st.sampled_from(["retype", "drop", "child", "nest"]))
+        path = draw(st.sampled_from(children if kind == "child" and children else paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "child" and type(value) is int:
+            parent[key] = value + draw(st.sampled_from([-2, -1, 1, 2, 10**30]))
+        elif kind == "nest" and not depth:
+            depth = draw(st.integers(1, 100_000))
+            parent[key] = _NEST
+        else:
+            parent[key] = draw(_OTHER_VALUE.filter(lambda v: type(v) is not type(value)))
+    text = json.dumps(doc)
+    return text.replace(f'"{_NEST}"', "[" * depth + "0" + "]" * depth)
+
+
+class TestModelFuzz:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=mutated_models())
+    def test_tweak_reports_a_bad_model_in_one_error_line(self, tmp_path, capsys, text):
+        model, data = tmp_path / "model.json", tmp_path / "inst.csv"
+        model.write_text(text)
+        data.write_text("x0,x1\n-1.0,-1.0\n")
+        capsys.readouterr()
+        code = main(
+            ["tweak", "--model", str(model), "--data", str(data),
+             "--out", str(tmp_path / "out.json")]
+        )
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            lines = err.splitlines()
+            assert code in (1, 2) and len(lines) == 1, err
+            assert lines[0].startswith("error:"), err
+        else:
+            # Some mutations leave a valid model (an int threshold, a
+            # metadata value of another type); the run must have read one.
+            load_model(model)

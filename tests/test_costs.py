@@ -255,6 +255,21 @@ class TestOverflow:
             [1.0, math.sqrt(2) * 1e300],
         )
 
+    def test_euclidean_of_tiny_moves(self):
+        # The squares of these moves underflow, and no scale shared with x
+        # brings them back: each row is summed again at the scale of its own
+        # difference. A zero move still costs 0 and an overflow stays inf.
+        for x, rows, expected in [
+            ([0.0, 0.0], [[1e-170, 0.0], [3e-170, 4e-170], [5e-324, 0.0], [0.0, 0.0]],
+             [1e-170, 5e-170, 5e-324, 0.0]),
+            ([1.0, 0.0], [[1.0, 1e-170], [1.0, 0.0]], [1e-170, 0.0]),
+        ]:
+            self.checked(euclidean_distance, x, rows, expected)
+            got = euclidean_distance(x, np.array(rows))
+            assert got.tolist() == pytest.approx(expected, rel=1e-15, abs=0)
+        assert euclidean_distance([0.0, 0.0], [[1e-170, 0.0]]).tolist() == [1e-170]
+        assert euclidean_distance([-1e308], [[1e308]]).tolist() == [math.inf]
+
     def test_euclidean_tweak_with_a_huge_epsilon(self):
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
         with warnings.catch_warnings():

@@ -11,9 +11,6 @@ from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotM
 from treetweak.forest import (
     GT,
     LE,
-    DecisionTree,
-    Internal,
-    Leaf,
     TreeEnsemble,
     dumps_model,
     ensemble_from_dict,
@@ -28,7 +25,7 @@ from treetweak.forest import (
     vote_sums,
 )
 
-from conftest import plain_space, random_ensemble, random_tree, stump
+from conftest import plain_space, random_ensemble, random_tree, stump, tree
 
 
 def replay(tree, path):
@@ -42,6 +39,13 @@ def replay(tree, path):
         node = tree.children[node, int(direction == LE)]
     assert tree.label[node] != 0
     return tree.label[node]
+
+
+def mistyped_stump(node, key, value):
+    """A stump's JSON nodes with one value of one node replaced."""
+    nodes = [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2}, {"leaf": 1}, {"leaf": -1}]
+    nodes[node][key] = value
+    return nodes
 
 
 def count_leaves(tree):
@@ -58,8 +62,7 @@ def count_leaves(tree):
 
 class TestPredictTree:
     def test_single_leaf(self):
-        tree = DecisionTree(Leaf(1))
-        assert predict_tree(tree, Instance([123.0])) == 1
+        assert predict_tree(tree(1), Instance([123.0])) == 1
 
     def test_stump_boundary_routes_left(self):
         tree = stump(0, 0.5, -1, 1)
@@ -71,37 +74,30 @@ class TestPredictTree:
         # sign corners must reach its own leaf. Leaf labels alternate so
         # neighbours differ.
         labels = [1, -1, -1, 1, -1, 1, 1, -1]
-        leaves = [Leaf(v) for v in labels]
 
         def level2(i):
-            return Internal(2, 0.0, leaves[i], leaves[i + 1])
+            return (2, 0.0, labels[i], labels[i + 1])
 
-        tree = DecisionTree(
-            Internal(
-                0, 0.0,
-                Internal(1, 0.0, level2(0), level2(2)),
-                Internal(1, 0.0, level2(4), level2(6)),
-            )
-        )
+        t = tree((0, 0.0, (1, 0.0, level2(0), level2(2)), (1, 0.0, level2(4), level2(6))))
         for corner in range(8):
             bits = [(corner >> shift) & 1 for shift in (2, 1, 0)]
             x = Instance([1.0 if b else -1.0 for b in bits])
-            assert predict_tree(tree, x) == labels[corner]
-            assert route(tree, x).path_index == corner
+            assert predict_tree(t, x) == labels[corner]
+            assert route(t, x).path_index == corner
 
 
 class TestPredictEnsemble:
     def test_single_positive_vote(self):
-        ens = TreeEnsemble((DecisionTree(Leaf(1)),), plain_space(1))
+        ens = TreeEnsemble((tree(1),), plain_space(1))
         assert predict_ensemble(ens, Instance([0.0])) == 1
 
     def test_majority_negative(self):
-        trees = (DecisionTree(Leaf(-1)), DecisionTree(Leaf(-1)), DecisionTree(Leaf(1)))
+        trees = (tree(-1), tree(-1), tree(1))
         ens = TreeEnsemble(trees, plain_space(1))
         assert predict_ensemble(ens, Instance([0.0])) == -1
 
     def test_even_tie_resolves_negative(self):
-        trees = (DecisionTree(Leaf(1)), DecisionTree(Leaf(-1)))
+        trees = (tree(1), tree(-1))
         ens = TreeEnsemble(trees, plain_space(1))
         assert tree_votes(ens, Instance([0.0])).sum() == 0
         assert predict_ensemble(ens, Instance([0.0])) == -1
@@ -189,23 +185,16 @@ class TestFlatView:
 
 class TestExtractPaths:
     def test_single_leaf_tree(self):
-        tree = DecisionTree(Leaf(1))
-        paths = extract_paths(tree, "positive")
+        paths = extract_paths(tree(1), "positive")
         assert len(paths) == 1
         assert paths[0].conditions == ()
         assert paths[0].leaf_label == 1
 
     def test_full_depth2_counts(self):
-        tree = DecisionTree(
-            Internal(
-                0, 0.0,
-                Internal(1, 0.0, Leaf(1), Leaf(-1)),
-                Internal(1, 0.0, Leaf(-1), Leaf(1)),
-            )
-        )
-        assert len(extract_paths(tree, "positive")) == 2
-        assert len(extract_paths(tree, "negative")) == 2
-        assert len(extract_paths(tree, "all")) == 4
+        t = tree((0, 0.0, (1, 0.0, 1, -1), (1, 0.0, -1, 1)))
+        assert len(extract_paths(t, "positive")) == 2
+        assert len(extract_paths(t, "negative")) == 2
+        assert len(extract_paths(t, "all")) == 4
 
     def test_path_conditions_recorded(self):
         tree = stump(0, 0.5, -1, 1)
@@ -266,20 +255,15 @@ class TestEnsembleValidation:
     def test_importances_must_normalize(self):
         with pytest.raises(ValueError):
             TreeEnsemble(
-                (DecisionTree(Leaf(1)),), plain_space(1), importances=[0.4]
+                (tree(1),), plain_space(1), importances=[0.4]
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_importances_rejected(self, bad):
         with pytest.raises(ValueError):
             TreeEnsemble(
-                (DecisionTree(Leaf(1)),), plain_space(2), importances=[bad, 0.0]
+                (tree(1),), plain_space(2), importances=[bad, 0.0]
             )
-
-    def test_shared_node_objects_rejected(self):
-        shared = Leaf(1)
-        with pytest.raises(ValueError):
-            DecisionTree(Internal(0, 0.0, shared, shared))
 
 
 class TestSerialization:
@@ -328,6 +312,13 @@ class TestSerialization:
         path.write_text(doc)
         with pytest.raises(SchemaVersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_equal_to_1_but_not_the_integer_is_a_mismatch(self, version):
+        doc = ensemble_to_dict(self._ensemble(seed=4, num_trees=1))
+        doc["format_version"] = version
+        with pytest.raises(SchemaVersionMismatch):
+            ensemble_from_dict(doc)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -435,8 +426,22 @@ class TestSerialization:
                 {"leaf": -1},
                 {"leaf": 1},
             ],
+            # one value of the wrong type, which a cast would read as
+            # another model
+            mistyped_stump(0, "feature", 0.9),
+            mistyped_stump(0, "feature", "0"),
+            mistyped_stump(0, "left", 1.7),
+            mistyped_stump(0, "left", "1"),
+            mistyped_stump(0, "threshold", "0.5"),
+            mistyped_stump(0, "threshold", True),
+            mistyped_stump(1, "leaf", True),
+            mistyped_stump(1, "leaf", 1.0),
         ],
-        ids=["cycle", "negative", "out-of-range", "shared", "unreachable"],
+        ids=[
+            "cycle", "negative", "out-of-range", "shared", "unreachable",
+            "float-feature", "str-feature", "float-child", "str-child",
+            "str-threshold", "bool-threshold", "bool-leaf", "float-leaf",
+        ],
     )
     def test_malformed_tree_structure_is_corrupt(self, nodes):
         doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=2))
@@ -493,13 +498,12 @@ def edge_ensembles(draw):
         for label in names
     ]
     threshold = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
-    leaf = st.sampled_from([-1, 1]).map(Leaf)
     node = st.recursive(
-        leaf,
-        lambda kids: st.builds(Internal, st.integers(0, n - 1), threshold, kids, kids),
+        st.sampled_from([-1, 1]),
+        lambda kids: st.tuples(st.integers(0, n - 1), threshold, kids, kids),
         max_leaves=10,
     )
-    trees = [DecisionTree(root) for root in draw(st.lists(node, min_size=1, max_size=4))]
+    trees = [tree(spec) for spec in draw(st.lists(node, min_size=1, max_size=4))]
     weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
     importances = weights / weights.sum() if weights.sum() else None
     metadata = draw(st.dictionaries(
@@ -520,10 +524,9 @@ class TestWriterParity:
         assert dumps_model(load_model(path)) == text
 
     def test_edge_thresholds_and_lone_leaves(self):
-        trees = [DecisionTree(Leaf(1))] + [
-            DecisionTree(Internal(0, t, Leaf(-1), Internal(1, -t, Leaf(1), Leaf(-1))))
-            for t in EDGE_FLOATS
-        ] + [DecisionTree(Leaf(-1))]
+        trees = [tree(1)] + [
+            tree((0, t, -1, (1, -t, 1, -1))) for t in EDGE_FLOATS
+        ] + [tree(-1)]
         names = ['a"b', "c\\d", "\u00e9\u0000"]
         ens = TreeEnsemble(tuple(trees), FeatureSpace(FeatureMeta(s) for s in names))
         text = dumps_model(ens)
@@ -533,9 +536,6 @@ class TestWriterParity:
 
     def test_non_finite_threshold_is_spelled_as_json_does(self):
         # The loader refuses such a model, but the writer still matches json.
-        trees = tuple(
-            DecisionTree(Internal(0, t, Leaf(-1), Leaf(1)))
-            for t in (math.inf, -math.inf, math.nan)
-        )
+        trees = tuple(tree((0, t, -1, 1)) for t in (math.inf, -math.inf, math.nan))
         ens = TreeEnsemble(trees, plain_space(1))
         assert dumps_model(ens) == reference_dumps(ens)

@@ -3,7 +3,7 @@ import pytest
 
 from treetweak.errors import DegenerateRanking, EmptyInput
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
-from treetweak.forest import DecisionTree, Leaf, TreeEnsemble
+from treetweak.forest import TreeEnsemble
 from treetweak.recommend import (
     DECREASE,
     HELPFUL,
@@ -22,12 +22,12 @@ from treetweak.recommend import (
 )
 from treetweak.tweaker import Found, NotCovered, Transformation
 
-from conftest import plain_space
+from conftest import plain_space, tree
 
 
 def make_ens(importances, space=None):
     space = space or plain_space(len(importances))
-    return TreeEnsemble((DecisionTree(Leaf(1)),), space, importances=importances)
+    return TreeEnsemble((tree(1),), space, importances=importances)
 
 
 def make_transformation(x, values, cost=1.0, tree=0, path=0):

@@ -19,9 +19,6 @@ from treetweak.forest import (
     LE,
     POSITIVE,
     Condition,
-    DecisionTree,
-    Internal,
-    Leaf,
     Path,
     TreeEnsemble,
     ensemble_from_dict,
@@ -50,6 +47,7 @@ from conftest import (
     random_tree,
     sample_negative_instances,
     stump,
+    tree,
 )
 
 
@@ -59,9 +57,7 @@ def positive_path(*conds):
 
 def interval_tree(low, high):
     """Positive exactly on (low, high] of feature 0, negative elsewhere."""
-    return DecisionTree(
-        Internal(0, low, Leaf(-1), Internal(0, high, Leaf(1), Leaf(-1)))
-    )
+    return tree((0, low, -1, (0, high, 1, -1)))
 
 
 class TestBuildPositiveInstance:
@@ -130,7 +126,7 @@ class TestBuildPositiveInstance:
 
 class TestCandidateSet:
     def test_no_positive_paths_means_empty(self):
-        ens = TreeEnsemble((DecisionTree(Leaf(-1)),), plain_space(1))
+        ens = TreeEnsemble((tree(-1),), plain_space(1))
         assert candidate_set(ens, Instance([0.0]), 0.1, "euclidean") == []
 
     def test_single_stump_single_candidate(self):
@@ -150,12 +146,8 @@ class TestCandidateSet:
         # Independent oracle: fold each positive path by hand and filter by
         # the ensemble, without going through the candidate generator.
         trees = (
-            DecisionTree(
-                Internal(0, 0.0, Internal(1, 0.5, Leaf(1), Leaf(-1)), Leaf(1))
-            ),
-            DecisionTree(
-                Internal(1, -0.5, Leaf(-1), Internal(0, 1.0, Leaf(1), Leaf(-1)))
-            ),
+            tree((0, 0.0, (1, 0.5, 1, -1), 1)),
+            tree((1, -0.5, -1, (0, 1.0, 1, -1))),
             stump(0, 0.3, -1, 1),
         )
         ens = TreeEnsemble(trees, plain_space(2))
@@ -163,10 +155,10 @@ class TestCandidateSet:
         checked = 0
         for x in sample_negative_instances(ens, rng, 10):
             expected = set()
-            for k, tree in enumerate(ens.trees):
-                if predict_tree(tree, x) != -1:
+            for k, t in enumerate(ens.trees):
+                if predict_tree(t, x) != -1:
                     continue
-                for path in extract_paths(tree, "positive", tree_index=k):
+                for path in extract_paths(t, "positive", tree_index=k):
                     lows, highs = {}, {}
                     for f, d, t in path.conditions:
                         if d == LE:
@@ -306,7 +298,7 @@ class TestBruteForce:
                         )
 
     def test_no_positive_paths_not_covered(self):
-        ens = TreeEnsemble((DecisionTree(Leaf(-1)),), plain_space(1))
+        ens = TreeEnsemble((tree(-1),), plain_space(1))
         out = brute_force_tweak(ens, Instance([0.0]), "euclidean", 0.1)
         assert isinstance(out, NotCovered)
 
@@ -352,22 +344,22 @@ class TestBruteForce:
             )
             nodes.append({"leaf": -1})
         nodes.append({"leaf": 1})
-        doc = ensemble_to_dict(TreeEnsemble((DecisionTree(Leaf(1)),), plain_space(6)))
+        doc = ensemble_to_dict(TreeEnsemble((tree(1),), plain_space(6)))
         doc["trees"][0]["nodes"] = nodes
         ens = ensemble_from_dict(doc)
-        tree = ens.trees[0]
+        chain = ens.trees[0]
         x = Instance(np.zeros(6))
-        paths = extract_paths(tree)
+        paths = extract_paths(chain)
         assert len(paths) == depth + 1
-        assert predict_tree(tree, x) == -1
-        assert route(tree, x) == paths[0]
+        assert predict_tree(chain, x) == -1
+        assert route(chain, x) == paths[0]
         a = tweak(ens, x, "euclidean", 0.05)
         b = brute_force_tweak(ens, x, "euclidean", 0.05, only_negative_trees=True)
         assert isinstance(a, Found) and isinstance(b, Found)
         np.testing.assert_array_equal(a.best.candidate.values, b.best.candidate.values)
         assert a.best.sort_key() == b.best.sort_key() == (a.best.cost, 0, depth)
-        assert predict_tree(tree, a.best.candidate) == 1
-        assert route(tree, a.best.candidate) == paths[-1]
+        assert predict_tree(chain, a.best.candidate) == 1
+        assert route(chain, a.best.candidate) == paths[-1]
 
 
 class TestFoldingEquivalence:
@@ -414,23 +406,13 @@ class TestFoldingEquivalence:
     def test_deeply_repeated_feature_folds_correctly(self):
         # One feature tested four times on a single path; the folded
         # bounds are (0.4, 0.6], so the candidate sits at 0.6 - eps.
-        tree = DecisionTree(
-            Internal(
-                0, 1.0,
-                Internal(
-                    0, 0.2,
-                    Leaf(-1),
-                    Internal(0, 0.6, Internal(0, 0.4, Leaf(-1), Leaf(1)), Leaf(-1)),
-                ),
-                Leaf(-1),
-            )
-        )
-        ens = TreeEnsemble((tree,), plain_space(1))
+        t = tree((0, 1.0, (0, 0.2, -1, (0, 0.6, (0, 0.4, -1, 1), -1)), -1))
+        ens = TreeEnsemble((t,), plain_space(1))
         x = Instance([5.0])
         out = tweak(ens, x, "euclidean", 0.05)
         assert isinstance(out, Found)
         np.testing.assert_allclose(out.best.candidate.values, [0.55])
-        assert route(tree, out.best.candidate).leaf_label == 1
+        assert route(t, out.best.candidate).leaf_label == 1
         # margin wider than the interval: nothing fits into (0.4, 0.6]
         assert isinstance(tweak(ens, x, "euclidean", 0.25), NotCovered)
 
@@ -474,7 +456,7 @@ class TestBatchedSearchEdges:
         assert out.all_candidates[0].candidate.values[0] == 0.5
 
     def test_negative_trees_without_positive_leaves(self):
-        trees = (DecisionTree(Leaf(-1)), stump(1, 0.0, -1, -1))
+        trees = (tree(-1), stump(1, 0.0, -1, -1))
         ens = TreeEnsemble(trees, plain_space(2))
         out = tweak(ens, Instance([0.0, 0.0]), "euclidean", 0.1)
         assert ens.positive_boxes.lo.shape == (0, 2)
@@ -485,21 +467,7 @@ class TestBatchedSearchEdges:
 
     def test_unbalanced_tree_matches_oracle(self):
         # Leaves at depths 1, 2, 4, 4 and 3, positive ones at 1, 4 and 3.
-        deep = DecisionTree(
-            Internal(
-                0, 0.0,
-                Leaf(1),
-                Internal(
-                    1, 1.0,
-                    Leaf(-1),
-                    Internal(
-                        0, 2.0,
-                        Internal(1, 3.0, Leaf(-1), Leaf(1)),
-                        Leaf(1),
-                    ),
-                ),
-            )
-        )
+        deep = tree((0, 0.0, 1, (1, 1.0, -1, (0, 2.0, (1, 3.0, -1, 1), 1))))
         # The stump votes +1 at x and at every candidate, so the vote ties
         # at x and each positive leaf of the deep tree flips it.
         ens = TreeEnsemble((deep, stump(0, 10.0, 1, -1)), plain_space(2))
@@ -824,11 +792,9 @@ class TestNotCoveredReason:
         trees = (
             interval_tree(0.0, 1.0),
             interval_tree(20.0, 20.05),
-            DecisionTree(
-                Internal(0, 0.0, Leaf(-1), Internal(0, 5.0, Leaf(1), Leaf(1)))
-            ),
-            DecisionTree(Leaf(-1)),
-            DecisionTree(Leaf(-1)),
+            tree((0, 0.0, -1, (0, 5.0, 1, 1))),
+            tree(-1),
+            tree(-1),
         )
         return TreeEnsemble(trees, plain_space(1))
 
