@@ -17,14 +17,14 @@ import sys
 from treetweak import __version__
 from treetweak.costs import COST_NAMES
 from treetweak.errors import TreeTweakError
-from treetweak.feature_space import load_instances, load_ratings, load_schema, load_table
+from treetweak.feature_space import load_instances, load_schema, load_table
 from treetweak.forest import load_model, predict_ensemble, save_model
 from treetweak.recommend import (
-    RatingRecord,
     categorical_switches,
     diff_to_recommendations,
     feature_frequency_report,
     helpfulness,
+    load_ratings,
     rank_correlation,
     ranking_from_scores,
     top_k_transformations,
@@ -222,16 +222,11 @@ def _cmd_report(args) -> int:
         except TreeTweakError:
             continue
 
-    out_doc = {"frequency": frequency, "rank_correlations": correlations}
-    if args.ratings:
-        ratings = load_ratings(args.ratings)
-        scores = helpfulness(RatingRecord(name, verdict) for name, verdict in ratings)
-        out_doc["helpfulness"] = {
-            str(k): v
-            for k, v in sorted(scores.items(), key=lambda kv: (-kv[1], str(kv[0])))
-        }
-    else:
-        out_doc["helpfulness"] = None
+    out_doc = {
+        "frequency": frequency,
+        "rank_correlations": correlations,
+        "helpfulness": helpfulness(load_ratings(args.ratings)) if args.ratings else None,
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out_doc, fh, indent=2)
         fh.write("\n")

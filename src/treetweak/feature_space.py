@@ -1,13 +1,14 @@
-"""Feature schema, z-score standardization, and the readers of every
-table and schema file the CLI takes.
+"""Feature schema, z-score standardization, and the readers of the data
+tables and schema files the CLI takes.
 
 All downstream math runs in standardized units: categorical columns are
 expanded to 0/1 indicator groups, then every column is mapped to z-scores
 using sample statistics fitted on the training table. The fitted
 :class:`FeatureSpace` is immutable and travels with the model so that new
 instances are encoded identically at tweak time. Training tables and new
-instances go through one parse; they, ratings and ``--schema`` files
-raise a typed error on malformed input, a CSV fault with its file line.
+instances go through one parse; they and ``--schema`` files raise a typed
+error on malformed input, a CSV fault with its file line. Ratings are read
+in :mod:`treetweak.recommend`, with the same :func:`read_csv`.
 """
 
 from __future__ import annotations
@@ -120,20 +121,27 @@ class FeatureSpace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSpace":
+        """The space :meth:`to_dict` wrote; raises ValueError on a value of
+        another JSON type (bool is not a number)."""
         feats = []
-        for entry in doc["features"]:
-            one_hot = None
-            if entry["kind"] == "one_hot":
+        for i, entry in enumerate(doc["features"]):
+            kind, name, adjustable = entry["kind"], entry["name"], entry["adjustable"]
+            mean, std_dev = entry["mean"], entry["std_dev"]
+            one_hot, names = None, [name]
+            if kind == "one_hot":
                 one_hot = OneHotMember(entry["group"], entry["category"])
-            feats.append(
-                FeatureMeta(
-                    name=entry["name"],
-                    one_hot=one_hot,
-                    adjustable=bool(entry["adjustable"]),
-                    mean=float(entry["mean"]),
-                    std_dev=float(entry["std_dev"]),
+                names += [one_hot.group, one_hot.category]
+            if (
+                kind not in ("continuous", "one_hot")
+                or not all(isinstance(text, str) for text in names)
+                or type(adjustable) is not bool
+                or any(type(v) is bool or not isinstance(v, (int, float)) for v in (mean, std_dev))
+            ):
+                raise ValueError(
+                    f"feature {i}: expected string names, a kind of 'continuous' or "
+                    "'one_hot', a boolean 'adjustable' and numbers 'mean' and 'std_dev'"
                 )
-            )
+            feats.append(FeatureMeta(name, one_hot, adjustable, float(mean), float(std_dev)))
         return cls(feats)
 
 
@@ -160,9 +168,7 @@ class Instance:
         return len(self.values)
 
 
-def fit_standardizer(
-    rows, space: FeatureSpace, columns: Sequence[str] | None = None
-) -> FeatureSpace:
+def fit_standardizer(rows, space: FeatureSpace) -> FeatureSpace:
     """Fit per-feature sample mean and std (ddof=1) on an encoded table.
 
     ``rows`` is an (m, n) numeric table aligned with ``space.features``
@@ -172,10 +178,6 @@ def fit_standardizer(
     that happen to be constant (a category absent from, or universal in,
     the table) fall back to unit scale instead.
     """
-    if columns is not None and tuple(columns) != space.names:
-        raise SchemaMismatch(
-            f"column names {tuple(columns)!r} do not match schema {space.names!r}"
-        )
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != space.n:
         raise SchemaMismatch(
@@ -272,7 +274,7 @@ class TableSchema:
     label_column: str = LABEL_COLUMN
 
 
-def _read_csv(path):
+def read_csv(path):
     """The header and the ``(line, row)`` data rows of a CSV file, ``line``
     1-based in the file. Skips blank lines; a csv error is a ParseError."""
     rows = []
@@ -321,7 +323,7 @@ def _parse_table(path, schema: TableSchema | None):
     ones with the categories used), the ``[m, n]`` encoded matrix and the
     labels (None without a label column).
     """
-    header, rows = _read_csv(path)
+    header, rows = read_csv(path)
     if schema is None:
         names = header[:-1] if header[-1] == LABEL_COLUMN else header
         schema = TableSchema(tuple(ColumnSpec(name) for name in names))
@@ -469,20 +471,3 @@ def load_schema(path) -> TableSchema:
         spec = ColumnSpec(c["name"], categorical, tuple(categories) or None, adjustable)
         columns.append(spec)
     return TableSchema(tuple(columns), doc.get("label_column", LABEL_COLUMN))
-
-
-def load_ratings(path) -> list[tuple[str, str]]:
-    """Read a ratings CSV with the header ``feature_name,verdict`` into
-    ``(feature_name, verdict)`` pairs; every verdict must be one of
-    :data:`treetweak.recommend.VERDICTS`."""
-    from treetweak.recommend import VERDICTS  # recommend imports this module
-
-    header, rows = _read_csv(path)
-    if header != ["feature_name", "verdict"]:
-        raise SchemaMismatch("ratings file must have the header: feature_name,verdict")
-    for line, row in rows:
-        if len(row) != 2:
-            raise ParseError(line, f"expected 2 fields, got {len(row)}")
-        if row[1] not in VERDICTS:
-            raise ParseError(line, f"verdict must be one of {VERDICTS}, got {row[1]!r}")
-    return [tuple(row) for _, row in rows]

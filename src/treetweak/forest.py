@@ -5,7 +5,8 @@ Conventions pinned here and relied on everywhere else:
 * an internal node routes left when ``value <= threshold`` and right when
   ``value > threshold`` (ties at the threshold go left);
 * the ensemble predicts -1 iff the sum of tree votes is <= 0, so an even
-  split of votes resolves to -1.
+  split of votes resolves to -1;
+* thresholds are finite.
 
 A tree has one constructor, ``DecisionTree(nodes)`` over the JSON
 ``nodes`` layout, and is stored only as preorder node arrays; every walk
@@ -80,7 +81,7 @@ class DecisionTree:
     for a lone leaf). Raises ValueError unless every node is reached
     exactly once (no cycles, no shared or orphaned nodes), leaf labels are
     the integers -1 or +1, features and child indices are nonnegative
-    integers and thresholds are numbers (bool is neither).
+    integers and thresholds are finite numbers (bool is neither).
     """
 
     def __init__(self, nodes: Sequence[dict]):
@@ -131,6 +132,8 @@ class DecisionTree:
         leaf = right == ids
         self.feature = feature
         self.threshold = np.asarray(threshold, dtype=float)
+        if not np.isfinite(self.threshold).all():
+            raise ValueError("tree threshold is not finite")
         self.children = np.stack([right, np.where(leaf, ids, ids + 1)], axis=1)
         self.label = label
         self.depth = depth
@@ -338,8 +341,7 @@ class TreeEnsemble:
         hi = np.full((len(leaves), n), np.inf)
         tested = np.zeros((len(leaves), n), dtype=bool)
         # Climb from every positive leaf of the forest to its root at once,
-        # folding each edge into its row; fmin/fmax skip NaN thresholds like
-        # min/max do.
+        # folding each edge into its row.
         rows = np.arange(len(leaves))
         child = leaves
         while child.size:
@@ -349,9 +351,9 @@ class TreeEnsemble:
             f, t = feature[par], threshold[par]
             tested[rows, f] = True
             le = left[par] == child
-            hi[rows[le], f[le]] = np.fmin(hi[rows[le], f[le]], t[le])
+            hi[rows[le], f[le]] = np.minimum(hi[rows[le], f[le]], t[le])
             gt = ~le
-            lo[rows[gt], f[gt]] = np.fmax(lo[rows[gt], f[gt]], t[gt])
+            lo[rows[gt], f[gt]] = np.maximum(lo[rows[gt], f[gt]], t[gt])
             child = par
         return PositiveBoxes(lo, hi, tested, tree_of, ordinal)
 
@@ -402,9 +404,9 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
     try:
         space = FeatureSpace.from_dict(doc["feature_space"])
         trees = tuple(DecisionTree(t["nodes"]) for t in doc["trees"])
-        if not all(np.isfinite(tree.threshold).all() for tree in trees):
-            raise CorruptModel("tree threshold is not finite")
-        importances = np.asarray(doc["importances"], dtype=float)
+        importances = doc["importances"]
+        if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
+            raise ValueError("importances must be numbers")
         return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonFiniteValue) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
@@ -412,13 +414,8 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
 
 def _tree_text(tree: DecisionTree) -> str:
     """One entry of the document's ``trees`` as ``json.dumps(indent=2)``
-    writes it two levels deep: keys sorted, floats as ``float.__repr__``
-    (non-finite ones as json spells them)."""
-    threshold = tree.threshold.tolist()
-    if np.isfinite(tree.threshold).all():
-        threshold = map(float.__repr__, threshold)
-    else:
-        threshold = map(json.dumps, threshold)
+    writes it two levels deep: keys sorted, floats as ``float.__repr__``."""
+    threshold = map(float.__repr__, tree.threshold.tolist())
     nodes = [
         f'        {{\n          "leaf": {label}\n        }}'
         if label
@@ -436,8 +433,8 @@ def dumps_model(ens: TreeEnsemble) -> str:
     indent=2, sort_keys=True)`` and a newline, byte for byte.
 
     ``"trees"`` sorts last among the top-level keys, so ``json`` writes the
-    rest of the document and the trees are appended, formatted straight
-    from their node arrays.
+    rest of the document and the trees are appended, each formatted
+    straight from its node arrays.
     """
     head = json.dumps(_document_head(ens), indent=2, sort_keys=True)
     trees = ",\n".join(_tree_text(tree) for tree in ens.trees)

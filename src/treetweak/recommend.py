@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from treetweak.errors import DegenerateRanking, EmptyInput
-from treetweak.feature_space import Instance
+from treetweak.errors import DegenerateRanking, EmptyInput, ParseError, SchemaMismatch
+from treetweak.feature_space import Instance, destandardize, read_csv
 from treetweak.forest import TreeEnsemble
 from treetweak.trainer import midranks
 from treetweak.tweaker import Found, Transformation, TweakOutcome
@@ -78,8 +78,10 @@ def diff_to_recommendations(
     ranks = importance_ranks(ens)
     space = ens.feature_space
     diff = transformation.candidate.values - x.values
+    raw_from = destandardize(x, space)
+    raw_to = destandardize(transformation.candidate, space)
     recs = []
-    for i in np.flatnonzero(diff != 0.0).tolist():
+    for i in transformation.changed_indices:
         meta = space.features[i]
         recs.append(
             Recommendation(
@@ -88,9 +90,8 @@ def diff_to_recommendations(
                 direction=INCREASE if diff[i] > 0 else DECREASE,
                 magnitude_std=abs(float(diff[i])),
                 magnitude_raw=abs(float(diff[i])) * meta.std_dev,
-                from_value_raw=meta.mean + meta.std_dev * float(x.values[i]),
-                to_value_raw=meta.mean
-                + meta.std_dev * float(transformation.candidate.values[i]),
+                from_value_raw=float(raw_from[i]),
+                to_value_raw=float(raw_to[i]),
                 importance_rank=ranks[i],
             )
         )
@@ -107,22 +108,15 @@ def categorical_switches(
     tweaked group is projected to its arg-max member on each side.
     """
     space = ens.feature_space
+    raw_from = destandardize(x, space)
+    raw_to = destandardize(transformation.candidate, space)
     switches = []
     for group, members in sorted(space.one_hot_groups.items()):
-        if not any(i in transformation.changed_indices for i in members):
+        if transformation.changed_indices.isdisjoint(members):
             continue
         cats = [space.features[i].one_hot.category for i in members]
-        raw_from = [
-            space.features[i].mean + space.features[i].std_dev * float(x.values[i])
-            for i in members
-        ]
-        raw_to = [
-            space.features[i].mean
-            + space.features[i].std_dev * float(transformation.candidate.values[i])
-            for i in members
-        ]
-        before = cats[int(np.argmax(raw_from))]
-        after = cats[int(np.argmax(raw_to))]
+        before = cats[int(np.argmax(raw_from[list(members)]))]
+        after = cats[int(np.argmax(raw_to[list(members)]))]
         switches.append((group, before, after))
     return switches
 
@@ -176,8 +170,27 @@ def feature_frequency_report(
     return report
 
 
+def load_ratings(path) -> list[RatingRecord]:
+    """Read a ratings CSV with the header ``feature_name,verdict`` into
+    records; a row of the wrong width or with a verdict outside
+    :data:`VERDICTS` is a ParseError naming its line."""
+    header, rows = read_csv(path)
+    if header != ["feature_name", "verdict"]:
+        raise SchemaMismatch("ratings file must have the header: feature_name,verdict")
+    records = []
+    for line, row in rows:
+        if len(row) != 2:
+            raise ParseError(line, f"expected 2 fields, got {len(row)}")
+        try:
+            records.append(RatingRecord(*row))
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from None
+    return records
+
+
 def helpfulness(ratings: Iterable[RatingRecord]) -> dict:
-    """helpful / (helpful + non_helpful) per feature.
+    """helpful / (helpful + non_helpful) per feature, best first, ties by
+    name.
 
     Non-actionable ratings are a category of their own and stay out of the
     denominator; features with no helpful/non-helpful ratings are omitted.
@@ -189,12 +202,8 @@ def helpfulness(ratings: Iterable[RatingRecord]) -> dict:
             helpful[record.feature] += 1
         elif record.verdict == NON_HELPFUL:
             non_helpful[record.feature] += 1
-    out = {}
-    for feature in sorted(set(helpful) | set(non_helpful), key=str):
-        h = helpful[feature]
-        nh = non_helpful[feature]
-        out[feature] = h / (h + nh)
-    return out
+    scores = {f: helpful[f] / (helpful[f] + non_helpful[f]) for f in helpful | non_helpful}
+    return dict(sorted(scores.items(), key=lambda kv: (-kv[1], str(kv[0]))))
 
 
 def ranking_from_scores(scores: Mapping) -> dict:

@@ -212,7 +212,9 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
     hit = gains.take(win) == gain[seg]
     b = np.minimum.reduceat(np.where(hit, column, width), starts)
     v = v.take(win)
-    threshold = (v[b] + v[b + 1]) / 2.0
+    # Halving first cannot overflow, so the midpoint of two finite values
+    # is finite.
+    threshold = v[b] / 2.0 + v[b + 1] / 2.0
     # The partition compares values with the threshold, as routing does;
     # a midpoint may round up onto the next value.
     n_left = np.add.reduceat(v <= threshold[seg], starts)
@@ -308,9 +310,8 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 # every candidate has exactly zero gain (e.g. XOR patterns)
                 # still splits so the subtrees get a chance to separate.
                 # Terminates regardless: both children are strictly smaller,
-                # unless the midpoint rounds onto (or overflows past) the
-                # node's largest value and the right child is empty, which
-                # max_depth stops.
+                # unless the midpoint rounds onto the node's largest value
+                # and the right child is empty, which max_depth stops.
                 feature = int(feature_ids[row])
                 gains[k, feature] += (len(idx) / len(samples[k])) * max(gain, 0.0)
                 split = dict(feature=feature, threshold=threshold, left=len(nodes[k]) + 1)

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treetweak.costs import (
     COST_FUNCTIONS,
@@ -135,6 +137,57 @@ def test_criterion_01_oracle_equivalence():
         forests >= 100 and comparisons > 1000 and elapsed < 60.0,
         f"{forests} forests, {comparisons} cost comparisons, {elapsed:.1f}s",
     )
+
+
+# Shared thresholds and values on them make ties between trees and
+# instances sitting exactly on a threshold common.
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def _tree_specs(n, depth):
+    """Specs for ``tree``: at most ``depth`` levels over features 0..n-1."""
+    leaf = st.sampled_from([-1, 1])
+    if depth == 0:
+        return leaf
+    below = _tree_specs(n, depth - 1)
+    return leaf | st.tuples(st.integers(0, n - 1), _GRID | st.floats(-2, 2), below, below)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A forest (K 1-7, depth at most 4, n at most 5) over a space with a
+    random non-adjustable mask, up to three instances, an epsilon in
+    (0, 1] and the skip_satisfied flag."""
+    n = draw(st.integers(1, 5))
+    specs = _tree_specs(n, draw(st.integers(1, 4)))
+    trees = tuple(tree(spec) for spec in draw(st.lists(specs, min_size=1, max_size=7)))
+    # Three in four features adjustable, so that most forests can be flipped.
+    mask = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
+    value = _GRID | st.floats(-3, 3)
+    xs = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))
+    epsilon = draw(st.floats(0, 1, exclude_min=True))
+    return TreeEnsemble(trees, plain_space(n, mask)), xs, epsilon, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_criterion_01_holds_on_drawn_forests(case):
+    ens, xs, epsilon, skip = case
+    negatives = [Instance(v) for v in xs if predict_ensemble(ens, Instance(v)) == -1]
+    assume(negatives)
+    for x in negatives:
+        for name in COST_NAMES:
+            fast = tweak(ens, x, name, epsilon, skip_satisfied=skip)
+            oracle = brute_force_tweak(
+                ens, x, name, epsilon, only_negative_trees=True, skip_satisfied=skip
+            )
+            assert type(fast) is type(oracle)
+            if isinstance(fast, Found):
+                assert fast.num_candidates == oracle.num_candidates
+                if name in EXACT_COSTS:
+                    assert fast.best.cost == oracle.best.cost
+                else:
+                    assert math.isclose(fast.best.cost, oracle.best.cost, abs_tol=1e-9)
 
 
 def test_criterion_02_single_tree_optimality():

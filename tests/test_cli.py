@@ -723,3 +723,94 @@ class TestModelFuzz:
             # Some mutations leave a valid model (an int threshold, a
             # metadata value of another type); the run must have read one.
             load_model(model)
+
+
+def _recommendation(feature, change):
+    return {
+        "feature": feature, "direction": "increase", "change_standardized": change,
+        "change_raw": change, "from_raw": -1.0, "to_raw": change - 1.0, "importance_rank": 1,
+    }
+
+
+def _found(index, *ranked):
+    """A covered instance's entry; each argument is one transformation's
+    recommendations, best first."""
+    return {
+        "instance_index": index, "label": None, "status": "found",
+        "num_candidates": len(ranked),
+        "transformations": [
+            {"rank": rank, "cost": 1.0, "source_tree": 0, "source_path": 1,
+             "candidate_standardized": [0.05, 0.45], "recommendations": recs}
+            for rank, recs in enumerate(ranked, start=1)
+        ],
+    }
+
+
+# A small valid "tweak --out" document: two covered instances and one not.
+_RECOMMENDATIONS = {
+    "model": "model.json", "epsilon": 0.05, "delta": "cosine", "top_k": 3,
+    "eligible": 3, "covered": 2, "coverage": 2 / 3, "skipped_positive": [3],
+    "results": [
+        _found(
+            0,
+            [_recommendation("x0", 1.05), _recommendation("x1", 1.45)],
+            [_recommendation("x1", 2.0)],
+        ),
+        _found(1, [_recommendation("x1", 1.05)]),
+        {"instance_index": 2, "label": -1, "status": "not_covered",
+         "reason": "no candidate flips the ensemble", "num_candidates": 0,
+         "transformations": []},
+    ],
+}
+
+
+@st.composite
+def mutated_recommendations(draw):
+    """The text of the small recommendations document after one to three
+    mutations: a value of another type, a dropped key or list item, a
+    feature name that is not a string, or a value wrapped in deeply nested
+    lists."""
+    doc = json.loads(json.dumps(_RECOMMENDATIONS))
+    depth = 0
+    for _ in range(draw(st.integers(1, 3))):
+        paths = json_paths(doc)
+        names = [p for p in paths if p[-1] == "feature"]
+        kind = draw(st.sampled_from(["retype", "drop", "name", "nest"]))
+        path = draw(st.sampled_from(names if kind == "name" and names else paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "nest" and not depth:
+            depth = draw(st.integers(1, 100_000))
+            parent[key] = _NEST
+        else:
+            parent[key] = draw(_OTHER_VALUE.filter(lambda v: type(v) is not type(value)))
+    text = json.dumps(doc)
+    return text.replace(f'"{_NEST}"', "[" * depth + "0" + "]" * depth)
+
+
+class TestReportFuzz:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=mutated_recommendations())
+    def test_report_writes_a_report_or_one_error_line(self, tmp_path, capsys, text):
+        recs, out = tmp_path / "recs.json", tmp_path / "report.json"
+        recs.write_text(text)
+        out.unlink(missing_ok=True)  # left by an earlier example
+        capsys.readouterr()
+        code = main(["report", "--recommendations", str(recs), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            lines = err.splitlines()
+            assert code in (1, 2) and len(lines) == 1, err
+            assert lines[0].startswith("error:"), err
+        else:
+            report = json.loads(out.read_text())
+            assert set(report) == {"frequency", "rank_correlations", "helpfulness"}

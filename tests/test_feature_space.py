@@ -26,13 +26,13 @@ from treetweak.feature_space import (
     expected_raw_header,
     fit_standardizer,
     load_instances,
-    load_ratings,
     load_schema,
     load_table,
     one_hot_decode,
     one_hot_encode,
     standardize,
 )
+from treetweak.recommend import load_ratings
 
 from conftest import plain_space
 
@@ -75,11 +75,6 @@ class TestFitStandardizer:
     def test_column_too_wide_for_a_std_is_rejected(self):
         with pytest.raises(NonFiniteValue, match="'a'"):
             fit_standardizer([[1.7e308], [-1.7e308]], FeatureSpace([FeatureMeta("a")]))
-
-    def test_column_names_checked(self):
-        space = FeatureSpace([FeatureMeta("a"), FeatureMeta("b")])
-        with pytest.raises(SchemaMismatch):
-            fit_standardizer([[1, 2], [3, 4]], space, columns=["a", "c"])
 
     def test_constant_indicator_column_gets_unit_scale(self):
         space = FeatureSpace(

@@ -258,6 +258,13 @@ class TestEnsembleValidation:
                 (tree(1),), plain_space(1), importances=[0.4]
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        # So the model writer never meets a threshold json would spell as
+        # NaN or Infinity.
+        with pytest.raises(ValueError, match="not finite"):
+            tree((0, 0.5, -1, (0, bad, 1, -1)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_importances_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -345,6 +352,40 @@ class TestSerialization:
         path.write_text(json.dumps(doc).replace(f'"{value}"', value))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("adjustable", "false"),
+            ("mean", "0.5"),
+            ("std_dev", True),
+            ("kind", "onehot"),
+            ("name", 3),
+        ],
+    )
+    def test_mistyped_feature_value_is_corrupt(self, field, value):
+        # A cast would read each of these as another model.
+        doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
+        doc["feature_space"]["features"][2][field] = value
+        with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [("group", 1), ("category", None)])
+    def test_mistyped_one_hot_member_is_corrupt(self, field, value):
+        doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
+        entry = doc["feature_space"]["features"][2]
+        entry.update(kind="one_hot", group="g", category="c")
+        ensemble_from_dict(doc)  # loads while group and category are strings
+        entry[field] = value
+        with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize("importances", [["1.0"] + ["0"] * 5, [True] + [0] * 5])
+    def test_mistyped_importance_is_corrupt(self, importances):
+        doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
+        doc["importances"] = importances
+        with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
 
     @pytest.mark.parametrize("field", ["right", "feature"])
     def test_infinite_integer_field_is_corrupt(self, tmp_path, field):
@@ -533,9 +574,3 @@ class TestWriterParity:
         assert text == reference_dumps(ens)
         assert "5e-324" in text and "1.7976931348623157e+308" in text
         assert "0.30000000000000004" in text and "-0.0" in text
-
-    def test_non_finite_threshold_is_spelled_as_json_does(self):
-        # The loader refuses such a model, but the writer still matches json.
-        trees = tuple(tree((0, t, -1, 1)) for t in (math.inf, -math.inf, math.nan))
-        ens = TreeEnsemble(trees, plain_space(1))
-        assert dumps_model(ens) == reference_dumps(ens)

@@ -13,8 +13,10 @@ from treetweak.feature_space import Instance
 from treetweak.forest import (
     TreeEnsemble,
     dumps_model,
+    load_model,
     predict_ensemble,
     predict_tree,
+    save_model,
     vote_sums,
 )
 from treetweak.trainer import (
@@ -389,6 +391,18 @@ class TestTrainForest:
         assert ens.metadata["max_depth"] == 9
         assert ens.metadata["features_per_split"] == 3
         assert ens.metadata["bootstrap"] is True
+
+    def test_midpoint_of_huge_values_is_finite_and_the_model_reloads(self, tmp_path):
+        # (a + b) / 2 overflows to inf here: every sample would go left, and
+        # the model written would not load. pytest also fails on the
+        # overflow warning.
+        data = labeled([[1.5e308], [1.6e308], [1.7e308], [1.75e308]], [-1, -1, 1, 1])
+        ens = train_forest(data, TrainConfig(num_trees=1), plain_space(1))
+        assert 1.6e308 < ens.trees[0].threshold[0] < 1.7e308
+        path = tmp_path / "m.json"
+        save_model(ens, path)
+        loaded = load_model(path)
+        assert [predict_ensemble(loaded, x) for x in data] == [-1, -1, 1, 1]
 
 
 class TestFeatureImportances:
