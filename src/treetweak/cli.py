@@ -42,8 +42,6 @@ def _info(message: str) -> None:
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema) if args.schema else None
     space, instances = load_table(args.data, schema)
-    if any(inst.label is None for inst in instances):
-        raise TreeTweakError("training data must include a label column")
     cfg = TrainConfig(
         criterion=args.criterion,
         max_depth=args.max_depth,
@@ -101,7 +99,7 @@ def _cmd_tweak(args) -> int:
     # Before any file is read, so a bad value fails with no eligible row too.
     if args.top_k < 1:
         raise ValueError(f"top-k must be >= 1, got {args.top_k}")
-    check_search_args([], [args.epsilon], [], args.budget)
+    check_search_args(0, [], [args.epsilon], [], args.budget)
     ens = load_model(args.model)
     instances = load_instances(args.data, ens.feature_space)
     results = []
@@ -160,13 +158,17 @@ def _cmd_tweak(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    ens = load_model(args.model)
-    instances = load_instances(args.data, ens.feature_space)
     epsilon_grid = [float(v) for v in args.epsilon_grid.split(",") if v.strip()]
     if args.deltas.strip() == "all":
         delta_names = list(COST_NAMES)
     else:
         delta_names = [v.strip() for v in args.deltas.split(",") if v.strip()]
+    # Before any file is read, as in tweak.
+    if not epsilon_grid or not delta_names:
+        raise ValueError("--epsilon-grid and --deltas each need at least one value")
+    check_search_args(0, [], epsilon_grid, delta_names, args.budget)
+    ens = load_model(args.model)
+    instances = load_instances(args.data, ens.feature_space)
     rows = sweep(
         ens,
         instances,

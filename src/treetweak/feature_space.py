@@ -409,11 +409,6 @@ def _raw_schema(space: FeatureSpace) -> tuple[TableSchema, list[int]]:
     return TableSchema(tuple(columns)), index
 
 
-def expected_raw_header(space: FeatureSpace) -> list[str]:
-    """Raw CSV header for a fitted space: group columns appear once."""
-    return [c.name for c in _raw_schema(space)[0].columns]
-
-
 def load_instances(path, space: FeatureSpace) -> list[Instance]:
     """Load raw instances and standardize them with an already-fitted space.
 
@@ -470,4 +465,7 @@ def load_schema(path) -> TableSchema:
             )
         spec = ColumnSpec(c["name"], categorical, tuple(categories) or None, adjustable)
         columns.append(spec)
-    return TableSchema(tuple(columns), doc.get("label_column", LABEL_COLUMN))
+    label_column = doc.get("label_column", LABEL_COLUMN)
+    if not isinstance(label_column, str):
+        raise SchemaMismatch(f"schema {path}: 'label_column' must be a string")
+    return TableSchema(tuple(columns), label_column)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from treetweak.errors import CorruptModel, NonFiniteValue, SchemaVersionMismatch
+from treetweak.errors import CorruptModel, LengthMismatch, NonFiniteValue, SchemaVersionMismatch
 from treetweak.feature_space import FeatureSpace, Instance
 
 FORMAT_VERSION = 1
@@ -157,14 +157,14 @@ class ForestNodes(NamedTuple):
 class PositiveBoxes(NamedTuple):
     """The folded (lo, hi] box of every positive leaf of an ensemble.
 
-    Rows run in (tree, leaf ordinal) order. ``tested[r, f]`` marks the
-    features some condition on the leaf's path tests (see
-    :func:`extract_paths`); an untested feature has bounds (-inf, inf).
+    Rows run in (tree, leaf ordinal) order. Thresholds are finite, so a
+    feature some condition on the leaf's path tests (see
+    :func:`extract_paths`) has a finite bound, and an untested one has
+    bounds (-inf, inf).
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    tested: np.ndarray
     tree: np.ndarray
     ordinal: np.ndarray
 
@@ -175,12 +175,7 @@ def _values(x) -> np.ndarray:
 
 def predict_tree(tree: DecisionTree, x) -> int:
     """Label of the leaf reached by routing <= left, > right."""
-    vals = _values(x)
-    node = 0
-    while not tree.label[node]:
-        go_left = vals[tree.feature[node]] <= tree.threshold[node]
-        node = tree.children[node, int(go_left)]
-    return int(tree.label[node])
+    return route(tree, x).leaf_label
 
 
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
@@ -215,12 +210,16 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
 
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
-    """Majority vote: -1 iff the vote sum is <= 0, else +1."""
-    return -1 if tree_votes(ens, x).sum() <= 0 else 1
+    """Majority vote: -1 iff the vote sum is <= 0, else +1. Raises
+    LengthMismatch unless x has one value per feature."""
+    vals = _values(x)
+    if len(vals) != ens.feature_space.n:
+        raise LengthMismatch(f"expected {ens.feature_space.n} values, got {len(vals)}")
+    return -1 if tree_votes(ens, vals).sum() <= 0 else 1
 
 
 def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
-    """The unique path an instance traverses; leaf_label == predict_tree."""
+    """The unique path an instance traverses."""
     vals = _values(x)
     conds: list[Condition] = []
     node = 0
@@ -339,7 +338,6 @@ class TreeEnsemble:
         n = self.feature_space.n
         lo = np.full((len(leaves), n), -np.inf)
         hi = np.full((len(leaves), n), np.inf)
-        tested = np.zeros((len(leaves), n), dtype=bool)
         # Climb from every positive leaf of the forest to its root at once,
         # folding each edge into its row.
         rows = np.arange(len(leaves))
@@ -349,13 +347,12 @@ class TreeEnsemble:
             up = par >= 0
             rows, child, par = rows[up], child[up], par[up]
             f, t = feature[par], threshold[par]
-            tested[rows, f] = True
             le = left[par] == child
             hi[rows[le], f[le]] = np.minimum(hi[rows[le], f[le]], t[le])
             gt = ~le
             lo[rows[gt], f[gt]] = np.maximum(lo[rows[gt], f[gt]], t[gt])
             child = par
-        return PositiveBoxes(lo, hi, tested, tree_of, ordinal)
+        return PositiveBoxes(lo, hi, tree_of, ordinal)
 
 
 # ---------------------------------------------------------------------------

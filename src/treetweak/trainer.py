@@ -227,11 +227,11 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     """The ``[n, m]`` transposed feature matrix and the float positive mask."""
     if len(data) == 0:
-        raise EmptyDataset("no training instances")
+        raise EmptyDataset("no instances")
     X = np.stack([inst.values for inst in data])
     labels = [inst.label for inst in data]
     if any(lab is None for lab in labels):
-        raise ValueError("training instances must be labeled")
+        raise ValueError("every instance must be labeled")
     pos = (np.asarray(labels, dtype=int) == 1).astype(np.float64)
     return np.ascontiguousarray(X.T), pos
 
@@ -280,18 +280,16 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
             if parent is not None:
                 parent["right"] = len(nodes[k])
             n_neg = len(idx) - n_pos
-            leaf = {"leaf": 1 if n_pos > n_neg else -1}  # majority, ties to -1
+            nodes[k].append({"leaf": 1 if n_pos > n_neg else -1})  # majority, ties to -1
             if n_pos and n_neg and depth < max_depth and len(idx) >= cfg.min_samples_split:
                 if fps >= n_features:
                     feature_ids = all_features
                 else:
                     feature_ids = np.sort(rngs[k].choice(n_features, size=fps, replace=False))
                 parent_imp = impurity((n_neg, n_pos), cfg.criterion)
-                wave.append((k, idx, n_pos, depth, leaf, feature_ids, parent_imp))
-            else:
-                nodes[k].append(leaf)
+                wave.append((k, idx, n_pos, depth, feature_ids, parent_imp))
         for chunk in _chunks(wave):
-            _, idx, _, _, _, features, parent_imp = zip(*chunk)
+            _, idx, _, _, features, parent_imp = zip(*chunk)
             starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
             found = _best_splits(
                 cols, np.concatenate(idx), starts, np.stack(features),
@@ -302,9 +300,8 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 chunk, starts.tolist(), found.gain.tolist(), found.row.tolist(),
                 found.threshold.tolist(), found.n_left.tolist(), found.pos_left.tolist(),
             ):
-                k, idx, n_pos, depth, leaf, feature_ids, _ = node
+                k, idx, n_pos, depth, feature_ids, _ = node
                 if gain == -math.inf:
-                    nodes[k].append(leaf)
                     continue
                 # Positive-gain splits are preferred; an impure node where
                 # every candidate has exactly zero gain (e.g. XOR patterns)
@@ -314,8 +311,10 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 # and the right child is empty, which max_depth stops.
                 feature = int(feature_ids[row])
                 gains[k, feature] += (len(idx) / len(samples[k])) * max(gain, 0.0)
-                split = dict(feature=feature, threshold=threshold, left=len(nodes[k]) + 1)
-                nodes[k].append(split)
+                # The split replaces the node's leaf, still its tree's last
+                # node: a tree gives one node per wave.
+                split = dict(feature=feature, threshold=threshold, left=len(nodes[k]))
+                nodes[k][-1] = split
                 cut, end = start + n_left, start + len(idx)
                 pos_left = int(pos_left)
                 stacks[k].append((ordered[cut:end].copy(), n_pos - pos_left, depth + 1, split))
@@ -425,16 +424,12 @@ def evaluate_classifier(ens: TreeEnsemble, test_data: list[Instance]) -> Classif
 
     The AUC score for an instance is its fraction of positive tree votes.
     """
-    if not test_data:
-        raise EmptyDataset("no evaluation instances")
-    labels = np.asarray([inst.label for inst in test_data], dtype=object)
-    if any(lab is None for lab in labels):
-        raise ValueError("evaluation instances must be labeled")
-    labels = labels.astype(int)
-    if len(set(labels.tolist())) < 2:
+    Xt, pos = _as_arrays(test_data)
+    if pos.min() == pos.max():
         raise DegenerateLabels("evaluation set contains a single class")
+    labels = np.where(pos == 1, 1, -1)
 
-    sums = vote_sums(ens, np.stack([inst.values for inst in test_data]))
+    sums = vote_sums(ens, Xt.T)
     preds = np.where(sums <= 0, -1, 1)
     k = ens.num_trees
     scores = (sums + k) // 2 / k  # positive votes over trees, exactly

@@ -11,15 +11,15 @@ Epsilon is expressed in standardized units, i.e. multiples of one standard
 deviation of each feature.
 
 One search serves every entry point. :func:`tweak` first checks its
-arguments (x finite, epsilon finite and > 0, the budget None or >= 0, a
-known cost name), then routes x through every tree at once
-(:func:`~treetweak.forest.tree_votes`) and rejects an ensemble-positive x
-with NotNegative. It selects the ensemble's positive-leaf boxes
-(:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`, built once per
-model) of x's negative-voting trees, places every candidate with array
-masks, re-validates all feasible candidates against the whole forest in
-one batched call, and prices them with one row-wise call to the cost
-function. The accepted candidates stay a table: :class:`Found` keeps
+arguments (x finite with one value per feature, epsilon finite and > 0,
+the budget None or >= 0, a known cost name), then routes x through
+every tree at once (:func:`~treetweak.forest.tree_votes`) and rejects an
+ensemble-positive x with NotNegative. It selects the ensemble's
+positive-leaf boxes (:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`,
+built once per model) of x's negative-voting trees, places every
+candidate with array masks, re-validates all feasible candidates
+against the whole forest in one batched call, and prices them with one
+row-wise call to the cost function. The accepted candidates stay a table: :class:`Found` keeps
 their tree, path, [C, n] values and cost arrays, ranks them with one
 lexsort, and builds a Transformation object only for a row it hands out
 (the best, the top-k a caller shows, or every row when ``all_candidates``
@@ -236,16 +236,20 @@ def build_positive_instance(
 
 
 def check_search_args(
+    n: int,
     instances: Sequence[Instance],
     epsilons: Sequence[float],
     deltas: Sequence[Callable | str],
     budget: int | None,
 ) -> tuple[list[np.ndarray], list[float], list[Callable]]:
     """Every instance's values, epsilon and cost function, once all pass:
-    NonFiniteValue for a NaN or infinite value; ValueError unless epsilon
-    is finite and > 0, the budget None or >= 0 and a cost name known.
-    Every search calls it before it routes an instance."""
+    LengthMismatch unless an instance has n values; NonFiniteValue for a
+    NaN or infinite value; ValueError unless epsilon is finite and > 0,
+    the budget None or >= 0 and a cost name known. Every search calls it
+    before it routes an instance."""
     for x in instances:
+        if len(x.values) != n:
+            raise LengthMismatch(f"expected {n} values, got {len(x.values)}")
         if not np.isfinite(x.values).all():
             bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
             raise NonFiniteValue(f"instance has non-finite values at features {bad}")
@@ -286,16 +290,18 @@ def _generate_candidates(
     # Vector form of _apply_intervals over all examined leaves at once.
     # The placed values overwrite hi, and then x's values fill the
     # features left alone, so few [rows, n] temporaries are alive at once.
-    lo, hi, tested = boxes.lo[rows], boxes.hi[rows], boxes.tested[rows]
+    lo, hi = boxes.lo[rows], boxes.hi[rows]
+    # Thresholds are finite, so a feature is tested iff it has a finite bound.
+    bounded_above = hi < INF
+    tested = (lo > -INF) | bounded_above
     adjustable = ens.feature_space.adjustable_mask
     satisfied = lo < x_values
     satisfied &= x_values <= hi
     move = tested & adjustable
     if skip_satisfied:
         move &= ~satisfied
-    open_above = ~(hi < INF)
     placed = np.subtract(hi, epsilon, out=hi)
-    np.add(lo, epsilon, out=placed, where=open_above)
+    np.add(lo, epsilon, out=placed, where=~bounded_above)
     infeasible = tested & ~adjustable & ~satisfied
     infeasible |= move & ~(lo < placed)
     feasible = ~infeasible.any(axis=1)
@@ -378,7 +384,7 @@ def tweak(
     :func:`check_search_args` before x is routed; NotNegative comes after.
     """
     (x_values,), (epsilon,), (delta_fn,) = check_search_args(
-        [x], [epsilon], [delta], budget
+        ens.feature_space.n, [x], [epsilon], [delta], budget
     )
     votes = tree_votes(ens, x_values)
     if votes.sum() > 0:
@@ -417,7 +423,7 @@ def brute_force_tweak(
     ``delta``.
     """
     (x_values,), (epsilon,), (delta_fn,) = check_search_args(
-        [x], [epsilon], [delta], None
+        ens.feature_space.n, [x], [epsilon], [delta], None
     )
     scope = [
         k
@@ -494,7 +500,7 @@ def sweep(
     instance is routed.
     """
     values_of, epsilons, delta_fns = check_search_args(
-        instances, epsilon_grid, delta_names, budget
+        ens.feature_space.n, instances, epsilon_grid, delta_names, budget
     )
     voted = [(x_values, tree_votes(ens, x_values)) for x_values in values_of]
     voted = [(x_values, votes) for x_values, votes in voted if votes.sum() <= 0]

@@ -128,11 +128,12 @@ class TestTrainCommand:
             {"columns": [{"name": "f0", "adjustable": "false"}]},
             {"columns": [{"name": "f0", "categorial": True}]},
             {"columns": [{"name": "f0"}], "label_colum": "label"},
+            {"columns": [{"name": "f0"}], "label_column": 5},
         ],
         ids=[
             "not-an-object", "no-columns", "columns-not-a-list", "no-name",
             "name-not-a-string", "categories-not-a-list", "adjustable-not-a-bool",
-            "unknown-column-key", "unknown-top-level-key",
+            "unknown-column-key", "unknown-top-level-key", "label-column-not-a-string",
         ],
     )
     def test_malformed_schema_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
@@ -465,6 +466,26 @@ class TestFlagsAndEnv:
         )
         assert code == 1
         assert "top-k" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon-grid", "nan"],
+            ["--epsilon-grid", ","],
+            ["--deltas", ","],
+            ["--deltas", "nope"],
+            ["--budget", "-1"],
+        ],
+    )
+    def test_sweep_arguments_checked_before_the_model_is_read(
+        self, tmp_path, capsys, flags
+    ):
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--model", missing, "--data", missing, "--out", str(out)] + flags)
+        assert code == 1
+        assert "missing.json" not in assert_one_error_line(capsys)
         assert not out.exists()
 
 

@@ -179,7 +179,6 @@ class TestFlatView:
         # Tree 0 is positive above 0.5 on x0, tree 1 at or below -0.5 on x1.
         assert boxes.lo.tolist() == [[0.5, -math.inf], [-math.inf, -math.inf]]
         assert boxes.hi.tolist() == [[math.inf, math.inf], [math.inf, -0.5]]
-        assert boxes.tested.tolist() == [[True, False], [False, True]]
         assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == ([0, 1], [1, 0])
 
 

@@ -459,10 +459,19 @@ class TestEvaluate:
         assert metrics.mcc == pytest.approx(-1.0)
         assert metrics.roc_auc == pytest.approx(0.0)
 
-    def test_degenerate_labels(self):
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ([], EmptyDataset),
+            ([Instance([0.0], label=1), Instance([1.0])], ValueError),
+            ([Instance([0.0], label=1)] * 4, DegenerateLabels),
+        ],
+        ids=["empty", "unlabeled", "single-class"],
+    )
+    def test_rejects_unusable_sets(self, data, error):
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
-        with pytest.raises(DegenerateLabels):
-            evaluate_classifier(ens, [Instance([0.0], label=1)] * 4)
+        with pytest.raises(error):
+            evaluate_classifier(ens, data)
 
     def test_matches_per_instance_votes(self):
         # Oracle: one predict_ensemble and one vote count per instance.

@@ -510,7 +510,6 @@ class TestBatchedSearchEdges:
                     path.path_index,
                 )
                 folded = tweaker_mod._fold_conditions(path.conditions)
-                assert set(np.flatnonzero(boxes.tested[r])) == set(folded)
                 for f in range(4):
                     lo, hi = folded.get(f, (-math.inf, math.inf))
                     assert (boxes.lo[r, f], boxes.hi[r, f]) == (lo, hi)
@@ -710,6 +709,33 @@ class TestNonFiniteInstance:
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(2))
         with pytest.raises(NonFiniteValue):
             entry(ens, Instance([-1.0, bad]))
+
+
+class TestInstanceLength:
+    @pytest.mark.parametrize("length", [2, 4, 0], ids=["n-1", "n+1", "empty"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda ens, x: tweak(ens, x, "cosine", 0.1),
+            lambda ens, x: candidate_set(ens, x, 0.1, "cosine"),
+            lambda ens, x: sweep(ens, [Instance([-1.0] * 3), x], [0.1], ["cosine"]),
+            lambda ens, x: brute_force_tweak(ens, x, "cosine", 0.1),
+            lambda ens, x: brute_force_tweak(
+                ens, x, "cosine", 0.1, only_negative_trees=True
+            ),
+            predict_ensemble,
+        ],
+        ids=["tweak", "candidate_set", "sweep", "brute_force_tweak",
+             "brute_force_tweak-negative-trees", "predict_ensemble"],
+    )
+    def test_rejected_before_routing(self, entry, length):
+        # A short x used to index past its end, and a long one was routed
+        # on its first n values and answered as if it fit the model.
+        ens = TreeEnsemble(
+            tuple(stump(f, 0.0, -1, 1) for f in range(3)), plain_space(3)
+        )
+        with pytest.raises(LengthMismatch, match="expected 3 values"):
+            entry(ens, Instance([-1.0] * length))
 
 
 BAD_ARGUMENTS = {
