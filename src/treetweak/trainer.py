@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
+from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode, LengthMismatch
 from treetweak.feature_space import FeatureSpace, Instance
 from treetweak.forest import DecisionTree, TreeEnsemble, vote_sums
 
@@ -212,9 +212,14 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
     hit = gains.take(win) == gain[seg]
     b = np.minimum.reduceat(np.where(hit, column, width), starts)
     v = v.take(win)
-    # Halving first cannot overflow, so the midpoint of two finite values
-    # is finite.
-    threshold = v[b] / 2.0 + v[b + 1] / 2.0
+    # (lo + hi) / 2 is the correctly rounded midpoint unless the sum
+    # overflows; there halving first keeps it finite. Halving first
+    # everywhere would round twice on subnormal values.
+    lo, hi = v[b], v[b + 1]
+    with np.errstate(over="ignore"):
+        threshold = (lo + hi) / 2.0
+    huge = np.isinf(threshold)
+    threshold[huge] = lo[huge] / 2.0 + hi[huge] / 2.0
     # The partition compares values with the threshold, as routing does;
     # a midpoint may round up onto the next value.
     n_left = np.add.reduceat(v <= threshold[seg], starts)
@@ -423,7 +428,12 @@ def evaluate_classifier(ens: TreeEnsemble, test_data: list[Instance]) -> Classif
     """F1, Matthews correlation, and ROC AUC on a labeled holdout set.
 
     The AUC score for an instance is its fraction of positive tree votes.
+    Raises LengthMismatch unless every row has one value per feature.
     """
+    n = ens.feature_space.n
+    for inst in test_data:
+        if len(inst.values) != n:
+            raise LengthMismatch(f"expected {n} values, got {len(inst.values)}")
     Xt, pos = _as_arrays(test_data)
     if pos.min() == pos.max():
         raise DegenerateLabels("evaluation set contains a single class")

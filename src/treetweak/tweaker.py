@@ -11,24 +11,24 @@ Epsilon is expressed in standardized units, i.e. multiples of one standard
 deviation of each feature.
 
 One search serves every entry point. :func:`tweak` first checks its
-arguments (x finite with one value per feature, epsilon finite and > 0,
-the budget None or >= 0, a known cost name), then routes x through
-every tree at once (:func:`~treetweak.forest.tree_votes`) and rejects an
+arguments (:func:`check_search_args`), then routes x through every tree
+at once (:func:`~treetweak.forest.tree_votes`) and rejects an
 ensemble-positive x with NotNegative. It selects the ensemble's
 positive-leaf boxes (:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`,
-built once per model) of x's negative-voting trees, places every
-candidate with array masks, re-validates all feasible candidates
-against the whole forest in one batched call, and prices them with one
-row-wise call to the cost function. The accepted candidates stay a table: :class:`Found` keeps
-their tree, path, [C, n] values and cost arrays, ranks them with one
-lexsort, and builds a Transformation object only for a row it hands out
-(the best, the top-k a caller shows, or every row when ``all_candidates``
-is read). :func:`candidate_set` is tweak's ``all_candidates``, and
-:func:`sweep` runs the same checks and candidate generation over a grid.
-:func:`brute_force_tweak` keeps the scalar, path-by-path,
-candidate-by-candidate enumeration, placement and validation as the test
-oracle, stacks its candidates into the same table and prices them as
-tweak does.
+built once per model) of x's negative-voting trees and places every
+candidate with array masks for each epsilon of a grid (tweak's grid is
+its one epsilon; :func:`sweep` passes its whole grid once per instance),
+re-validates the feasible candidates of the whole grid against the
+forest in one batched call, and prices each epsilon's with one row-wise
+call to the cost function. The accepted candidates stay a table:
+:class:`Found` keeps their tree, path, [C, n] values and cost arrays,
+ranks them with one lexsort, and builds a Transformation object only for
+a row it hands out (the best, the top-k a caller shows, or every row when
+``all_candidates`` is read). :func:`candidate_set` is tweak's
+``all_candidates``. :func:`brute_force_tweak` keeps the scalar,
+path-by-path, candidate-by-candidate enumeration, placement and
+validation as the test oracle, stacks its candidates into the same table
+and prices them as tweak does.
 """
 
 from __future__ import annotations
@@ -264,17 +264,18 @@ def _generate_candidates(
     ens: TreeEnsemble,
     x_values: np.ndarray,
     votes: np.ndarray,
-    epsilon: float,
+    epsilons: Sequence[float],
     skip_satisfied: bool,
     budget: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]:
-    """All ensemble-positive candidates from the negative-voting trees of
-    an ensemble-negative x, in (tree, path) order, plus counters
-    describing the search.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]]:
+    """For each epsilon, all ensemble-positive candidates from the
+    negative-voting trees of an ensemble-negative x, in (tree, path)
+    order, plus counters describing the search.
 
     The candidates come as three arrays: the source tree and path of each
     and the ``[C, n]`` matrix of their values. ``votes`` are x's per-tree
-    votes; callers pass only an x whose votes sum to <= 0.
+    votes; callers pass only an x whose votes sum to <= 0. Every epsilon's
+    candidates are validated in one :func:`~treetweak.forest.vote_sums` call.
     """
     boxes = ens.positive_boxes
     rows = np.flatnonzero(votes[boxes.tree] == -1)
@@ -287,9 +288,8 @@ def _generate_candidates(
             "tweak search truncated by budget=%s after %d paths", budget, len(rows)
         )
 
-    # Vector form of _apply_intervals over all examined leaves at once.
-    # The placed values overwrite hi, and then x's values fill the
-    # features left alone, so few [rows, n] temporaries are alive at once.
+    # Vector form of _apply_intervals over all examined leaves; only the
+    # placed values and their clearance depend on epsilon.
     lo, hi = boxes.lo[rows], boxes.hi[rows]
     # Thresholds are finite, so a feature is tested iff it has a finite bound.
     bounded_above = hi < INF
@@ -297,28 +297,31 @@ def _generate_candidates(
     adjustable = ens.feature_space.adjustable_mask
     satisfied = lo < x_values
     satisfied &= x_values <= hi
-    move = tested & adjustable
+    stays = ~(tested & adjustable)
     if skip_satisfied:
-        move &= ~satisfied
-    placed = np.subtract(hi, epsilon, out=hi)
-    np.add(lo, epsilon, out=placed, where=~bounded_above)
-    infeasible = tested & ~adjustable & ~satisfied
-    infeasible |= move & ~(lo < placed)
-    feasible = ~infeasible.any(axis=1)
-    np.copyto(placed, x_values, where=~move)
-    values = placed[feasible]
+        stays |= satisfied
+    blocked = (tested & ~adjustable & ~satisfied).any(axis=1)
+    feasible = np.empty((len(epsilons), len(rows)), dtype=bool)
+    values = np.empty((feasible.size, len(x_values)))
+    end = 0
+    for fit, epsilon in zip(feasible, epsilons):
+        placed = np.where(bounded_above, hi - epsilon, lo + epsilon)
+        fit[:] = ((lo < placed) | stays).all(axis=1) & ~blocked
+        np.copyto(placed, x_values, where=stays)
+        start, end = end, end + int(np.count_nonzero(fit))
+        values[start:end] = placed[fit]
+    values = values[:end]
 
     accepted = vote_sums(ens, values) > 0
-    kept = rows[feasible][accepted]
-    n_feasible = int(np.count_nonzero(feasible))
-    stats = SearchStats(
-        trees_searched=int(np.count_nonzero(votes == -1)),
-        paths_examined=len(rows),
-        infeasible=len(rows) - n_feasible,
-        rejected=n_feasible - len(kept),
-        truncated=truncated,
-    )
-    return boxes.tree[kept], boxes.ordinal[kept], values[accepted], stats
+    kept = np.zeros_like(feasible)
+    kept[feasible] = accepted
+    blocks = np.split(values[accepted], np.cumsum(np.count_nonzero(kept, axis=1))[:-1])
+    searched, examined = int(np.count_nonzero(votes == -1)), len(rows)
+    return [
+        (boxes.tree[rows[k]], boxes.ordinal[rows[k]], block,
+         SearchStats(searched, examined, examined - f, f - len(block), truncated))
+        for k, f, block in zip(kept, feasible.sum(axis=1).tolist(), blocks)
+    ]
 
 
 def _row_costs(
@@ -389,8 +392,8 @@ def tweak(
     votes = tree_votes(ens, x_values)
     if votes.sum() > 0:
         raise NotNegative("instance is already predicted positive by the ensemble")
-    tree, path, values, stats = _generate_candidates(
-        ens, x_values, votes, epsilon, skip_satisfied, budget
+    ((tree, path, values, stats),) = _generate_candidates(
+        ens, x_values, votes, [epsilon], skip_satisfied, budget
     )
     if not len(values):
         reason = (
@@ -491,10 +494,10 @@ def sweep(
     For each (epsilon, delta): the fraction of eligible (model-negative)
     instances with at least one valid transformation, quantiles of the
     per-instance candidate counts, the micro-average cost over all
-    candidates, and the median of per-instance mean costs. Candidate
-    generation is shared across cost functions for each epsilon, and the
-    leaf boxes and per-tree votes across the whole grid; each cost
-    function prices all candidates of an instance in one call.
+    candidates, and the median of per-instance mean costs. Each eligible
+    instance is routed once; its candidates for the whole epsilon grid are
+    generated and validated in one forest call and priced in one call per
+    (epsilon, cost function), and only their counts and costs are kept.
 
     Every argument is checked by :func:`check_search_args` before any
     instance is routed.
@@ -502,35 +505,32 @@ def sweep(
     values_of, epsilons, delta_fns = check_search_args(
         ens.feature_space.n, instances, epsilon_grid, delta_names, budget
     )
-    voted = [(x_values, tree_votes(ens, x_values)) for x_values in values_of]
-    voted = [(x_values, votes) for x_values, votes in voted if votes.sum() <= 0]
-    rows: list[SweepRow] = []
-    for epsilon in epsilons:
-        found = [
-            (x_values,) + _generate_candidates(
-                ens, x_values, votes, epsilon, skip_satisfied, budget
-            )[:3]
-            for x_values, votes in voted
+    priced = [
+        [
+            (len(values), [_row_costs(fn, x, tree, path, values) for fn in delta_fns])
+            for tree, path, values, _ in _generate_candidates(
+                ens, x, votes, epsilons, skip_satisfied, budget
+            )
         ]
-        counts = np.asarray([len(values) for *_, values in found], dtype=float)
+        for x, votes in ((x, tree_votes(ens, x)) for x in values_of)
+        if votes.sum() <= 0
+    ]
+    rows: list[SweepRow] = []
+    for e, epsilon in enumerate(epsilons):
+        counts = np.asarray([cells[e][0] for cells in priced], dtype=float)
         covered = int(np.count_nonzero(counts > 0))
-        coverage = covered / len(voted) if voted else 0.0
+        coverage = covered / len(priced) if priced else 0.0
         quantiles = (None,) * 5
-        if voted:
+        if priced:
             quantiles = tuple(np.percentile(counts, [0, 25, 50, 75, 100]).tolist())
-        for name, delta_fn in zip(delta_names, delta_fns):
-            costs = [_row_costs(delta_fn, *candidates) for candidates in found]
-            finite = [c[np.isfinite(c)] for c in costs]
+        for d, name in enumerate(delta_names):
+            finite = [c[np.isfinite(c)] for c in (cells[e][1][d] for cells in priced)]
             all_costs = np.concatenate(finite) if finite else np.empty(0)
             instance_means = [float(np.mean(c)) for c in finite if c.size]
             micro_avg = float(np.mean(all_costs)) if all_costs.size else None
             median_avg = float(np.median(instance_means)) if instance_means else None
-            rows.append(
-                SweepRow(
-                    epsilon, name, len(voted), covered, coverage, *quantiles,
-                    micro_avg, median_avg,
-                )
-            )
+            rows.append(SweepRow(epsilon, name, len(priced), covered, coverage,
+                                 *quantiles, micro_avg, median_avg))
     return tuple(rows)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetweak import trainer
-from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode
+from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode, LengthMismatch
 from treetweak.feature_space import Instance
 from treetweak.forest import (
     TreeEnsemble,
@@ -225,6 +225,17 @@ class TestSegmentedSearch:
         )
         assert found.threshold[0] == b
         assert found.n_left[0] == 2 and found.pos_left[0] == 1.0
+
+    def test_midpoint_of_subnormal_values_is_correctly_rounded(self):
+        # One and two units of the smallest subnormal: halving each value
+        # first gives 0 + 1 unit, one unit below the midpoint that
+        # (a + b) / 2 rounds to.
+        a, b = 5e-324, 1e-323
+        found = _best_splits(
+            _sort_columns(np.array([[a, b]]), np.array([0.0, 1.0])), np.array([0, 1]),
+            np.array([0]), np.array([[0]]), np.array([0.5]), "gini",
+        )
+        assert found.threshold[0] == (a + b) / 2.0 != a / 2.0 + b / 2.0
 
     @pytest.mark.parametrize("cap", [1, sys.maxsize])
     def test_column_cap_does_not_change_the_model(self, monkeypatch, cap):
@@ -471,6 +482,20 @@ class TestEvaluate:
     def test_rejects_unusable_sets(self, data, error):
         ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
         with pytest.raises(error):
+            evaluate_classifier(ens, data)
+
+    @pytest.mark.parametrize("widths", [[2], [4], [3, 4]], ids=["short", "long", "mixed"])
+    def test_rows_of_another_width_are_rejected(self, widths):
+        # Unchecked, long rows were scored on their first three values,
+        # short rows read the next row's values until an IndexError, and
+        # mixed widths failed in numpy with an untyped ValueError.
+        ens = TreeEnsemble((stump(2, 0.0, -1, 1),), plain_space(3))
+        data = [
+            Instance([0.0] * (width - 1) + [v], label=lab)
+            for width in widths
+            for v, lab in [(-1.0, -1), (1.0, 1)] * 4
+        ]
+        with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
             evaluate_classifier(ens, data)
 
     def test_matches_per_instance_votes(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treetweak.costs import COST_NAMES
 from treetweak.errors import (
@@ -936,3 +938,91 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         write_sweep_csv(rows, out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_each_instance_is_validated_once_for_the_whole_grid(self, monkeypatch):
+        ens, instances = self._fixture()
+        calls, vote_sums = [], tweaker_mod.vote_sums
+
+        def counted(*args):
+            calls.append(args)
+            return vote_sums(*args)
+
+        monkeypatch.setattr(tweaker_mod, "vote_sums", counted)
+        positive = Instance([5.0, 0.0])  # not eligible: never validated
+        rows = sweep(ens, instances + [positive], [0.01, 0.1, 0.1, 1.0], ["euclidean"])
+        assert rows[0].eligible == len(instances)
+        assert len(calls) == len(instances)
+        calls.clear()
+        tweak(ens, instances[0], "euclidean", 0.1)
+        assert len(calls) == 1
+
+    def test_budget_warning_is_logged_once_per_instance(self, caplog):
+        # Every eligible instance has a positive leaf in a negative-voting
+        # tree, so a budget of 0 truncates each one's search.
+        ens, instances = self._fixture()
+        with caplog.at_level("WARNING", logger="treetweak.tweaker"):
+            sweep(ens, instances, [0.05, 0.5, 1.0], ["euclidean", "cosine"], budget=0)
+        truncations = [r for r in caplog.records if "truncated by budget" in r.message]
+        assert len(truncations) == len(instances)
+
+
+def recount_cell(ens, xs, delta, epsilon, skip, budget):
+    """The statistics of one sweep cell, from one tweak per eligible instance."""
+    eligible = [x for x in xs if predict_ensemble(ens, x) == -1]
+    outcomes = [tweak(ens, x, delta, epsilon, skip, budget) for x in eligible]
+    found = [o for o in outcomes if isinstance(o, Found)]
+    counts = [o.num_candidates if isinstance(o, Found) else 0 for o in outcomes]
+    quantiles = (None,) * 5
+    if eligible:
+        quantiles = tuple(np.percentile(counts, [0, 25, 50, 75, 100]).tolist())
+    finite = [o.costs[np.isfinite(o.costs)] for o in found]
+    all_costs = np.concatenate(finite) if finite else np.empty(0)
+    means = [float(np.mean(c)) for c in finite if c.size]
+    return (
+        len(eligible),
+        len(found),
+        quantiles,
+        float(np.mean(all_costs)) if all_costs.size else None,
+        float(np.median(means)) if means else None,
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    """A forest of 1-9 random trees (depth at most 4, n at most 4) over a
+    space with a random non-adjustable mask, up to four instances it
+    predicts negative and one drawn instance that may be positive."""
+    n = draw(st.integers(1, 4))
+    mask = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 4))
+    ens = random_ensemble(rng, draw(st.integers(1, 9)), n, depth, plain_space(n, mask))
+    xs = sample_negative_instances(ens, rng, draw(st.integers(0, 4)), attempts=50)
+    xs.append(Instance(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))))
+    return ens, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sweep_cases(),
+    st.lists(
+        st.sampled_from([0.05, 0.5]) | st.floats(0, 1, exclude_min=True), min_size=1, max_size=3
+    ),
+    st.none() | st.integers(0, 3),
+    st.booleans(),
+)
+def test_sweep_cells_equal_a_recount_from_tweak(case, epsilons, budget, skip):
+    # The first epsilon comes twice, so every grid has a duplicate.
+    ens, xs = case
+    grid = [*epsilons, epsilons[0]]
+    rows = sweep(ens, xs, grid, list(COST_NAMES), skip, budget)
+    assert [(r.epsilon, r.delta) for r in rows] == list(itertools.product(grid, COST_NAMES))
+    for r in rows:
+        quantiles = (
+            r.candidates_min, r.candidates_p25, r.candidates_p50,
+            r.candidates_p75, r.candidates_max,
+        )
+        assert (r.eligible, r.covered, quantiles, r.micro_avg_cost,
+                r.median_instance_avg_cost) == recount_cell(
+            ens, xs, r.delta, r.epsilon, skip, budget
+        )
