@@ -8,12 +8,13 @@ Conventions pinned here and relied on everywhere else:
   split of votes resolves to -1;
 * thresholds are finite.
 
-A tree has one constructor, ``DecisionTree(nodes)`` over the JSON
-``nodes`` layout, and is stored only as preorder node arrays; every walk
-over it is a loop over node indices. No other module reads those arrays:
-an ensemble hands out its trees' node arrays concatenated (``nodes``) and
-the folded box of every positive leaf (``positive_boxes``), each built
-once.
+Trees have one constructor, ``trees_from_nodes(forest)``, which checks
+and orders the JSON ``nodes`` lists of a whole forest in one pass of
+array operations. A tree is stored only as preorder node arrays; every
+walk over it is a loop over node indices. No other module reads those
+arrays: an ensemble hands out its trees' node arrays concatenated
+(``nodes``) and the folded box of every positive leaf
+(``positive_boxes``), each built once.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -24,6 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,82 +67,210 @@ class Path:
     path_index: int = 0
 
 
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
     """An immutable binary tree of threshold tests, stored as preorder node
-    arrays (the layout of the JSON ``nodes``).
+    arrays (the layout of the JSON ``nodes``); built by
+    :func:`trees_from_nodes`.
 
     Node 0 is the root and every node comes right before its left subtree,
     so the leaves run left to right. ``children[i]`` is (right, left) of
     node i, so column ``int(v <= t)`` holds the child a value v goes to. A
     leaf's children are the leaf itself, so routing a row for ``depth``
     steps always ends on its leaf. ``feature`` and ``threshold`` are 0 at
-    leaves, and ``label`` is 0 at internal nodes.
-
-    Built from JSON ``nodes`` in any order, node 0 the root, and stored
-    in preorder as found by a left-first walk from node 0, which also
-    derives the depth, the leaf counts and the largest feature index (-1
-    for a lone leaf). Raises ValueError unless every node is reached
-    exactly once (no cycles, no shared or orphaned nodes), leaf labels are
-    the integers -1 or +1, features and child indices are nonnegative
-    integers and thresholds are finite numbers (bool is neither).
+    leaves, and ``label`` is 0 at internal nodes. ``max_feature_index`` is
+    -1 for a lone leaf.
     """
 
-    def __init__(self, nodes: Sequence[dict]):
-        count = len(nodes)
-        if not count:
-            raise ValueError("tree with no nodes")
-        reached = [True] + [False] * (count - 1)
-        rows: list[list] = []  # [feature, threshold, right child, label]
-        depth = 0
-        # (node, its depth, preorder slot of the parent whose right child it is)
-        stack = [(0, 0, -1)]
-        while stack:
-            node, d, parent = stack.pop()
-            slot = len(rows)
-            if parent >= 0:
-                rows[parent][2] = slot
-            if d > depth:
-                depth = d
-            entry = nodes[node]
-            if "leaf" in entry:
-                label = entry["leaf"]
-                if type(label) is not int or label not in (-1, 1):
-                    raise ValueError(f"node {node}: leaf label {label!r} is not -1 or +1")
-                rows.append([0, 0.0, slot, label])
-                continue
-            feature, threshold = entry["feature"], entry["threshold"]
-            left, right = entry["left"], entry["right"]
-            if type(feature) is not int or feature < 0:
-                raise ValueError(f"node {node}: feature {feature!r} is not an index")
-            if type(threshold) is bool or not isinstance(threshold, (int, float)):
-                raise ValueError(f"node {node}: threshold {threshold!r} is not a number")
-            for child in (left, right):
-                if type(child) is not int or not 0 <= child < count or reached[child]:
-                    raise ValueError(
-                        f"node {node} has child {child!r}, which is not an index "
-                        "in range or is reached twice"
-                    )
-                reached[child] = True
-            rows.append([feature, threshold, -1, 0])
-            stack += ((right, d + 1, slot), (left, d + 1, -1))
-        if len(rows) != count:
-            raise ValueError(f"{count - len(rows)} node(s) unreachable from the root")
-        feature, threshold, right, label = zip(*rows)
-        feature = np.asarray(feature, dtype=np.intp)
-        label = np.asarray(label, dtype=np.intp)
-        right = np.asarray(right, dtype=np.intp)
-        ids = np.arange(count)
-        leaf = right == ids
-        self.feature = feature
-        self.threshold = np.asarray(threshold, dtype=float)
-        if not np.isfinite(self.threshold).all():
-            raise ValueError("tree threshold is not finite")
-        self.children = np.stack([right, np.where(leaf, ids, ids + 1)], axis=1)
-        self.label = label
-        self.depth = depth
-        self.leaf_count = int(np.count_nonzero(leaf))
-        self.positive_leaf_count = int(np.count_nonzero(label == 1))
-        self.max_feature_index = int(feature.max(where=~leaf, initial=-1))
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    label: np.ndarray
+    depth: int
+    leaf_count: int
+    positive_leaf_count: int
+    max_feature_index: int
+
+
+def _node_error(start: np.ndarray, i: int, what: str) -> ValueError:
+    """The error for node ``i`` of the concatenated forest, whose trees
+    begin at ``start``."""
+    k = int(np.searchsorted(start, i, side="right")) - 1
+    return ValueError(f"tree {k}: node {i - int(start[k])} {what}")
+
+
+def _first(values, bad) -> int:
+    """Index of the first value ``bad`` holds for."""
+    return next(j for j, v in enumerate(values) if bad(v))
+
+
+def _not_int(value) -> bool:
+    return type(value) is not int
+
+
+def _not_number(value) -> bool:
+    return type(value) is bool or not isinstance(value, (int, float))
+
+
+def _overflows(value, dtype) -> bool:
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return True
+    return False
+
+
+def _column(nodes: list, key: str, dtype, start, ids) -> np.ndarray:
+    """``node[key]`` of every node as one array. Values must be ints, or
+    for a float ``dtype`` any int or float (bool is neither). A missing
+    key, a value of another type or an integer too large for ``dtype``
+    raises ValueError for that node, whose id is ``ids[j]``."""
+    try:
+        values = list(map(itemgetter(key), nodes))
+    except KeyError:
+        j = _first(nodes, lambda node: key not in node)
+        raise _node_error(start, int(ids[j]), f"has no {key!r}") from None
+    types, bad = ({int, float}, _not_number) if dtype is float else ({int}, _not_int)
+    if set(map(type, values)) - types:
+        # A float subclass, such as numpy's float64, is a number too.
+        j = next((j for j, v in enumerate(values) if bad(v)), None)
+        if j is not None:
+            what = "a number" if dtype is float else "an integer"
+            raise _node_error(start, int(ids[j]), f"has {key} {values[j]!r}, which is not {what}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        j = _first(values, lambda v: _overflows(v, dtype))
+        raise _node_error(start, int(ids[j]), f"has {key} out of range") from None
+
+
+def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ...]:
+    """Build every tree of a forest from its JSON ``nodes`` list, all at once.
+
+    Tree k's nodes may come in any order, node 0 its root; the tree is
+    stored in preorder as a left-first walk from its root visits it. Each
+    column of all the forest's nodes is pulled out in one pass, and the
+    structure is checked and ordered by whole-forest array passes, one per
+    depth level.
+
+    Raises ValueError, naming the tree, unless every tree is a non-empty
+    list of objects and every node is reached from its root exactly once
+    (no cycles, no shared or orphaned nodes). A node with a ``"leaf"`` key
+    is a leaf, whose label must be the integer -1 or +1. Any other node
+    needs a ``feature`` and ``left`` and ``right`` child indices that are
+    nonnegative integers, and a ``threshold`` that is a finite number
+    (bool is neither).
+    """
+    sizes = []
+    for k, nodes in enumerate(forest):
+        if not isinstance(nodes, (list, tuple)) or not nodes:
+            raise ValueError(f"tree {k}: nodes must be a non-empty list")
+        sizes.append(len(nodes))
+    if not sizes:
+        return ()
+    # Node ids run over the whole forest, tree by tree.
+    start = np.cumsum([0] + sizes[:-1])
+    sizes = np.array(sizes)
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
+    count = len(tree_of)
+    flat = list(chain.from_iterable(forest))
+    try:
+        leaf_mask = list(map(dict.__contains__, flat, repeat("leaf")))
+    except TypeError:  # the descriptor refuses anything but a dict
+        i = _first(flat, lambda node: not isinstance(node, dict))
+        raise _node_error(start, i, "is not an object") from None
+    is_leaf = np.frombuffer(bytes(leaf_mask), dtype=bool)  # True is byte 1
+    leaf_ids = np.flatnonzero(is_leaf)
+    inner_ids = np.flatnonzero(~is_leaf)
+    leaves = list(compress(flat, leaf_mask))
+    inner = list(map(flat.__getitem__, inner_ids.tolist()))
+    del flat, leaf_mask
+    label = _column(leaves, "leaf", np.intp, start, leaf_ids)
+    feature = _column(inner, "feature", np.intp, start, inner_ids)
+    threshold = _column(inner, "threshold", float, start, inner_ids)
+    kids = np.stack([_column(inner, key, np.intp, start, inner_ids) for key in ("left", "right")])
+    del leaves, inner
+    for ids, bad, what in (
+        (leaf_ids, np.abs(label) != 1, "a leaf label other than -1 or +1"),
+        (inner_ids, feature < 0, "a negative feature"),
+        (inner_ids, ~np.isfinite(threshold), "a threshold that is not finite"),
+    ):
+        if bad.any():
+            raise _node_error(start, int(ids[np.argmax(bad)]), f"has {what}")
+    inner_tree = tree_of[inner_ids]
+    out = (kids < 0) | (kids >= sizes[inner_tree])
+    if out.any():
+        j = int(np.argmax(out.any(axis=0)))
+        raise _node_error(start, int(inner_ids[j]), "has a child that is not a node of the tree")
+    kids += start[inner_tree]
+    # Every root has no parent and every other node exactly one.
+    parents = np.bincount(kids.ravel(), minlength=count)
+    parents[start] += 1
+    if (parents != 1).any():
+        i = int(np.argmax(parents != 1))
+        raise _node_error(start, i, "is unreachable" if parents[i] == 0 else "is reached twice")
+    del parents
+    lchild = np.zeros(count, dtype=np.intp)
+    rchild = np.zeros(count, dtype=np.intp)
+    lchild[inner_ids], rchild[inner_ids] = kids
+
+    # Walk down from every root a level at a time. With one parent per node
+    # this meets every node at most once and misses only nodes on cycles.
+    depth = np.zeros(len(sizes), dtype=np.intp)
+    levels = []  # the internal nodes of each level
+    level, reached = start, 0
+    while level.size:
+        depth[tree_of[level]] = len(levels)
+        reached += level.size
+        split = level[~is_leaf[level]]
+        levels.append(split)
+        level = np.concatenate((lchild[split], rchild[split]))
+    if reached != count:
+        seen = np.zeros(count, dtype=bool)
+        seen[start] = True
+        for split in levels:
+            seen[lchild[split]] = seen[rchild[split]] = True
+        raise _node_error(start, int(np.argmin(seen)), "is unreachable")
+    # Subtree sizes bottom-up, then preorder slots top-down: a left child
+    # comes right after its parent, a right child right after the left
+    # child's subtree.
+    subtree = np.ones(count, dtype=np.intp)
+    for split in reversed(levels):
+        subtree[split] += subtree[lchild[split]] + subtree[rchild[split]]
+    slot = np.empty(count, dtype=np.intp)
+    slot[start] = start
+    for split in levels:
+        after = slot[split] + 1
+        slot[lchild[split]] = after
+        slot[rchild[split]] = after + subtree[lchild[split]]
+    del levels, subtree, lchild, rchild
+
+    # The preorder arrays of the forest, in which tree k's slots still run
+    # from start[k]; child indices count from the tree's own root.
+    at = slot[inner_ids]
+    local = np.arange(count) - start[tree_of]
+    children = np.stack([local, local], axis=1)  # a leaf's children are itself
+    children[at, 0] = slot[kids[1]] - start[inner_tree]
+    children[at, 1] = local[at] + 1
+    del kids, local, inner_tree
+    node_feature = np.zeros(count, dtype=np.intp)
+    node_feature[at] = feature
+    node_threshold = np.zeros(count)
+    node_threshold[at] = threshold
+    node_label = np.zeros(count, dtype=np.intp)
+    node_label[slot[leaf_ids]] = label
+    leaf_count = np.add.reduceat(is_leaf, start, dtype=np.intp)
+    positive = np.add.reduceat(node_label == 1, start, dtype=np.intp)
+    max_feature = np.maximum.reduceat(np.where(node_label, -1, node_feature), start)
+    return tuple(
+        DecisionTree(
+            node_feature[a:b], node_threshold[a:b], children[a:b], node_label[a:b], *stats
+        )
+        for a, b, *stats in zip(
+            start.tolist(), (start + sizes).tolist(), depth.tolist(),
+            leaf_count.tolist(), positive.tolist(), max_feature.tolist(),
+        )
+    )
 
 
 class ForestNodes(NamedTuple):
@@ -400,7 +531,7 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         )
     try:
         space = FeatureSpace.from_dict(doc["feature_space"])
-        trees = tuple(DecisionTree(t["nodes"]) for t in doc["trees"])
+        trees = trees_from_nodes([t["nodes"] for t in doc["trees"]])
         importances = doc["importances"]
         if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
             raise ValueError("importances must be numbers")
@@ -448,11 +579,10 @@ def save_model(ens: TreeEnsemble, path) -> None:
 def load_model(path) -> TreeEnsemble:
     """Load a model written by :func:`save_model`."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CorruptModel(f"not valid JSON: {exc}") from exc
+        try:
+            doc = json.load(fh)  # the text is freed before the trees are built
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise CorruptModel(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")
     return ensemble_from_dict(doc)

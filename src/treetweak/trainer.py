@@ -26,7 +26,7 @@ import numpy as np
 
 from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode, LengthMismatch
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import DecisionTree, TreeEnsemble, vote_sums
+from treetweak.forest import DecisionTree, TreeEnsemble, trees_from_nodes, vote_sums
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -229,10 +229,14 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
     )
 
 
-def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    """The ``[n, m]`` transposed feature matrix and the float positive mask."""
+def _as_arrays(data, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[n, m]`` transposed feature matrix and the float positive mask.
+    Raises LengthMismatch unless every row has n values."""
     if len(data) == 0:
         raise EmptyDataset("no instances")
+    for inst in data:
+        if len(inst.values) != n:
+            raise LengthMismatch(f"expected {n} values, got {len(inst.values)}")
     X = np.stack([inst.values for inst in data])
     labels = [inst.label for inst in data]
     if any(lab is None for lab in labels):
@@ -325,12 +329,14 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 stacks[k].append((ordered[cut:end].copy(), n_pos - pos_left, depth + 1, split))
                 stacks[k].append((ordered[start:cut].copy(), pos_left, depth + 1, None))
         growing = [k for k in growing if stacks[k]]
-    return [DecisionTree(tree) for tree in nodes], gains
+    return trees_from_nodes(nodes), gains
 
 
 def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
-    """Grow a single tree on all of ``data``; ``rng`` is a numpy Generator."""
-    Xt, pos = _as_arrays(data)
+    """Grow a single tree on all of ``data``; ``rng`` is a numpy Generator.
+    Raises LengthMismatch unless every row has as many values as the
+    first."""
+    Xt, pos = _as_arrays(data, len(data[0].values) if data else 0)
     return _grow(Xt, pos, [np.arange(len(pos))], cfg, [rng])[0][0]
 
 
@@ -347,11 +353,7 @@ def train_forest(
     decreases averaged over trees and normalized to sum 1, or all zeros
     when no split ever gained (e.g. a forest of single leaves).
     """
-    Xt, pos = _as_arrays(data)
-    if Xt.shape[0] != space.n:
-        raise ValueError(
-            f"data has {Xt.shape[0]} features but the space declares {space.n}"
-        )
+    Xt, pos = _as_arrays(data, space.n)
     max_depth, fps, bootstrap = cfg.resolve(space.n)
     m = len(pos)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
@@ -430,11 +432,7 @@ def evaluate_classifier(ens: TreeEnsemble, test_data: list[Instance]) -> Classif
     The AUC score for an instance is its fraction of positive tree votes.
     Raises LengthMismatch unless every row has one value per feature.
     """
-    n = ens.feature_space.n
-    for inst in test_data:
-        if len(inst.values) != n:
-            raise LengthMismatch(f"expected {n} values, got {len(inst.values)}")
-    Xt, pos = _as_arrays(test_data)
+    Xt, pos = _as_arrays(test_data, ens.feature_space.n)
     if pos.min() == pos.max():
         raise DegenerateLabels("evaluation set contains a single class")
     labels = np.where(pos == 1, 1, -1)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance
-from treetweak.forest import DecisionTree, TreeEnsemble
+from treetweak.forest import TreeEnsemble, trees_from_nodes
 
 try:
     from hypothesis import settings
@@ -46,7 +46,7 @@ def tree(spec):
         node = {"feature": feature, "threshold": threshold, "left": len(nodes) + 1}
         nodes.append(node)
         stack += ((right, node), (left, None))
-    return DecisionTree(nodes)
+    return trees_from_nodes([nodes])[0]
 
 
 def stump(feature, threshold, left_label, right_label):

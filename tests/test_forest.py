@@ -42,10 +42,93 @@ def replay(tree, path):
 
 
 def mistyped_stump(node, key, value):
-    """A stump's JSON nodes with one value of one node replaced."""
+    """A stump's JSON nodes with one value of one node replaced, or with
+    the whole node replaced when ``key`` is None."""
     nodes = [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2}, {"leaf": 1}, {"leaf": -1}]
-    nodes[node][key] = value
+    if key is None:
+        nodes[node] = value
+    else:
+        nodes[node][key] = value
     return nodes
+
+
+# Trees a model document must not load, each with one defect.
+MALFORMED_TREES = {
+    # node 1 points back at the root: a cycle
+    "cycle": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+        {"feature": 1, "threshold": 0.5, "left": 0, "right": 0},
+        {"leaf": 1},
+    ],
+    "negative": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": -1},
+        {"leaf": 1},
+        {"leaf": -1},
+    ],
+    "out-of-range": [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2}, {"leaf": 1}],
+    # nodes 3 and 4 shared by two parents
+    "shared": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+        {"feature": 1, "threshold": 0.5, "left": 3, "right": 4},
+        {"feature": 2, "threshold": 0.5, "left": 3, "right": 4},
+        {"leaf": 1},
+        {"leaf": -1},
+    ],
+    "unreachable": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+        {"leaf": 1},
+        {"leaf": -1},
+        {"leaf": 1},
+    ],
+    # one value of the wrong type, which a cast would read as another model
+    "float-feature": mistyped_stump(0, "feature", 0.9),
+    "str-feature": mistyped_stump(0, "feature", "0"),
+    "float-child": mistyped_stump(0, "left", 1.7),
+    "str-child": mistyped_stump(0, "left", "1"),
+    "str-threshold": mistyped_stump(0, "threshold", "0.5"),
+    "bool-threshold": mistyped_stump(0, "threshold", True),
+    "bool-leaf": mistyped_stump(1, "leaf", True),
+    "float-leaf": mistyped_stump(1, "leaf", 1.0),
+    # a "leaf" key makes a leaf, even with a null label and a valid split
+    "null-leaf-with-split": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": 4},
+        {"leaf": None, "feature": 0, "threshold": 0.5, "left": 2, "right": 3},
+        {"leaf": 1},
+        {"leaf": -1},
+        {"leaf": -1},
+    ],
+    # a node that is not a JSON object
+    "list-node": mistyped_stump(1, None, [1]),
+    "int-node": mistyped_stump(1, None, 1),
+    "null-node": mistyped_stump(1, None, None),
+    # integers too large for a node array
+    "huge-feature": mistyped_stump(0, "feature", 10**400),
+    "huge-child": mistyped_stump(0, "right", 10**400),
+    "huge-threshold": mistyped_stump(0, "threshold", 10**400),
+}
+
+
+def preorder_reference(nodes):
+    """A well-formed tree's JSON nodes, in any order, as preorder arrays
+    (feature, threshold, children, label) and depth, by a left-first walk
+    from node 0."""
+    rows, depth = [], 0  # [feature, threshold, right, left, label]
+    stack = [(0, 0, None)]  # (node, its depth, the row whose right child it is)
+    while stack:
+        node, d, parent = stack.pop()
+        slot, entry, depth = len(rows), nodes[node], max(depth, d)
+        if parent is not None:
+            parent[2] = slot
+        if "leaf" in entry:
+            rows.append([0, 0.0, slot, slot, entry["leaf"]])
+        else:
+            rows.append([entry["feature"], entry["threshold"], None, slot + 1, 0])
+            stack += [(entry["right"], d + 1, rows[-1]), (entry["left"], d + 1, None)]
+    feature, threshold, right, left, label = zip(*rows)
+    return (
+        np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+        np.stack([right, left], axis=1).astype(np.intp), np.array(label, dtype=np.intp), depth,
+    )
 
 
 def count_leaves(tree):
@@ -434,59 +517,18 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             ensemble_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            # node 1 points back at the root: a cycle
-            [
-                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
-                {"feature": 1, "threshold": 0.5, "left": 0, "right": 0},
-                {"leaf": 1},
-            ],
-            # negative child index
-            [
-                {"feature": 0, "threshold": 0.0, "left": 1, "right": -1},
-                {"leaf": 1},
-                {"leaf": -1},
-            ],
-            # child index past the end
-            [{"feature": 0, "threshold": 0.0, "left": 1, "right": 2}, {"leaf": 1}],
-            # nodes 3 and 4 shared by two parents
-            [
-                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
-                {"feature": 1, "threshold": 0.5, "left": 3, "right": 4},
-                {"feature": 2, "threshold": 0.5, "left": 3, "right": 4},
-                {"leaf": 1},
-                {"leaf": -1},
-            ],
-            # node 3 unreachable from the root
-            [
-                {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
-                {"leaf": 1},
-                {"leaf": -1},
-                {"leaf": 1},
-            ],
-            # one value of the wrong type, which a cast would read as
-            # another model
-            mistyped_stump(0, "feature", 0.9),
-            mistyped_stump(0, "feature", "0"),
-            mistyped_stump(0, "left", 1.7),
-            mistyped_stump(0, "left", "1"),
-            mistyped_stump(0, "threshold", "0.5"),
-            mistyped_stump(0, "threshold", True),
-            mistyped_stump(1, "leaf", True),
-            mistyped_stump(1, "leaf", 1.0),
-        ],
-        ids=[
-            "cycle", "negative", "out-of-range", "shared", "unreachable",
-            "float-feature", "str-feature", "float-child", "str-child",
-            "str-threshold", "bool-threshold", "bool-leaf", "float-leaf",
-        ],
-    )
+    @pytest.mark.parametrize("nodes", MALFORMED_TREES.values(), ids=list(MALFORMED_TREES))
     def test_malformed_tree_structure_is_corrupt(self, nodes):
         doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=2))
         doc["trees"][1]["nodes"] = nodes
         with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize("nodes", MALFORMED_TREES.values(), ids=list(MALFORMED_TREES))
+    def test_the_error_names_the_malformed_tree(self, nodes):
+        doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=5))
+        doc["trees"][3]["nodes"] = nodes
+        with pytest.raises(CorruptModel, match="tree 3: node "):
             ensemble_from_dict(doc)
 
     def test_deep_chain_round_trips(self):
@@ -551,6 +593,41 @@ def edge_ensembles(draw):
         max_size=3,
     ))
     return TreeEnsemble(tuple(trees), FeatureSpace(features), importances, metadata)
+
+
+class TestTreesFromNodes:
+    @settings(max_examples=100, deadline=None)
+    @given(edge_ensembles(), st.randoms(use_true_random=False))
+    def test_any_file_order_builds_the_preorder_trees(self, ens, rand):
+        doc = ensemble_to_dict(ens)
+        for entry in doc["trees"]:
+            nodes = entry["nodes"]
+            # Every node but the root moves to a random slot.
+            new = [0] + [1 + i for i in rand.sample(range(len(nodes) - 1), len(nodes) - 1)]
+            moved = [None] * len(nodes)
+            for old, node in enumerate(nodes):
+                if "leaf" not in node:
+                    node = dict(node, left=new[node["left"]], right=new[node["right"]])
+                moved[new[old]] = node
+            entry["nodes"] = moved
+        rebuilt = ensemble_from_dict(doc)
+        for entry, built, tree in zip(doc["trees"], ens.trees, rebuilt.trees):
+            *arrays, depth = preorder_reference(entry["nodes"])
+            for want, a, b in zip(
+                arrays,
+                (built.feature, built.threshold, built.children, built.label),
+                (tree.feature, tree.threshold, tree.children, tree.label),
+            ):
+                assert a.dtype == b.dtype == want.dtype
+                assert np.array_equal(a, want) and np.array_equal(b, want)
+            label = arrays[3]
+            stats = (
+                depth, int(np.count_nonzero(label)), int(np.count_nonzero(label == 1)),
+                int(arrays[0].max(where=label == 0, initial=-1)),
+            )
+            for t in (built, tree):
+                assert (t.depth, t.leaf_count, t.positive_leaf_count, t.max_feature_index) == stats
+        assert dumps_model(rebuilt) == dumps_model(ens) == reference_dumps(ens)
 
 
 class TestWriterParity:

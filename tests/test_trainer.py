@@ -41,6 +41,15 @@ def labeled(rows, labels):
     return [Instance(row, label=int(lab)) for row, lab in zip(rows, labels)]
 
 
+def rows_of_widths(widths):
+    """Four labelled rows of each width in turn."""
+    return [
+        Instance(np.full(width, v), label=lab)
+        for width in widths
+        for v, lab in [(-1.0, -1), (1.0, 1)] * 2
+    ]
+
+
 class TestImpurity:
     def test_balanced_node(self):
         assert impurity((2, 2), "gini") == pytest.approx(0.5)
@@ -286,6 +295,11 @@ class TestTrainTree:
         with pytest.raises(EmptyDataset):
             train_tree([], TrainConfig(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("widths", [[3, 4], [3, 2]], ids=["wider", "narrower"])
+    def test_rows_of_another_width_than_the_first_are_rejected(self, widths):
+        with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
+            train_tree(rows_of_widths(widths), TrainConfig(), np.random.default_rng(0))
+
     def test_separable_1d_stump(self):
         data = labeled([[0.1], [0.2], [0.8], [0.9]], [-1, -1, 1, 1])
         tree = train_tree(data, TrainConfig(), np.random.default_rng(0))
@@ -402,6 +416,15 @@ class TestTrainForest:
         assert ens.metadata["max_depth"] == 9
         assert ens.metadata["features_per_split"] == 3
         assert ens.metadata["bootstrap"] is True
+
+    @pytest.mark.parametrize(
+        "widths", [[3, 4], [3, 2], [4], [2]], ids=["ragged-wide", "ragged-narrow", "wide", "narrow"]
+    )
+    def test_rows_of_another_width_are_rejected(self, widths):
+        # Ragged rows failed in numpy's stack with an untyped ValueError, and
+        # rows uniformly of the wrong width with a plain ValueError.
+        with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
+            train_forest(rows_of_widths(widths), TrainConfig(num_trees=2), plain_space(3))
 
     def test_midpoint_of_huge_values_is_finite_and_the_model_reloads(self, tmp_path):
         # (a + b) / 2 overflows to inf here: every sample would go left, and
