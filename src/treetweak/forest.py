@@ -10,11 +10,12 @@ Conventions pinned here and relied on everywhere else:
 
 Trees have one constructor, ``trees_from_nodes(forest)``, which checks
 and orders the JSON ``nodes`` lists of a whole forest in one pass of
-array operations. A tree is stored only as preorder node arrays; every
-walk over it is a loop over node indices. No other module reads those
-arrays: an ensemble hands out its trees' node arrays concatenated
-(``nodes``) and the folded box of every positive leaf
-(``positive_boxes``), each built once.
+array operations. A tree is stored only as preorder node arrays, child
+indices counting from its root; every walk over it is a loop over node
+indices. An ensemble owns the one store of its trees' arrays (``nodes``),
+and its trees are views of it. No other module reads those arrays: an
+ensemble hands out the folded box of every positive leaf
+(``positive_boxes``), built on first use.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -23,7 +24,7 @@ Trees and ensembles are immutable after construction; every read operation
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -78,8 +79,7 @@ class DecisionTree:
     node i, so column ``int(v <= t)`` holds the child a value v goes to. A
     leaf's children are the leaf itself, so routing a row for ``depth``
     steps always ends on its leaf. ``feature`` and ``threshold`` are 0 at
-    leaves, and ``label`` is 0 at internal nodes. ``max_feature_index`` is
-    -1 for a lone leaf.
+    leaves, and ``label`` is 0 at internal nodes.
     """
 
     feature: np.ndarray
@@ -89,7 +89,6 @@ class DecisionTree:
     depth: int
     leaf_count: int
     positive_leaf_count: int
-    max_feature_index: int
 
 
 def _node_error(start: np.ndarray, i: int, what: str) -> ValueError:
@@ -102,14 +101,6 @@ def _node_error(start: np.ndarray, i: int, what: str) -> ValueError:
 def _first(values, bad) -> int:
     """Index of the first value ``bad`` holds for."""
     return next(j for j, v in enumerate(values) if bad(v))
-
-
-def _not_int(value) -> bool:
-    return type(value) is not int
-
-
-def _not_number(value) -> bool:
-    return type(value) is bool or not isinstance(value, (int, float))
 
 
 def _overflows(value, dtype) -> bool:
@@ -130,7 +121,10 @@ def _column(nodes: list, key: str, dtype, start, ids) -> np.ndarray:
     except KeyError:
         j = _first(nodes, lambda node: key not in node)
         raise _node_error(start, int(ids[j]), f"has no {key!r}") from None
-    types, bad = ({int, float}, _not_number) if dtype is float else ({int}, _not_int)
+    if dtype is float:
+        types, bad = {int, float}, lambda v: type(v) is bool or not isinstance(v, (int, float))
+    else:
+        types, bad = {int}, lambda v: type(v) is not int
     if set(map(type, values)) - types:
         # A float subclass, such as numpy's float64, is a number too.
         j = next((j for j, v in enumerate(values) if bad(v)), None)
@@ -261,21 +255,20 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
     node_label[slot[leaf_ids]] = label
     leaf_count = np.add.reduceat(is_leaf, start, dtype=np.intp)
     positive = np.add.reduceat(node_label == 1, start, dtype=np.intp)
-    max_feature = np.maximum.reduceat(np.where(node_label, -1, node_feature), start)
     return tuple(
         DecisionTree(
             node_feature[a:b], node_threshold[a:b], children[a:b], node_label[a:b], *stats
         )
         for a, b, *stats in zip(
             start.tolist(), (start + sizes).tolist(), depth.tolist(),
-            leaf_count.tolist(), positive.tolist(), max_feature.tolist(),
+            leaf_count.tolist(), positive.tolist(),
         )
     )
 
 
 class ForestNodes(NamedTuple):
-    """All trees' node arrays, concatenated in tree order with child indices
-    shifted to match; ``root[k]`` is tree k's root, ``depth`` the largest."""
+    """All trees' node arrays, concatenated in tree order; tree k's child
+    indices count from its root ``root[k]``, and ``depth`` is the largest."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -312,12 +305,12 @@ def predict_tree(tree: DecisionTree, x) -> int:
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
     """``[predict_tree(t, x) for t in ens.trees]``, routing all trees at once."""
     vals = _values(x)
-    nodes = ens.nodes
-    steps = nodes.children.ravel()
-    node = nodes.root
-    for _ in range(nodes.depth):
-        node = steps[2 * node + (vals[nodes.feature[node]] <= nodes.threshold[node])]
-    return nodes.label[node]
+    feature, threshold, children, label, root, depth = ens.nodes
+    steps = children.ravel()
+    node = root
+    for _ in range(depth):
+        node = root + steps[2 * node + (vals[feature[node]] <= threshold[node])]
+    return label[node]
 
 
 def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
@@ -400,23 +393,40 @@ class TreeEnsemble:
     """A forest plus the feature space its thresholds live in.
 
     ``importances`` holds one nonnegative weight per feature, summing to 1
-    (or all zeros when never computed).
+    (or all zeros when never computed). ``nodes`` is the one store of the
+    trees' arrays, a copy made as the ensemble is built; ``trees`` are
+    rebuilt as views of it.
     """
 
     trees: tuple[DecisionTree, ...]
     feature_space: FeatureSpace
     importances: np.ndarray = None  # type: ignore[assignment]
     metadata: dict = field(default_factory=dict)
+    nodes: ForestNodes = field(init=False, repr=False)
 
     def __post_init__(self):
         trees = tuple(self.trees)
         if not trees:
             raise ValueError("an ensemble needs at least one tree")
-        object.__setattr__(self, "trees", trees)
+        sizes = [len(tree.label) for tree in trees]
+        root = np.cumsum([0] + sizes[:-1])
+        feature, threshold, children, label = (
+            np.concatenate([getattr(tree, key) for tree in trees])
+            for key in ("feature", "threshold", "children", "label")
+        )
         n = self.feature_space.n
-        for tree in trees:
-            if tree.max_feature_index >= n:
-                raise ValueError("tree references a feature outside the space")
+        out = feature >= n  # 0 at leaves, and a space has a feature
+        if out.any():
+            i = int(np.argmax(out))
+            raise _node_error(root, i, f"tests feature {feature[i]}, outside the space")
+        object.__setattr__(self, "trees", tuple(
+            replace(tree, feature=feature[a:b], threshold=threshold[a:b],
+                    children=children[a:b], label=label[a:b])
+            for tree, a, b in zip(trees, root.tolist(), (root + sizes).tolist())
+        ))
+        object.__setattr__(self, "nodes", ForestNodes(
+            feature, threshold, children, label, root, max(tree.depth for tree in trees)
+        ))
         imps = self.importances
         imps = np.zeros(n) if imps is None else np.asarray(imps, dtype=float)
         if imps.shape != (n,):
@@ -435,36 +445,21 @@ class TreeEnsemble:
         return len(self.trees)
 
     @cached_property
-    def nodes(self) -> ForestNodes:
-        """All trees' node arrays in one set, built on first use."""
-        trees = self.trees
-        root = np.cumsum([0] + [len(tree.label) for tree in trees[:-1]])
-        return ForestNodes(
-            np.concatenate([tree.feature for tree in trees]),
-            np.concatenate([tree.threshold for tree in trees]),
-            np.concatenate([t.children + r for t, r in zip(trees, root.tolist())]),
-            np.concatenate([tree.label for tree in trees]),
-            root,
-            max(tree.depth for tree in trees),
-        )
-
-    @cached_property
     def positive_boxes(self) -> PositiveBoxes:
         """The box of every positive leaf, built on first use by one climb
         over :attr:`nodes`."""
         feature, threshold, children, label, root, _ = self.nodes
-        left, right = children[:, 1], children[:, 0]
-        nodes = np.arange(len(label))
-        internal = left != nodes
-        parent = np.full(len(nodes), -1)
-        parent[left[internal]] = nodes[internal]
-        parent[right[internal]] = nodes[internal]
+        tree_of = np.repeat(np.arange(len(root)), np.diff(root, append=len(label)))
+        # Child indices count from each tree's root; the climb needs them global.
+        left, right = (children[:, c] + root[tree_of] for c in (1, 0))
+        inner = np.flatnonzero(label == 0)
+        parent = np.full(len(label), -1)
+        parent[left[inner]] = parent[right[inner]] = inner
         # Preorder lists each tree's leaves left to right, so the positive
         # leaves come out in (tree, leaf ordinal) order.
         leaves = np.flatnonzero(label == 1)
-        tree_of = np.searchsorted(root, leaves, side="right") - 1
-        leaves_before = np.cumsum(~internal) - ~internal
-        ordinal = leaves_before[leaves] - leaves_before[root[tree_of]]
+        leaves_before = np.cumsum(label != 0) - (label != 0)
+        ordinal = leaves_before[leaves] - leaves_before[root[tree_of[leaves]]]
 
         n = self.feature_space.n
         lo = np.full((len(leaves), n), -np.inf)
@@ -483,7 +478,7 @@ class TreeEnsemble:
             gt = ~le
             lo[rows[gt], f[gt]] = np.maximum(lo[rows[gt], f[gt]], t[gt])
             child = par
-        return PositiveBoxes(lo, hi, tree_of, ordinal)
+        return PositiveBoxes(lo, hi, tree_of[leaves], ordinal)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +526,11 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         )
     try:
         space = FeatureSpace.from_dict(doc["feature_space"])
-        trees = trees_from_nodes([t["nodes"] for t in doc["trees"]])
+        entries = doc["trees"]
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "nodes" not in entry:
+                raise ValueError(f"tree {k}: expected an object with a 'nodes' list")
+        trees = trees_from_nodes([entry["nodes"] for entry in entries])
         importances = doc["importances"]
         if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
             raise ValueError("importances must be numbers")

@@ -24,8 +24,9 @@ from treetweak.forest import (
     tree_votes,
     vote_sums,
 )
+from treetweak.trainer import TrainConfig, train_forest
 
-from conftest import plain_space, random_ensemble, random_tree, stump, tree
+from conftest import gaussian_instances, plain_space, random_ensemble, random_tree, stump, tree
 
 
 def replay(tree, path):
@@ -250,6 +251,32 @@ class TestFlatView:
         ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
 
+    def test_trees_are_views_of_the_ensembles_one_store(self):
+        rng = np.random.default_rng(13)
+        made = random_ensemble(rng, 6, 3, 5)
+        space, data = gaussian_instances(3, m=200, n=3)
+        trained = train_forest(data, TrainConfig(num_trees=5, max_depth=4, seed=1), space)
+        for ens in (made, ensemble_from_dict(ensemble_to_dict(made)), trained):
+            for t in ens.trees:
+                for key in ("feature", "threshold", "children", "label"):
+                    assert np.shares_memory(getattr(t, key), getattr(ens.nodes, key))
+            for x in rng.normal(0, 2, (20, 3)):
+                assert tree_votes(ens, x).tolist() == [predict_tree(t, x) for t in ens.trees]
+            # Each positive path's conditions, folded into a box.
+            boxes = ens.positive_boxes
+            paths = [p for k, t in enumerate(ens.trees) for p in extract_paths(t, "positive", k)]
+            assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == (
+                [p.tree_index for p in paths], [p.path_index for p in paths]
+            )
+            for lo, hi, path in zip(boxes.lo, boxes.hi, paths):
+                want_lo, want_hi = np.full(3, -math.inf), np.full(3, math.inf)
+                for f, direction, t in path.conditions:
+                    if direction == LE:
+                        want_hi[f] = min(want_hi[f], t)
+                    else:
+                        want_lo[f] = max(want_lo[f], t)
+                assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
     def test_positive_boxes_built_once_per_ensemble(self):
         trees = (stump(0, 0.5, -1, 1), stump(1, -0.5, 1, -1))
         a = TreeEnsemble(trees, plain_space(2))
@@ -333,6 +360,9 @@ class TestEnsembleValidation:
     def test_feature_out_of_range(self):
         with pytest.raises(ValueError):
             TreeEnsemble((stump(3, 0.0, -1, 1),), plain_space(2))
+        trees = (stump(1, 0.0, -1, 1), stump(2, 0.0, -1, 1))
+        with pytest.raises(ValueError, match="tree 1: node 0 tests feature 2, outside"):
+            TreeEnsemble(trees, plain_space(2))
 
     def test_importances_must_normalize(self):
         with pytest.raises(ValueError):
@@ -531,6 +561,13 @@ class TestSerialization:
         with pytest.raises(CorruptModel, match="tree 3: node "):
             ensemble_from_dict(doc)
 
+    @pytest.mark.parametrize("entry", [[1], None, {}, {"node": []}])
+    def test_the_error_names_a_tree_entry_without_nodes(self, entry):
+        doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=5))
+        doc["trees"][3] = entry
+        with pytest.raises(CorruptModel, match="tree 3: expected an object with a 'nodes' list"):
+            ensemble_from_dict(doc)
+
     def test_deep_chain_round_trips(self):
         # Far deeper than Python's recursion limit: load and save must not
         # recurse.
@@ -621,12 +658,9 @@ class TestTreesFromNodes:
                 assert a.dtype == b.dtype == want.dtype
                 assert np.array_equal(a, want) and np.array_equal(b, want)
             label = arrays[3]
-            stats = (
-                depth, int(np.count_nonzero(label)), int(np.count_nonzero(label == 1)),
-                int(arrays[0].max(where=label == 0, initial=-1)),
-            )
+            stats = depth, int(np.count_nonzero(label)), int(np.count_nonzero(label == 1))
             for t in (built, tree):
-                assert (t.depth, t.leaf_count, t.positive_leaf_count, t.max_feature_index) == stats
+                assert (t.depth, t.leaf_count, t.positive_leaf_count) == stats
         assert dumps_model(rebuilt) == dumps_model(ens) == reference_dumps(ens)
 
 
