@@ -303,8 +303,11 @@ def predict_tree(tree: DecisionTree, x) -> int:
 
 
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
-    """``[predict_tree(t, x) for t in ens.trees]``, routing all trees at once."""
+    """``[predict_tree(t, x) for t in ens.trees]``, routing all trees at once.
+    Raises LengthMismatch unless x is one row of one value per feature."""
     vals = _values(x)
+    if vals.shape != (ens.feature_space.n,):
+        raise LengthMismatch(f"expected {ens.feature_space.n} values, got shape {vals.shape}")
     feature, threshold, children, label, root, depth = ens.nodes
     steps = children.ravel()
     node = root
@@ -316,30 +319,52 @@ def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
 def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     """Vote sum of every row of a ``[C, n]`` matrix, routing <= left.
 
-    Equal to ``tree_votes(ens, row).sum()`` row by row. Trees are routed
-    one at a time, so temporaries stay of size C.
+    Equal to ``tree_votes(ens, row).sum()`` row by row. Raises
+    LengthMismatch unless X is 2-D with one column per feature.
+
+    Trees are routed one at a time through five length-C buffers made once
+    per call, so the tree and level loops allocate nothing. Every row starts
+    at the root, so a tree's first level compares one column of X with one
+    threshold and gathers nothing. The gathers below it use ``mode="clip"``:
+    the default mode checks bounds and copies through a buffer whenever
+    ``out`` is given, and here every index is in range by construction.
     """
     X = np.asarray(X, dtype=float)
+    n = ens.feature_space.n
+    if X.ndim != 2 or X.shape[1] != n:
+        raise LengthMismatch(f"expected rows of {n} values, got shape {X.shape}")
     cells = X.ravel()
-    row_start = np.arange(len(X)) * X.shape[1]
+    row_start = np.arange(len(X)) * n
     total = np.zeros(len(X), dtype=np.intp)
+    node, nxt, idx = (np.empty(len(X), dtype=np.intp) for _ in range(3))
+    v, th = np.empty(len(X)), np.empty(len(X))
     for tree in ens.trees:
+        feature, threshold, label = tree.feature, tree.threshold, tree.label
+        if not tree.depth:
+            total += label[0]
+            continue
         steps = tree.children.ravel()
-        node = np.zeros(len(X), dtype=np.intp)
-        for _ in range(tree.depth):
-            go_left = cells[row_start + tree.feature[node]] <= tree.threshold[node]
-            node = steps[2 * node + go_left]
-        total += tree.label[node]
+        np.less_equal(X[:, feature[0]], threshold[0], out=idx, casting="unsafe")
+        steps.take(idx, out=node, mode="clip")
+        for _ in range(tree.depth - 1):
+            feature.take(node, out=idx, mode="clip")
+            idx += row_start
+            cells.take(idx, out=v, mode="clip")
+            threshold.take(node, out=th, mode="clip")
+            np.less_equal(v, th, out=idx, casting="unsafe")
+            node <<= 1
+            node += idx  # (right, left) pairs: 2 * node + go_left
+            steps.take(node, out=nxt, mode="clip")
+            node, nxt = nxt, node
+        label.take(node, out=idx, mode="clip")
+        total += idx
     return total
 
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
     """Majority vote: -1 iff the vote sum is <= 0, else +1. Raises
     LengthMismatch unless x has one value per feature."""
-    vals = _values(x)
-    if len(vals) != ens.feature_space.n:
-        raise LengthMismatch(f"expected {ens.feature_space.n} values, got {len(vals)}")
-    return -1 if tree_votes(ens, vals).sum() <= 0 else 1
+    return -1 if tree_votes(ens, x).sum() <= 0 else 1
 
 
 def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetweak.errors import CorruptModel, SchemaVersionMismatch
+from treetweak.errors import CorruptModel, LengthMismatch, SchemaVersionMismatch
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
 from treetweak.forest import (
     GT,
@@ -197,6 +198,19 @@ class TestPredictEnsemble:
 
 
 
+# Inputs to a forest of 3 features without one value per feature.
+WRONG_WIDTHS = {
+    "vote_sums-narrower": (vote_sums, (4, 2)),
+    "vote_sums-wider": (vote_sums, (4, 4)),
+    "vote_sums-1-D": (vote_sums, (3,)),
+    "vote_sums-3-D": (vote_sums, (2, 4, 3)),
+    "tree_votes-narrower": (tree_votes, (2,)),
+    "tree_votes-wider": (tree_votes, (4,)),
+    "tree_votes-2-D": (tree_votes, (1, 3)),
+    "tree_votes-3-D": (tree_votes, (1, 1, 3)),
+}
+
+
 class TestFlatView:
     """The preorder node arrays a tree is stored as."""
 
@@ -250,6 +264,49 @@ class TestFlatView:
     def test_empty_matrix(self):
         ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_vote_sums_equal_the_votes_of_each_row(self, data):
+        n = data.draw(st.integers(1, 4))
+        threshold = st.sampled_from([-0.0, 0.0, 0.5]) | st.floats(-3.0, 3.0)
+        node = st.recursive(
+            st.sampled_from([-1, 1]),
+            lambda kids: st.tuples(st.integers(0, n - 1), threshold, kids, kids),
+            max_leaves=12,
+        )
+        # Single leaves and trees of several depths in one forest.
+        specs = data.draw(st.lists(node, min_size=1, max_size=6))
+        ens = TreeEnsemble(tuple(tree(spec) for spec in specs), plain_space(n))
+        tests = ens.nodes.threshold[ens.nodes.label == 0].tolist()
+        value = (
+            st.sampled_from(tests + [-0.0, 0.0, math.nan])
+            | st.floats(allow_nan=True, allow_infinity=True)
+        )
+        count = data.draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+        rows = data.draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=count, max_size=count
+        ))
+        X = np.array(rows, dtype=float).reshape(count, n)
+        layout = data.draw(st.sampled_from(["C", "transposed", "strided"]))
+        if layout == "transposed":  # as evaluate_classifier passes its columns
+            X = np.ascontiguousarray(X.T).T
+        elif layout == "strided":
+            X = np.repeat(X, 2, axis=0)[::2]
+        before = X.tobytes()
+        sums = vote_sums(ens, X)
+        assert sums.shape == (count,)
+        assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
+        assert sums.tolist() == [sum(predict_tree(t, x) for t in ens.trees) for x in X]
+        assert X.tobytes() == before
+
+    @pytest.mark.parametrize("votes, shape", WRONG_WIDTHS.values(), ids=list(WRONG_WIDTHS))
+    def test_a_row_without_one_value_per_feature_is_rejected(self, votes, shape):
+        # The gathers are unchecked: a narrow matrix would be routed on a
+        # neighbouring row's cells, and a wide one on its first n columns.
+        ens = TreeEnsemble((tree((0, 0.0, (2, 0.5, 1, -1), (2, 0.5, -1, 1))),), plain_space(3))
+        with pytest.raises(LengthMismatch, match=re.escape(f"got shape {shape}")):
+            votes(ens, np.zeros(shape))
 
     def test_trees_are_views_of_the_ensembles_one_store(self):
         rng = np.random.default_rng(13)
