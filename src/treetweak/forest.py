@@ -17,6 +17,13 @@ and its trees are views of it. No other module reads those arrays: an
 ensemble hands out the folded box of every positive leaf
 (``positive_boxes``), built on first use.
 
+:func:`vote_sums` routes rows through a second layout of the trees, also
+built on first use (``routing``): complete binary blocks of
+``BLOCK_HEIGHT`` levels, in which a child's slot is ``2 * slot + (value <=
+threshold)``, so a level takes no gather to find a child. The blocks
+chain through an exit table, and a leaf fills the slots below it in its
+block, so a tree of any depth takes memory linear in its nodes.
+
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
 """
@@ -293,6 +300,33 @@ class PositiveBoxes(NamedTuple):
     ordinal: np.ndarray
 
 
+BLOCK_HEIGHT = 4  # levels of a routing block
+
+
+class RoutingBlocks(NamedTuple):
+    """An ensemble's trees cut at depths 0, h, 2h, ... into complete binary
+    blocks of height h = ``BLOCK_HEIGHT``, the index :func:`vote_sums`
+    routes through.
+
+    ``feature[l]`` and ``threshold[l]`` hold level l of every block, level
+    l of block b in slots ``b * 2**l + q``, so the children of slot g are
+    slots ``2 * g + 1`` (left) and ``2 * g`` (right) of the next level.
+    Below the last level, ``exit`` maps each of a block's ``2**h`` slots to
+    the block a row goes on in: the one rooted at that child, or block 0 or
+    1 for a leaf labelled -1 or +1. Those two blocks stand for the leaves
+    and exit into themselves. A leaf fills every slot of its subtree in its
+    block with feature 0 and its label as the threshold: a row there goes
+    on to the same leaf whichever way it compares, and the threshold of
+    the slot a row stops on is its vote. ``root[k]`` is tree k's first
+    block.
+    """
+
+    feature: tuple[np.ndarray, ...]
+    threshold: tuple[np.ndarray, ...]
+    exit: np.ndarray
+    root: np.ndarray
+
+
 def _values(x) -> np.ndarray:
     return x.values if isinstance(x, Instance) else np.asarray(x, dtype=float)
 
@@ -322,43 +356,55 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     Equal to ``tree_votes(ens, row).sum()`` row by row. Raises
     LengthMismatch unless X is 2-D with one column per feature.
 
-    Trees are routed one at a time through five length-C buffers made once
-    per call, so the tree and level loops allocate nothing. Every row starts
-    at the root, so a tree's first level compares one column of X with one
-    threshold and gathers nothing. The gathers below it use ``mode="clip"``:
-    the default mode checks bounds and copies through a buffer whenever
-    ``out`` is given, and here every index is in range by construction.
+    Rows are routed through the ensemble's :attr:`~TreeEnsemble.routing`
+    blocks, one tree at a time, as slots: a row at slot g of one level of
+    a block goes to slot ``2 * g + (value <= threshold)`` of the next, so
+    finding a child takes arithmetic and no gather. Every ``BLOCK_HEIGHT``
+    levels one gather from the exit table moves each row into its next
+    block, and the threshold of the slot a row stops on is its vote.
+
+    The levels run through five length-C buffers made once per call, so
+    the tree and level loops allocate nothing. Every row starts at the
+    root, so a tree's first level compares one column of X with one
+    threshold and gathers nothing. The gathers below it use
+    ``mode="clip"``: the default mode checks bounds and copies through a
+    buffer whenever ``out`` is given, and here every index is in range by
+    construction.
     """
     X = np.asarray(X, dtype=float)
     n = ens.feature_space.n
     if X.ndim != 2 or X.shape[1] != n:
         raise LengthMismatch(f"expected rows of {n} values, got shape {X.shape}")
+    feature, threshold, exits, roots = ens.routing
     cells = X.ravel()
     row_start = np.arange(len(X)) * n
-    total = np.zeros(len(X), dtype=np.intp)
-    node, nxt, idx = (np.empty(len(X), dtype=np.intp) for _ in range(3))
+    total = np.zeros(len(X))
+    slot, nxt, idx = (np.empty(len(X), dtype=np.intp) for _ in range(3))
     v, th = np.empty(len(X)), np.empty(len(X))
-    for tree in ens.trees:
-        feature, threshold, label = tree.feature, tree.threshold, tree.label
-        if not tree.depth:
-            total += label[0]
+    for depth, block in zip([tree.depth for tree in ens.trees], roots.tolist()):
+        if not depth:
+            total += threshold[0][block]
             continue
-        steps = tree.children.ravel()
-        np.less_equal(X[:, feature[0]], threshold[0], out=idx, casting="unsafe")
-        steps.take(idx, out=node, mode="clip")
-        for _ in range(tree.depth - 1):
-            feature.take(node, out=idx, mode="clip")
+        np.less_equal(X[:, feature[0][block]], threshold[0][block], out=slot, casting="unsafe")
+        slot += 2 * block
+        for level in range(1, depth):
+            at = level % BLOCK_HEIGHT
+            if not at:
+                exits.take(slot, out=nxt, mode="clip")
+                slot, nxt = nxt, slot
+            feature[at].take(slot, out=idx, mode="clip")
             idx += row_start
             cells.take(idx, out=v, mode="clip")
-            threshold.take(node, out=th, mode="clip")
+            threshold[at].take(slot, out=th, mode="clip")
             np.less_equal(v, th, out=idx, casting="unsafe")
-            node <<= 1
-            node += idx  # (right, left) pairs: 2 * node + go_left
-            steps.take(node, out=nxt, mode="clip")
-            node, nxt = nxt, node
-        label.take(node, out=idx, mode="clip")
-        total += idx
-    return total
+            slot <<= 1
+            slot += idx
+        if not depth % BLOCK_HEIGHT:
+            exits.take(slot, out=nxt, mode="clip")
+            slot, nxt = nxt, slot
+        threshold[depth % BLOCK_HEIGHT].take(slot, out=th, mode="clip")
+        total += th
+    return total.astype(np.intp)
 
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
@@ -489,21 +535,68 @@ class TreeEnsemble:
         n = self.feature_space.n
         lo = np.full((len(leaves), n), -np.inf)
         hi = np.full((len(leaves), n), np.inf)
+        lo_cells, hi_cells = lo.reshape(-1), hi.reshape(-1)
         # Climb from every positive leaf of the forest to its root at once,
-        # folding each edge into its row.
-        rows = np.arange(len(leaves))
+        # folding each edge into its row's cell of the tested feature.
+        row_start = np.arange(len(leaves)) * n
         child = leaves
         while child.size:
             par = parent[child]
             up = par >= 0
-            rows, child, par = rows[up], child[up], par[up]
-            f, t = feature[par], threshold[par]
+            row_start, child, par = row_start[up], child[up], par[up]
+            cell = row_start + feature[par]
+            t = threshold[par]
             le = left[par] == child
-            hi[rows[le], f[le]] = np.minimum(hi[rows[le], f[le]], t[le])
+            at = cell[le]
+            hi_cells[at] = np.minimum(hi_cells[at], t[le])
             gt = ~le
-            lo[rows[gt], f[gt]] = np.maximum(lo[rows[gt], f[gt]], t[gt])
+            at = cell[gt]
+            lo_cells[at] = np.maximum(lo_cells[at], t[gt])
             child = par
         return PositiveBoxes(lo, hi, tree_of[leaves], ordinal)
+
+    @cached_property
+    def routing(self) -> RoutingBlocks:
+        """The trees cut into routing blocks, built on first use by one
+        walk down :attr:`nodes`, ``BLOCK_HEIGHT`` levels at a time."""
+        feature, threshold, children, label, root, _ = self.nodes
+        height = BLOCK_HEIGHT
+        # Each level's slots and the exits, block by block. Blocks 0 and 1
+        # are the leaves -1 and +1.
+        features = [[np.zeros(2 << l, dtype=np.intp)] for l in range(height)]
+        thresholds = [[np.repeat([-1.0, 1.0], 1 << l)] for l in range(height)]
+        exits = [np.repeat([0, 1], 1 << height)]
+        inner_root = label[root] == 0
+        start = (label[root] > 0).astype(np.intp)
+        start[inner_root] = 2 + np.arange(np.count_nonzero(inner_root))
+        # The blocks rooted at one depth are filled together, their slots in
+        # walk order, since the children of slot g are slots 2g and 2g + 1.
+        # A node's children count from its tree's root, carried as ``base``,
+        # and a leaf's children are the leaf itself, so it fills its subtree.
+        node = base = root[inner_root]
+        blocks = 2  # numbered so far
+        while node.size:
+            blocks += node.size
+            for l in range(height):
+                leaf_label = label[node]
+                features[l].append(feature[node])
+                thresholds[l].append(np.where(leaf_label != 0, leaf_label, threshold[node]))
+                node = (children[node] + base[:, None]).ravel()
+                base = base.repeat(2)
+            # Below the last level: a block of the next depth, numbered in
+            # walk order, or a leaf's block.
+            inner = label[node] == 0
+            bottom = np.cumsum(inner)
+            bottom += blocks - 1
+            np.copyto(bottom, label[node] > 0, where=~inner)
+            exits.append(bottom)
+            node, base = node[inner], base[inner]
+        return RoutingBlocks(
+            tuple(map(np.concatenate, features)),
+            tuple(map(np.concatenate, thresholds)),
+            np.concatenate(exits),
+            start,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -541,4 +542,4 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(astuple(row) for row in rows)
+        writer.writerows(map(attrgetter(*SWEEP_COLUMNS), rows))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treetweak.errors import CorruptModel, LengthMismatch, SchemaVersionMismatch
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
 from treetweak.forest import (
+    BLOCK_HEIGHT,
     GT,
     LE,
     TreeEnsemble,
@@ -23,6 +24,7 @@ from treetweak.forest import (
     route,
     save_model,
     tree_votes,
+    trees_from_nodes,
     vote_sums,
 )
 from treetweak.trainer import TrainConfig, train_forest
@@ -198,6 +200,43 @@ class TestPredictEnsemble:
 
 
 
+def chain_nodes(depth):
+    """The ``nodes`` of a tree ``depth`` levels deep: node i tests feature
+    i % 6 against i / 8, its left child is a -1 leaf and its right child
+    goes on down, to a +1 leaf at the bottom."""
+    nodes = []
+    for i in range(depth):
+        slot = len(nodes)
+        nodes.append({"feature": i % 6, "threshold": i / 8, "left": slot + 1, "right": slot + 2})
+        nodes.append({"leaf": -1})
+    nodes.append({"leaf": 1})
+    return nodes
+
+
+@st.composite
+def specs_of_depth(draw, depth, n, threshold):
+    """A tree spec (see ``conftest.tree``) exactly ``depth`` levels deep:
+    one child of each node goes all the way down, the other at most 3
+    levels."""
+    feature, label, side = st.integers(0, n - 1), st.sampled_from([-1, 1]), st.booleans()
+    side_depth = [st.integers(0, k) for k in range(4)]
+
+    def spec(depth):
+        if not depth:
+            return draw(label)
+        deep = spec(depth - 1)
+        other = spec(draw(side_depth[min(depth - 1, 3)]))
+        left, right = (deep, other) if draw(side) else (other, deep)
+        return (draw(feature), draw(threshold), left, right)
+
+    return spec(depth)
+
+
+def routing_bytes(ens):
+    blocks = ens.routing
+    return sum(a.nbytes for a in (*blocks.feature, *blocks.threshold, blocks.exit, blocks.root))
+
+
 # Inputs to a forest of 3 features without one value per feature.
 WRONG_WIDTHS = {
     "vote_sums-narrower": (vote_sums, (4, 2)),
@@ -275,8 +314,13 @@ class TestFlatView:
             lambda kids: st.tuples(st.integers(0, n - 1), threshold, kids, kids),
             max_leaves=12,
         )
+        # Trees deep enough to end on either side of every block boundary
+        # the routing cuts them at.
+        deep = st.integers(0, 3 * BLOCK_HEIGHT + 1).flatmap(
+            lambda depth: specs_of_depth(depth, n, threshold)
+        )
         # Single leaves and trees of several depths in one forest.
-        specs = data.draw(st.lists(node, min_size=1, max_size=6))
+        specs = data.draw(st.lists(node | deep, min_size=1, max_size=6))
         ens = TreeEnsemble(tuple(tree(spec) for spec in specs), plain_space(n))
         tests = ens.nodes.threshold[ens.nodes.label == 0].tolist()
         value = (
@@ -299,6 +343,31 @@ class TestFlatView:
         assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
         assert sums.tolist() == [sum(predict_tree(t, x) for t in ens.trees) for x in X]
         assert X.tobytes() == before
+
+    def test_vote_sums_route_a_tree_far_deeper_than_a_block(self):
+        depth = 3000
+        ens = TreeEnsemble(trees_from_nodes([chain_nodes(depth)] * 2), plain_space(6))
+        # Row j leaves the chain at node 199 * j + 3, at every offset into
+        # a block, or, for the last row, runs to its +1 leaf: each of its
+        # values passes every test above.
+        X = np.full((16, 6), 1000.0)
+        for j, row in enumerate(X[:-1]):
+            i = 199 * j + 3
+            row[i % 6] = i / 8 - 0.5 if j % 2 else i / 8  # a tie routes left too
+        assert vote_sums(ens, X).tolist() == [int(tree_votes(ens, x).sum()) for x in X]
+        assert vote_sums(ens, X).tolist() == [-2] * 15 + [2]
+
+    @pytest.mark.parametrize("max_depth, n", [(10, 10), (None, 20)], ids=["depth-10", "no-limit"])
+    def test_routing_blocks_stay_near_the_size_of_the_node_store(self, max_depth, n):
+        space, data = gaussian_instances(4, m=1000, n=n)
+        ens = train_forest(data, TrainConfig(num_trees=10, max_depth=max_depth, seed=2), space)
+        if max_depth is None:  # TrainConfig's default depth limit is n
+            assert max(t.depth for t in ens.trees) < n
+        assert routing_bytes(ens) <= 1.5 * sum(a.nbytes for a in ens.nodes[:5])
+
+    def test_routing_blocks_of_a_deep_chain_stay_near_its_node_store(self):
+        ens = TreeEnsemble(trees_from_nodes([chain_nodes(3000)]), plain_space(6))
+        assert routing_bytes(ens) <= 1.5 * sum(a.nbytes for a in ens.nodes[:5])
 
     @pytest.mark.parametrize("votes, shape", WRONG_WIDTHS.values(), ids=list(WRONG_WIDTHS))
     def test_a_row_without_one_value_per_feature_is_rejected(self, votes, shape):
@@ -629,16 +698,8 @@ class TestSerialization:
         # Far deeper than Python's recursion limit: load and save must not
         # recurse.
         depth = 3000
-        nodes = []
-        for i in range(depth):
-            slot = len(nodes)
-            nodes.append(
-                {"feature": i % 6, "threshold": i / 8, "left": slot + 1, "right": slot + 2}
-            )
-            nodes.append({"leaf": -1})
-        nodes.append({"leaf": 1})
         doc = ensemble_to_dict(self._ensemble(seed=9, num_trees=1))
-        doc["trees"][0]["nodes"] = nodes
+        doc["trees"][0]["nodes"] = chain_nodes(depth)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         ens = ensemble_from_dict(json.loads(text))
         assert ens.trees[0].depth == depth
