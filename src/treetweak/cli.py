@@ -64,6 +64,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as strict JSON. A NaN or infinite number raises
+    ValueError before the file is opened."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _transformation_entry(rank, trans, x, ens):
     recs = diff_to_recommendations(x, trans, ens)
     entry = {
@@ -145,9 +153,7 @@ def _cmd_tweak(args) -> int:
         "skipped_positive": skipped,
         "results": results,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, args.out)
     _info(
         f"tweaked {covered}/{eligible} eligible instances "
         f"(coverage {doc['coverage']:.4f}); "
@@ -229,9 +235,7 @@ def _cmd_report(args) -> int:
         "rank_correlations": correlations,
         "helpfulness": helpfulness(load_ratings(args.ratings)) if args.ratings else None,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out_doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_doc, args.out)
     _info(f"report written to {args.out}")
     return 0
 

@@ -94,10 +94,6 @@ class FeatureSpace:
         return len(self.features)
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features)
-
-    @property
     def adjustable_mask(self) -> np.ndarray:
         return self._adjustable
 
@@ -209,20 +205,42 @@ def fit_standardizer(rows, space: FeatureSpace) -> FeatureSpace:
     return FeatureSpace(fitted)
 
 
+def _z_scores(raw: np.ndarray, space: FeatureSpace, lines=None) -> np.ndarray:
+    """``(raw - mean) / std`` per feature of a row, or of a table whose rows
+    sit on file ``lines``. A finite value whose z-score is not finite
+    raises NonFiniteValue naming its feature, or in a table ParseError
+    naming its line and column."""
+    with np.errstate(over="ignore"):
+        z = (raw - space._means) / space._stds
+    bad = np.isfinite(raw) & ~np.isfinite(z)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        name = space.features[at[-1]].name
+        what = f"{name!r}: {float(raw[at])!r} is beyond the float range once standardized"
+        if lines is None:
+            raise NonFiniteValue(f"feature {what}")
+        raise ParseError(lines[at[0]], f"column {what}")
+    return z
+
+
 def standardize(raw, space: FeatureSpace, label: int | None = None) -> Instance:
-    """Map a raw-unit vector to z-scores: (raw - mean) / std per feature."""
+    """Map a raw-unit vector to z-scores: (raw - mean) / std per feature.
+    Raises NonFiniteValue, naming the feature, for a finite value whose
+    z-score is not."""
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (space.n,):
         raise LengthMismatch(f"expected {space.n} values, got shape {arr.shape}")
-    return Instance((arr - space._means) / space._stds, label=label)
+    return Instance(_z_scores(arr, space), label=label)
 
 
 def destandardize(inst, space: FeatureSpace) -> np.ndarray:
-    """Inverse of :func:`standardize`: raw = mean + std * z."""
+    """Inverse of :func:`standardize`: raw = mean + std * z, inf where that
+    lies beyond the float range."""
     arr = inst.values if isinstance(inst, Instance) else np.asarray(inst, dtype=float)
     if arr.shape != (space.n,):
         raise LengthMismatch(f"expected {space.n} values, got shape {arr.shape}")
-    return space._means + space._stds * arr
+    with np.errstate(over="ignore"):
+        return space._means + space._stds * arr
 
 
 def one_hot_encode(values: Sequence, categories: Sequence[str]) -> np.ndarray:
@@ -320,8 +338,8 @@ def _parse_table(path, schema: TableSchema | None):
     order: first each row's width and label, over all rows; then the
     columns left to right, each at its first bad row (not a number, not
     finite, an unknown category). Returns the column specs (categorical
-    ones with the categories used), the ``[m, n]`` encoded matrix and the
-    labels (None without a label column).
+    ones with the categories used), the ``[m, n]`` encoded matrix, the
+    labels (None without a label column) and each row's file line.
     """
     header, rows = read_csv(path)
     if schema is None:
@@ -354,7 +372,7 @@ def _parse_table(path, schema: TableSchema | None):
             parsed = [_parse_float(row[j], col.name, line) for line, row in rows]
             blocks.append(np.asarray(parsed, dtype=float).reshape(-1, 1))
         columns.append(col)
-    return tuple(columns), np.hstack(blocks), labels
+    return tuple(columns), np.hstack(blocks), labels, [line for line, _ in rows]
 
 
 def load_table(path, schema: TableSchema | None = None):
@@ -367,7 +385,7 @@ def load_table(path, schema: TableSchema | None = None):
     reported in the order :func:`_parse_table` gives; a file without data
     rows raises ParseError.
     """
-    columns, encoded, labels = _parse_table(path, schema)
+    columns, encoded, labels, lines = _parse_table(path, schema)
     if not labels:
         raise ParseError(2, "no data rows")
     metas: list[FeatureMeta] = []
@@ -381,7 +399,7 @@ def load_table(path, schema: TableSchema | None = None):
         else:
             metas.append(FeatureMeta(col.name, adjustable=adjustable))
     space = fit_standardizer(encoded, FeatureSpace(metas))
-    z = (encoded - space._means) / space._stds
+    z = _z_scores(encoded, space, lines)
     return space, [Instance(row, label=label) for row, label in zip(z, labels)]
 
 
@@ -419,10 +437,10 @@ def load_instances(path, space: FeatureSpace) -> list[Instance]:
     as no instances.
     """
     schema, index = _raw_schema(space)
-    _, encoded, labels = _parse_table(path, schema)
+    _, encoded, labels, lines = _parse_table(path, schema)
     raw = np.empty_like(encoded)
     raw[:, index] = encoded
-    z = (raw - space._means) / space._stds
+    z = _z_scores(raw, space, lines)
     return [Instance(row, label=label) for row, label in zip(z, labels)]
 
 

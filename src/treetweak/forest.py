@@ -218,19 +218,16 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
     # Walk down from every root a level at a time. With one parent per node
     # this meets every node at most once and misses only nodes on cycles.
     depth = np.zeros(len(sizes), dtype=np.intp)
+    seen = np.zeros(count, dtype=bool)
     levels = []  # the internal nodes of each level
-    level, reached = start, 0
+    level = start
     while level.size:
         depth[tree_of[level]] = len(levels)
-        reached += level.size
+        seen[level] = True
         split = level[~is_leaf[level]]
         levels.append(split)
         level = np.concatenate((lchild[split], rchild[split]))
-    if reached != count:
-        seen = np.zeros(count, dtype=bool)
-        seen[start] = True
-        for split in levels:
-            seen[lchild[split]] = seen[rchild[split]] = True
+    if not seen.all():
         raise _node_error(start, int(np.argmin(seen)), "is unreachable")
     # Subtree sizes bottom-up, then preorder slots top-down: a left child
     # comes right after its parent, a right child right after the left
@@ -361,7 +358,8 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     a block goes to slot ``2 * g + (value <= threshold)`` of the next, so
     finding a child takes arithmetic and no gather. Every ``BLOCK_HEIGHT``
     levels one gather from the exit table moves each row into its next
-    block, and the threshold of the slot a row stops on is its vote.
+    block, and the threshold of the slot a row stops on is its vote. A
+    single-leaf tree starts in its leaf's block and is routed one level.
 
     The levels run through five length-C buffers made once per call, so
     the tree and level loops allocate nothing. Every row starts at the
@@ -381,10 +379,7 @@ def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
     total = np.zeros(len(X))
     slot, nxt, idx = (np.empty(len(X), dtype=np.intp) for _ in range(3))
     v, th = np.empty(len(X)), np.empty(len(X))
-    for depth, block in zip([tree.depth for tree in ens.trees], roots.tolist()):
-        if not depth:
-            total += threshold[0][block]
-            continue
+    for depth, block in zip([max(tree.depth, 1) for tree in ens.trees], roots.tolist()):
         np.less_equal(X[:, feature[0][block]], threshold[0][block], out=slot, casting="unsafe")
         slot += 2 * block
         for level in range(1, depth):

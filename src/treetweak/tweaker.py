@@ -187,7 +187,8 @@ def _apply_intervals(x_values, intervals, epsilon, adjustable, skip_satisfied):
     The upper bound binds when present (value = upper - epsilon), otherwise
     the feature clears the lower bound (value = lower + epsilon). A value
     that does not land strictly inside (lower, upper] means the interval is
-    narrower than epsilon: the path is infeasible. Non-adjustable features
+    narrower than epsilon, and one that overflows to inf lies past the
+    float range: either way the path is infeasible. Non-adjustable features
     are never moved; they block the path unless already inside the bounds.
     """
     values = x_values.copy()
@@ -202,7 +203,7 @@ def _apply_intervals(x_values, intervals, epsilon, adjustable, skip_satisfied):
         if skip_satisfied and satisfied:
             continue
         v = hi - epsilon if hi < INF else lo + epsilon
-        if not lo < v:
+        if not lo < v < INF:
             raise InfeasiblePath(feature)
         values[feature] = v
     return values
@@ -306,8 +307,10 @@ def _generate_candidates(
     values = np.empty((feasible.size, len(x_values)))
     end = 0
     for fit, epsilon in zip(feasible, epsilons):
-        placed = np.where(bounded_above, hi - epsilon, lo + epsilon)
-        fit[:] = ((lo < placed) | stays).all(axis=1) & ~blocked
+        # A placement past the float range overflows to inf: infeasible.
+        with np.errstate(over="ignore"):
+            placed = np.where(bounded_above, hi - epsilon, lo + epsilon)
+        fit[:] = ((lo < placed) & (placed < INF) | stays).all(axis=1) & ~blocked
         np.copyto(placed, x_values, where=stays)
         start, end = end, end + int(np.count_nonzero(fit))
         values[start:end] = placed[fit]

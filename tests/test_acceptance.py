@@ -458,8 +458,8 @@ def test_criterion_10_determinism_under_parallelism():
     negatives = [inst for inst in data if predict_ensemble(ens, inst) == -1][:6]
     tweak_ok = len(negatives) > 0
     for x in negatives:
-        # A fresh copy of the model starts with no cached flat trees or
-        # leaf boxes; the second call on ``ens`` always finds them cached.
+        # A fresh copy of the model starts with no routing blocks or leaf
+        # boxes; the second call on ``ens`` always finds them cached.
         cold = ensemble_from_dict(ensemble_to_dict(ens))
         outcomes = [tweak(m, x, "euclidean", 0.1) for m in (cold, ens, ens)]
         kinds = {type(o) for o in outcomes}

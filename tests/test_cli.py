@@ -14,7 +14,7 @@ from treetweak.forest import (
     predict_ensemble,
     save_model,
 )
-from treetweak.feature_space import Instance
+from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance
 from treetweak.tweaker import Found
 
 from conftest import plain_space, stump, tree
@@ -47,6 +47,13 @@ def write_stump_model(path):
     return path
 
 
+def strict_json(text):
+    """``json.loads`` refusing NaN and +-Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestTrainCommand:
     def test_trains_and_reports_metrics(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "train.csv")
@@ -66,6 +73,15 @@ class TestTrainCommand:
         assert "roc_auc=" in err and "f1=" in err and "mcc=" in err
         ens = load_model(model)
         assert ens.num_trees == 10
+
+    def test_a_z_score_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # Column x0's mean is -4.25e307, so line 2's z-score overflows.
+        data = tmp_path / "train.csv"
+        data.write_text("x0,label\n1.7e308,-1\n-1.7e308,1\n-1.7e308,-1\n0,1\n")
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model)]) == 1
+        assert assert_one_error_line(capsys).startswith("error: line 2: column 'x0'")
+        assert not model.exists()
 
     def test_same_seed_twice_identical_files(self, tmp_path):
         data = write_gaussian_csv(tmp_path / "train.csv")
@@ -214,6 +230,50 @@ class TestTweakCommand:
         (rec,) = best["recommendations"]
         assert rec["feature"] == "x0"
         assert rec["direction"] == "increase"
+
+    @pytest.mark.parametrize(
+        "spec", [(0, 1.7e308, -1, 1), (0, -1.7e308, 1, -1)], ids=["above", "below"]
+    )
+    def test_a_placement_that_overflows_is_not_covered(self, tmp_path, spec):
+        model = tmp_path / "model.json"
+        save_model(TreeEnsemble((tree(spec),), plain_space(1)), model)
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n0\n")
+        out = tmp_path / "out.json"
+        assert main(
+            [
+                "tweak", "--model", str(model), "--data", str(data), "--out", str(out),
+                "--epsilon", "1e308", "--delta", "euclidean",
+            ]
+        ) == 0
+        doc = strict_json(out.read_text())
+        assert (doc["eligible"], doc["covered"]) == (1, 0)
+        assert doc["results"][0]["status"] == "not_covered"
+
+    @pytest.mark.parametrize("vote", [-1, 1], ids=["eligible", "positive"])
+    def test_a_z_score_past_the_float_range_exits_1(self, tmp_path, capsys, vote):
+        # 1e300 standardizes to 1e310, which the stump would route right.
+        space = FeatureSpace([FeatureMeta("x0", std_dev=1e-10)])
+        model = tmp_path / "model.json"
+        save_model(TreeEnsemble((stump(0, 0.0, -vote, vote),), space), model)
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n1e300\n")
+        out = tmp_path / "out.json"
+        assert main(["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]) == 1
+        assert assert_one_error_line(capsys).startswith("error: line 2: column 'x0'")
+        assert not out.exists()
+
+    def test_a_raw_value_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # The candidate 1e10 + 0.05 is 1e310 in raw units.
+        space = FeatureSpace([FeatureMeta("x0", std_dev=1e300)])
+        model = tmp_path / "model.json"
+        save_model(TreeEnsemble((stump(0, 1e10, -1, 1),), space), model)
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n0\n")
+        out = tmp_path / "out.json"
+        assert main(["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_output_revalidates_under_loaded_model(self, tmp_path):
         rng = np.random.default_rng(61)

@@ -117,6 +117,13 @@ class TestStandardize:
             back = destandardize(standardize(raw, space), space)
             np.testing.assert_allclose(back, raw, atol=1e-9)
 
+    def test_a_z_score_past_the_float_range_names_its_feature(self):
+        space = FeatureSpace([FeatureMeta("a"), FeatureMeta("b", std_dev=1e-10)])
+        with pytest.raises(NonFiniteValue, match=r"^feature 'b': 1e\+300 is beyond the float"):
+            standardize([0.0, 1e300], space)
+        # A value that is not finite to begin with is left to the search.
+        assert np.isnan(standardize([math.nan, 1.0], space).values[0])
+
 
 class TestDestandardize:
     def test_zero_maps_to_mean(self):
@@ -141,6 +148,10 @@ class TestDestandardize:
         down = destandardize(Instance([theta - eps]), space)[0]
         assert up == pytest.approx(t + eps * sigma)
         assert down == pytest.approx(t - eps * sigma)
+
+    def test_a_raw_value_past_the_float_range_is_inf(self):
+        space = FeatureSpace([FeatureMeta("a", std_dev=1e300)])
+        assert destandardize(Instance([1e10]), space).tolist() == [math.inf]
 
 
 class TestOneHot:
@@ -235,6 +246,16 @@ class TestLoadTable(object):
         assert info.value.line == 4
         assert "'b'" in str(info.value)
 
+    def test_a_z_score_past_the_float_range_reports_its_line(self, tmp_path):
+        # Column b's mean is -4.25e307, so line 2's 1.7e308 is 2.125e308
+        # above it, past the float range.
+        csv = self._write(
+            tmp_path / "d.csv",
+            "a,b,label\n0,1.7e308,-1\n1,-1.7e308,1\n2,-1.7e308,-1\n3,0,1\n",
+        )
+        with pytest.raises(ParseError, match=r"^line 2: column 'b': 1\.7e\+308 is beyond"):
+            load_table(csv)
+
 
 class TestLoadInstances:
     def test_round_trip_through_raw_header(self, tmp_path):
@@ -280,6 +301,13 @@ class TestLoadInstances:
             load_instances(newfile, space)
         assert info.value.line == 3
         assert "'b'" in str(info.value)
+
+    def test_a_z_score_past_the_float_range_reports_its_line(self, tmp_path):
+        space = FeatureSpace([FeatureMeta("a"), FeatureMeta("b", std_dev=1e-10)])
+        newfile = tmp_path / "new.csv"
+        newfile.write_text("a,b\n1,2\n\n3,1e300\n")
+        with pytest.raises(ParseError, match=r"^line 4: column 'b': 1e\+300 is beyond"):
+            load_instances(newfile, space)
 
 
 # The raw columns a, c (categorical), b, and a space encoded from them.

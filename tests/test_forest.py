@@ -84,6 +84,17 @@ MALFORMED_TREES = {
         {"leaf": -1},
         {"leaf": 1},
     ],
+    # nodes 3 and 4 are each other's left child: every node has one
+    # parent, but the root never reaches nodes 3-6
+    "detached-cycle": [
+        {"feature": 0, "threshold": 0.0, "left": 1, "right": 2},
+        {"leaf": 1},
+        {"leaf": -1},
+        {"feature": 1, "threshold": 0.5, "left": 4, "right": 5},
+        {"feature": 2, "threshold": 0.5, "left": 3, "right": 6},
+        {"leaf": 1},
+        {"leaf": -1},
+    ],
     # one value of the wrong type, which a cast would read as another model
     "float-feature": mistyped_stump(0, "feature", 0.9),
     "str-feature": mistyped_stump(0, "feature", "0"),
@@ -303,6 +314,16 @@ class TestFlatView:
     def test_empty_matrix(self):
         ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+
+    def test_a_forest_of_single_leaves_votes_its_labels(self):
+        # Each root is a leaf's block: every row reads the label, whatever
+        # its values.
+        ens = TreeEnsemble(tuple(map(tree, [1, -1, 1, 1, -1, 1])), plain_space(2))
+        X = [[0.0, 0.0], [-1.0, 1.0], [1.0, -1.0], [math.nan, math.inf], [-math.inf, math.nan]]
+        assert vote_sums(ens, X).tolist() == [2] * 5
+        assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+        negative = TreeEnsemble((tree(-1),), plain_space(1))
+        assert vote_sums(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [-1] * 3
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -686,6 +707,10 @@ class TestSerialization:
         doc["trees"][3]["nodes"] = nodes
         with pytest.raises(CorruptModel, match="tree 3: node "):
             ensemble_from_dict(doc)
+
+    def test_a_detached_cycle_names_its_first_node(self):
+        with pytest.raises(ValueError, match="^tree 1: node 3 is unreachable$"):
+            trees_from_nodes([[{"leaf": 1}], MALFORMED_TREES["detached-cycle"]])
 
     @pytest.mark.parametrize("entry", [[1], None, {}, {"node": []}])
     def test_the_error_names_a_tree_entry_without_nodes(self, entry):

@@ -805,6 +805,22 @@ class TestSearchArguments:
         assert isinstance(out, Found)
         assert out.best.candidate.values.tolist() == [1e100]
 
+    @pytest.mark.parametrize(
+        "spec", [(0, 1.7e308, -1, 1), (0, -1.7e308, 1, -1)], ids=["above", "below"]
+    )
+    def test_a_placement_that_overflows_is_infeasible(self, spec):
+        # x = 0 votes -1, and the positive leaf lies beyond +-1.7e308: an
+        # epsilon of 1e308 would place its candidate at +-inf.
+        ens = TreeEnsemble((tree(spec),), plain_space(1))
+        x = Instance([0.0])
+        out = tweak(ens, x, "euclidean", 1e308)
+        assert isinstance(out, NotCovered) and "(1 infeasible, 0 rejected)" in out.reason
+        assert isinstance(brute_force_tweak(ens, x, "euclidean", 1e308), NotCovered)
+        (row,) = sweep(ens, [x], [1e308], ["euclidean"])
+        assert (row.eligible, row.covered, row.micro_avg_cost) == (1, 0, None)
+        # A hundredth of that epsilon still lands inside the float range.
+        assert tweak(ens, x, "euclidean", 1e306).best.cost == pytest.approx(1.71e308)
+
     def test_search_reuses_the_ensembles_boxes(self):
         ens = self._ensemble()
         boxes = ens.positive_boxes
