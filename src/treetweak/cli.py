@@ -64,10 +64,35 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _non_finite_at(doc, where: str = "") -> str | None:
+    """The JSON location of the first NaN or infinite number in ``doc``,
+    such as ``results[0].transformations[0].recommendations[0].to_raw``,
+    or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else where
+    if isinstance(doc, dict):
+        items = ((f"{where}.{key}" if where else str(key), value) for key, value in doc.items())
+    elif isinstance(doc, (list, tuple)):
+        items = ((f"{where}[{i}]", value) for i, value in enumerate(doc))
+    else:
+        return None
+    for at, value in items:
+        found = _non_finite_at(value, at)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(doc, path) -> None:
     """Write ``doc`` as strict JSON. A NaN or infinite number raises
-    ValueError before the file is opened."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    ValueError, naming its location, before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        where = _non_finite_at(doc)
+        if where is None:
+            raise
+        raise ValueError(f"{where} is not finite") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -17,12 +17,18 @@ and its trees are views of it. No other module reads those arrays: an
 ensemble hands out the folded box of every positive leaf
 (``positive_boxes``), built on first use.
 
-:func:`vote_sums` routes rows through a second layout of the trees, also
+Matrices of rows are routed through a second layout of the trees, also
 built on first use (``routing``): complete binary blocks of
 ``BLOCK_HEIGHT`` levels, in which a child's slot is ``2 * slot + (value <=
 threshold)``, so a level takes no gather to find a child. The blocks
 chain through an exit table, and a leaf fills the slots below it in its
-block, so a tree of any depth takes memory linear in its nodes.
+block, so a tree of any depth takes memory linear in its nodes. One
+router takes ``GROUP_TREES`` trees at a time over all rows at once, and
+two functions share it. :func:`vote_sums` gives each row's exact vote
+sum, for the trainer's holdout evaluation. :func:`positive_rows` gives
+only whether it is above 0, for the tweak search's validation of
+candidates: after each group it drops the rows whose sign the trees left
+can no longer change.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -298,12 +304,13 @@ class PositiveBoxes(NamedTuple):
 
 
 BLOCK_HEIGHT = 4  # levels of a routing block
+GROUP_TREES = 5  # trees routed together, between checks for settled rows
 
 
 class RoutingBlocks(NamedTuple):
     """An ensemble's trees cut at depths 0, h, 2h, ... into complete binary
-    blocks of height h = ``BLOCK_HEIGHT``, the index :func:`vote_sums`
-    routes through.
+    blocks of height h = ``BLOCK_HEIGHT``, the index :func:`vote_sums` and
+    :func:`positive_rows` route through.
 
     ``feature[l]`` and ``threshold[l]`` hold level l of every block, level
     l of block b in slots ``b * 2**l + q``, so the children of slot g are
@@ -347,59 +354,107 @@ def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
     return label[node]
 
 
-def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
-    """Vote sum of every row of a ``[C, n]`` matrix, routing <= left.
+def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
+    """Vote sum of every row of a ``[C, n]`` matrix, routed ``GROUP_TREES``
+    trees at a time. Raises LengthMismatch unless X is 2-D with one column
+    per feature.
 
-    Equal to ``tree_votes(ens, row).sum()`` row by row. Raises
-    LengthMismatch unless X is 2-D with one column per feature.
+    With ``settle``, a row stops after the first group that decides its
+    sign: its sum so far is more than the number of trees left (positive
+    whatever they vote), or is at most minus that number (negative). Its
+    partial sum, which has the sign of its full one, is what it returns.
 
-    Rows are routed through the ensemble's :attr:`~TreeEnsemble.routing`
-    blocks, one tree at a time, as slots: a row at slot g of one level of
-    a block goes to slot ``2 * g + (value <= threshold)`` of the next, so
-    finding a child takes arithmetic and no gather. Every ``BLOCK_HEIGHT``
-    levels one gather from the exit table moves each row into its next
-    block, and the threshold of the slot a row stops on is its vote. A
-    single-leaf tree starts in its leaf's block and is routed one level.
+    A group of g trees over c live rows is routed as one ``[g, c]`` grid of
+    slots through the :attr:`~TreeEnsemble.routing` blocks: a row at slot s
+    of one level of a block goes to slot ``2 * s + (value <= threshold)``
+    of the next, so finding a child takes arithmetic and no gather. Every
+    ``BLOCK_HEIGHT`` levels one gather from the exit table moves each slot
+    into its next block. The group runs to its deepest tree's depth (at
+    least 1): a slot that reaches a leaf stays in the leaf's subtree, or
+    in the self-looping block of its label, so the threshold of the slot
+    it stops on is its vote.
 
-    The levels run through five length-C buffers made once per call, so
-    the tree and level loops allocate nothing. Every row starts at the
-    root, so a tree's first level compares one column of X with one
-    threshold and gathers nothing. The gathers below it use
-    ``mode="clip"``: the default mode checks bounds and copies through a
-    buffer whenever ``out`` is given, and here every index is in range by
-    construction.
+    The levels run through four buffers of ``GROUP_TREES`` slots per row,
+    made once per call and cut to each group's slots, so the loops
+    allocate only the group's sums and, as rows settle, the smaller X.
+    Every slot starts at its tree's root, so the first level compares
+    columns of X with one threshold per tree and gathers nothing. The
+    gathers below it use ``mode="clip"``: the default mode checks bounds
+    and copies through a buffer whenever ``out`` is given, and here every
+    index is in range by construction.
     """
     X = np.asarray(X, dtype=float)
     n = ens.feature_space.n
     if X.ndim != 2 or X.shape[1] != n:
         raise LengthMismatch(f"expected rows of {n} values, got shape {X.shape}")
+    X = np.ascontiguousarray(X)
     feature, threshold, exits, roots = ens.routing
-    cells = X.ravel()
-    row_start = np.arange(len(X)) * n
-    total = np.zeros(len(X))
-    slot, nxt, idx = (np.empty(len(X), dtype=np.intp) for _ in range(3))
-    v, th = np.empty(len(X)), np.empty(len(X))
-    for depth, block in zip([max(tree.depth, 1) for tree in ens.trees], roots.tolist()):
-        np.less_equal(X[:, feature[0][block]], threshold[0][block], out=slot, casting="unsafe")
-        slot += 2 * block
+    count, trees = len(X), len(roots)
+    depths = np.maximum([tree.depth for tree in ens.trees], 1)
+    row_start = np.arange(count) * n
+    out = np.empty(count)
+    live = np.arange(count)
+    total = np.zeros(count)
+    size = min(GROUP_TREES, trees) * count
+    buffers = [np.empty(size, dtype=np.intp) for _ in range(2)]
+    values, thresholds = np.empty(size), np.empty(size)
+    for first in range(0, trees, GROUP_TREES):
+        blocks = roots[first:first + GROUP_TREES]
+        depth = int(depths[first:first + GROUP_TREES].max())
+        c, g = len(X), len(blocks)
+        slot, idx = (b[:g * c].reshape(g, c) for b in buffers)
+        v, th = (b[:g * c].reshape(g, c) for b in (values, thresholds))
+        cells, starts = X.ravel(), row_start[:c]
+        np.less_equal(X[:, feature[0][blocks]].T, threshold[0][blocks, None],
+                      out=slot, casting="unsafe")
+        slot += 2 * blocks[:, None]
         for level in range(1, depth):
             at = level % BLOCK_HEIGHT
             if not at:
-                exits.take(slot, out=nxt, mode="clip")
-                slot, nxt = nxt, slot
+                exits.take(slot, out=idx, mode="clip")
+                slot, idx = idx, slot
             feature[at].take(slot, out=idx, mode="clip")
-            idx += row_start
+            idx += starts
             cells.take(idx, out=v, mode="clip")
             threshold[at].take(slot, out=th, mode="clip")
             np.less_equal(v, th, out=idx, casting="unsafe")
             slot <<= 1
             slot += idx
         if not depth % BLOCK_HEIGHT:
-            exits.take(slot, out=nxt, mode="clip")
-            slot, nxt = nxt, slot
+            exits.take(slot, out=idx, mode="clip")
+            slot = idx
         threshold[depth % BLOCK_HEIGHT].take(slot, out=th, mode="clip")
-        total += th
-    return total.astype(np.intp)
+        total += th.sum(axis=0)
+        rest = trees - first - g
+        if settle and rest:
+            keep = total <= rest
+            keep &= total + rest > 0
+            if not keep.all():
+                out[live] = total  # the rows that go on are written again
+                live, total, X = live[keep], total[keep], X[keep]
+                if not live.size:
+                    break
+    out[live] = total
+    return out
+
+
+def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
+    """Vote sum of every row of a ``[C, n]`` matrix, routing <= left.
+
+    Equal to ``tree_votes(ens, row).sum()`` row by row: every row is routed
+    through every tree. Raises LengthMismatch unless X is 2-D with one
+    column per feature.
+    """
+    return _route_groups(ens, X, settle=False).astype(np.intp)
+
+
+def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
+    """Which rows of a ``[C, n]`` matrix the ensemble predicts positive:
+    ``vote_sums(ens, X) > 0``, but a row is routed only until the trees
+    left cannot change the sign of its sum. Raises LengthMismatch unless X
+    is 2-D with one column per feature.
+    """
+    return _route_groups(ens, X, settle=True) > 0
 
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:

@@ -19,7 +19,9 @@ built once per model) of x's negative-voting trees and places every
 candidate with array masks for each epsilon of a grid (tweak's grid is
 its one epsilon; :func:`sweep` passes its whole grid once per instance),
 re-validates the feasible candidates of the whole grid against the
-forest in one batched call, and prices each epsilon's with one row-wise
+forest in one :func:`~treetweak.forest.positive_rows` call, which stops
+routing a candidate once the trees left cannot change the sign of its
+vote sum, and prices each epsilon's with one row-wise
 call to the cost function. The accepted candidates stay a table:
 :class:`Found` keeps their tree, path, [C, n] values and cost arrays,
 ranks them with one lexsort, and builds a Transformation object only for
@@ -60,10 +62,10 @@ from treetweak.forest import (
     Path,
     TreeEnsemble,
     extract_paths,
+    positive_rows,
     predict_ensemble,
     predict_tree,
     tree_votes,
-    vote_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -277,7 +279,9 @@ def _generate_candidates(
     The candidates come as three arrays: the source tree and path of each
     and the ``[C, n]`` matrix of their values. ``votes`` are x's per-tree
     votes; callers pass only an x whose votes sum to <= 0. Every epsilon's
-    candidates are validated in one :func:`~treetweak.forest.vote_sums` call.
+    candidates are validated in one :func:`~treetweak.forest.positive_rows`
+    call: only the sign of a candidate's vote sum decides, so a candidate
+    is routed through the trees only until the rest cannot change it.
     """
     boxes = ens.positive_boxes
     rows = np.flatnonzero(votes[boxes.tree] == -1)
@@ -316,7 +320,7 @@ def _generate_candidates(
         values[start:end] = placed[fit]
     values = values[:end]
 
-    accepted = vote_sums(ens, values) > 0
+    accepted = positive_rows(ens, values)
     kept = np.zeros_like(feasible)
     kept[feasible] = accepted
     blocks = np.split(values[accepted], np.cumsum(np.count_nonzero(kept, axis=1))[:-1])

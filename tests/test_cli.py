@@ -1,11 +1,14 @@
 import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treetweak import cli
 from treetweak.cli import main
 from treetweak.forest import (
     TreeEnsemble,
@@ -272,7 +275,20 @@ class TestTweakCommand:
         data.write_text("x0\n0\n")
         out = tmp_path / "out.json"
         assert main(["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]) == 1
-        assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys) == (
+            "error: results[0].transformations[0].recommendations[0].change_raw is not finite"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"rank_correlations": {"top_1_vs_top_2": math.nan}}, "rank_correlations.top_1_vs_top_2"),
+        ({"results": [{"cost": 1.0}, {"to_raw": [0.5, -math.inf]}]}, "results[1].to_raw[1]"),
+    ])
+    def test_a_non_finite_number_is_named_by_its_json_location(self, tmp_path, doc, where):
+        # The writer of the tweak and report documents.
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} is not finite$"):
+            cli._write_json(doc, out)
         assert not out.exists()
 
     def test_output_revalidates_under_loaded_model(self, tmp_path):

@@ -11,6 +11,7 @@ from treetweak.errors import CorruptModel, LengthMismatch, SchemaVersionMismatch
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
 from treetweak.forest import (
     BLOCK_HEIGHT,
+    GROUP_TREES,
     GT,
     LE,
     TreeEnsemble,
@@ -19,6 +20,7 @@ from treetweak.forest import (
     ensemble_to_dict,
     extract_paths,
     load_model,
+    positive_rows,
     predict_ensemble,
     predict_tree,
     route,
@@ -243,6 +245,61 @@ def specs_of_depth(draw, depth, n, threshold):
     return spec(depth)
 
 
+def negated(spec):
+    """The spec of the same tree with every leaf's label flipped."""
+    if not isinstance(spec, tuple):
+        return -spec
+    feature, threshold, left, right = spec
+    return (feature, threshold, negated(left), negated(right))
+
+
+@st.composite
+def forests_with_rows(draw):
+    """A forest of 1 to ``3 * GROUP_TREES + 1`` trees, so that its last
+    group of routed trees may be partial, and rows to route through it.
+
+    The forest mixes single leaves, random trees and trees deep enough to
+    end on either side of every block boundary the routing cuts them at.
+    Half the forests are a forest followed by its negation, in which every
+    row's votes sum to exactly 0. Row values include the thresholds, NaN
+    and infinities, and the matrix comes in C order, transposed (as
+    ``evaluate_classifier`` passes its columns) or strided.
+    """
+    n = draw(st.integers(1, 4))
+    threshold = st.sampled_from([-0.0, 0.0, 0.5]) | st.floats(-3.0, 3.0)
+    node = st.recursive(
+        st.sampled_from([-1, 1]),
+        lambda kids: st.tuples(st.integers(0, n - 1), threshold, kids, kids),
+        max_leaves=12,
+    )
+    deep = st.integers(0, 3 * BLOCK_HEIGHT + 1).flatmap(
+        lambda depth: specs_of_depth(depth, n, threshold)
+    )
+    most = 3 * GROUP_TREES + 1
+    mirrored = draw(st.booleans())
+    count = draw(st.integers(1, most // 2 if mirrored else most))
+    specs = draw(st.lists(node | deep, min_size=count, max_size=count))
+    if mirrored:
+        specs += [negated(spec) for spec in specs]
+    ens = TreeEnsemble(tuple(tree(spec) for spec in specs), plain_space(n))
+    tests = ens.nodes.threshold[ens.nodes.label == 0].tolist()
+    value = (
+        st.sampled_from(tests + [-0.0, 0.0, math.nan])
+        | st.floats(allow_nan=True, allow_infinity=True)
+    )
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    rows = draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=count, max_size=count
+    ))
+    X = np.array(rows, dtype=float).reshape(count, n)
+    layout = draw(st.sampled_from(["C", "transposed", "strided"]))
+    if layout == "transposed":
+        X = np.ascontiguousarray(X.T).T
+    elif layout == "strided":
+        X = np.repeat(X, 2, axis=0)[::2]
+    return ens, X
+
+
 def routing_bytes(ens):
     blocks = ens.routing
     return sum(a.nbytes for a in (*blocks.feature, *blocks.threshold, blocks.exit, blocks.root))
@@ -254,6 +311,8 @@ WRONG_WIDTHS = {
     "vote_sums-wider": (vote_sums, (4, 4)),
     "vote_sums-1-D": (vote_sums, (3,)),
     "vote_sums-3-D": (vote_sums, (2, 4, 3)),
+    "positive_rows-narrower": (positive_rows, (4, 2)),
+    "positive_rows-1-D": (positive_rows, (3,)),
     "tree_votes-narrower": (tree_votes, (2,)),
     "tree_votes-wider": (tree_votes, (4,)),
     "tree_votes-2-D": (tree_votes, (1, 3)),
@@ -326,44 +385,48 @@ class TestFlatView:
         assert vote_sums(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [-1] * 3
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_vote_sums_equal_the_votes_of_each_row(self, data):
-        n = data.draw(st.integers(1, 4))
-        threshold = st.sampled_from([-0.0, 0.0, 0.5]) | st.floats(-3.0, 3.0)
-        node = st.recursive(
-            st.sampled_from([-1, 1]),
-            lambda kids: st.tuples(st.integers(0, n - 1), threshold, kids, kids),
-            max_leaves=12,
-        )
-        # Trees deep enough to end on either side of every block boundary
-        # the routing cuts them at.
-        deep = st.integers(0, 3 * BLOCK_HEIGHT + 1).flatmap(
-            lambda depth: specs_of_depth(depth, n, threshold)
-        )
-        # Single leaves and trees of several depths in one forest.
-        specs = data.draw(st.lists(node | deep, min_size=1, max_size=6))
-        ens = TreeEnsemble(tuple(tree(spec) for spec in specs), plain_space(n))
-        tests = ens.nodes.threshold[ens.nodes.label == 0].tolist()
-        value = (
-            st.sampled_from(tests + [-0.0, 0.0, math.nan])
-            | st.floats(allow_nan=True, allow_infinity=True)
-        )
-        count = data.draw(st.sampled_from([0, 1]) | st.integers(2, 30))
-        rows = data.draw(st.lists(
-            st.lists(value, min_size=n, max_size=n), min_size=count, max_size=count
-        ))
-        X = np.array(rows, dtype=float).reshape(count, n)
-        layout = data.draw(st.sampled_from(["C", "transposed", "strided"]))
-        if layout == "transposed":  # as evaluate_classifier passes its columns
-            X = np.ascontiguousarray(X.T).T
-        elif layout == "strided":
-            X = np.repeat(X, 2, axis=0)[::2]
+    @given(forests_with_rows())
+    def test_vote_sums_equal_the_votes_of_each_row(self, drawn):
+        ens, X = drawn
         before = X.tobytes()
         sums = vote_sums(ens, X)
-        assert sums.shape == (count,)
+        assert sums.shape == (len(X),)
         assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
         assert sums.tolist() == [sum(predict_tree(t, x) for t in ens.trees) for x in X]
         assert X.tobytes() == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests_with_rows())
+    def test_positive_rows_are_the_rows_whose_votes_sum_above_0(self, drawn):
+        ens, X = drawn
+        before = X.tobytes()
+        positive = positive_rows(ens, X)
+        assert positive.dtype == bool and positive.shape == (len(X),)
+        assert positive.tolist() == [bool(tree_votes(ens, x).sum() > 0) for x in X]
+        assert X.tobytes() == before
+
+    @pytest.mark.parametrize("labels, total", [
+        # After the first group the sum equals the trees left, which can
+        # still bring it down to 0.
+        ([1] * GROUP_TREES + [-1] * GROUP_TREES, 0),
+        # ... or is minus the trees left, so it ends at 0 or below.
+        ([-1] * GROUP_TREES + [1] * GROUP_TREES, 0),
+        ([-1] * GROUP_TREES + [1] * (GROUP_TREES - 1), -1),
+        # One more than the trees left: positive whatever they vote.
+        ([1] * GROUP_TREES + [-1] * (GROUP_TREES - 1), 1),
+        # Undecided until the last group, which is partial.
+        ([1, -1] * (GROUP_TREES + 1) + [1] * (GROUP_TREES - 2) + [-1] * (GROUP_TREES - 2), 0),
+        ([1, 1, 1, -1, -1] + [-1] * GROUP_TREES, -4),
+    ])
+    def test_positive_rows_settle_only_when_the_trees_left_cannot_change_the_sign(
+        self, labels, total
+    ):
+        # A row that follows a stump's left branch takes ``labels`` as its
+        # votes, and one that goes right the opposite votes.
+        ens = TreeEnsemble(tuple(stump(0, 0.0, v, -v) for v in labels), plain_space(1))
+        X = [[-1.0], [0.0], [1.0], [math.nan]]
+        assert vote_sums(ens, X).tolist() == [total, total, -total, -total]
+        assert positive_rows(ens, X).tolist() == [total > 0] * 2 + [-total > 0] * 2
 
     def test_vote_sums_route_a_tree_far_deeper_than_a_block(self):
         depth = 3000

@@ -957,13 +957,13 @@ class TestSweep:
 
     def test_each_instance_is_validated_once_for_the_whole_grid(self, monkeypatch):
         ens, instances = self._fixture()
-        calls, vote_sums = [], tweaker_mod.vote_sums
+        calls, positive_rows = [], tweaker_mod.positive_rows
 
         def counted(*args):
             calls.append(args)
-            return vote_sums(*args)
+            return positive_rows(*args)
 
-        monkeypatch.setattr(tweaker_mod, "vote_sums", counted)
+        monkeypatch.setattr(tweaker_mod, "positive_rows", counted)
         positive = Instance([5.0, 0.0])  # not eligible: never validated
         rows = sweep(ens, instances + [positive], [0.01, 0.1, 0.1, 1.0], ["euclidean"])
         assert rows[0].eligible == len(instances)
