@@ -67,8 +67,9 @@ class ZeroVector(TreeTweakError):
 class InfeasiblePath(TreeTweakError):
     """A positive path cannot be satisfied with the requested margin.
 
-    Raised when a path's folded interval on some feature is narrower than
-    epsilon, or when a non-adjustable feature would have to move.
+    Raised when, for some feature, no value of the feature is both allowed
+    and inside the box the path's conditions fold to: the box is narrower
+    than epsilon, or the feature is non-adjustable and x lies outside it.
     """
 
     def __init__(self, feature, message=None):

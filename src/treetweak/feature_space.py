@@ -73,7 +73,8 @@ class FeatureSpace:
             raise SchemaMismatch("a feature space needs at least one feature")
         names = [f.name for f in feats]
         if len(set(names)) != len(names):
-            raise SchemaMismatch("duplicate feature names")
+            repeat = next(name for i, name in enumerate(names) if name in names[:i])
+            raise SchemaMismatch(f"duplicate feature name {repeat!r}")
         for f in feats:
             if not (math.isfinite(f.mean) and math.isfinite(f.std_dev)):
                 raise NonFiniteValue(f"feature {f.name!r}: mean or std_dev not finite")

@@ -184,28 +184,22 @@ def _fold_conditions(conditions) -> dict[int, tuple[float, float]]:
 
 
 def _apply_intervals(x_values, intervals, epsilon, adjustable, skip_satisfied):
-    """Assign conditioned features from their folded intervals.
+    """Assign conditioned features from their folded (lower, upper] boxes.
 
-    The upper bound binds when present (value = upper - epsilon), otherwise
-    the feature clears the lower bound (value = lower + epsilon). A value
-    that does not land strictly inside (lower, upper] means the interval is
-    narrower than epsilon, and one that overflows to inf lies past the
-    float range: either way the path is infeasible. Non-adjustable features
-    are never moved; they block the path unless already inside the bounds.
+    A non-adjustable feature keeps x's value, and so does an adjustable one
+    x already satisfies when ``skip_satisfied`` is set. Every other feature
+    is placed: upper - epsilon when the upper bound is finite, otherwise
+    lower + epsilon. The path is infeasible when, for some feature, no
+    value is both allowed and inside the box: the chosen value must be
+    finite and satisfy lower < value <= upper.
     """
     values = x_values.copy()
     for feature in sorted(intervals):
         lo, hi = intervals[feature]
-        current = x_values[feature]
-        satisfied = lo < current <= hi
-        if not adjustable[feature]:
-            if not satisfied:
-                raise InfeasiblePath(feature)
-            continue
-        if skip_satisfied and satisfied:
-            continue
-        v = hi - epsilon if hi < INF else lo + epsilon
-        if not lo < v < INF:
+        v = x_values[feature]
+        if adjustable[feature] and not (skip_satisfied and lo < v <= hi):
+            v = hi - epsilon if hi < INF else lo + epsilon
+        if not (lo < v <= hi and v < INF):
             raise InfeasiblePath(feature)
         values[feature] = v
     return values
@@ -226,8 +220,9 @@ def build_positive_instance(
     unconditioned features keep x's values. The result is guaranteed to
     route through the path's tree to this exact leaf.
 
-    Raises InfeasiblePath when an interval is too narrow for epsilon or a
-    non-adjustable feature stands outside its bounds.
+    Raises InfeasiblePath when, for some feature, no value of the feature
+    is both allowed and inside the box: an interval too narrow for
+    epsilon, or a non-adjustable feature x puts outside its bounds.
     """
     if path.leaf_label != 1:
         raise ValueError("positive instances are built from positive paths only")
@@ -294,28 +289,27 @@ def _generate_candidates(
             "tweak search truncated by budget=%s after %d paths", budget, len(rows)
         )
 
-    # Vector form of _apply_intervals over all examined leaves; only the
-    # placed values and their clearance depend on epsilon.
+    # Vector form of _apply_intervals over all examined leaves. A feature
+    # keeps x's value unless it is adjustable and tested (and, with
+    # skip_satisfied, x lies outside its bounds); the rest take the epsilon
+    # placement. A candidate is kept iff every value is finite and inside
+    # its leaf's (lo, hi] box: a path is infeasible when, for some feature,
+    # no value is both allowed and inside the box.
     lo, hi = boxes.lo[rows], boxes.hi[rows]
-    # Thresholds are finite, so a feature is tested iff it has a finite bound.
-    bounded_above = hi < INF
-    tested = (lo > -INF) | bounded_above
-    adjustable = ens.feature_space.adjustable_mask
-    satisfied = lo < x_values
-    satisfied &= x_values <= hi
-    stays = ~(tested & adjustable)
     if skip_satisfied:
-        stays |= satisfied
-    blocked = (tested & ~adjustable & ~satisfied).any(axis=1)
+        stays = (lo < x_values) & (x_values <= hi)
+    else:
+        stays = (lo == -INF) & (hi == INF)
+    stays |= ~ens.feature_space.adjustable_mask
     feasible = np.empty((len(epsilons), len(rows)), dtype=bool)
     values = np.empty((feasible.size, len(x_values)))
     end = 0
     for fit, epsilon in zip(feasible, epsilons):
         # A placement past the float range overflows to inf: infeasible.
         with np.errstate(over="ignore"):
-            placed = np.where(bounded_above, hi - epsilon, lo + epsilon)
-        fit[:] = ((lo < placed) & (placed < INF) | stays).all(axis=1) & ~blocked
+            placed = np.where(hi < INF, hi - epsilon, lo + epsilon)
         np.copyto(placed, x_values, where=stays)
+        fit[:] = ((lo < placed) & (placed <= hi) & (placed < INF)).all(axis=1)
         start, end = end, end + int(np.count_nonzero(fit))
         values[start:end] = placed[fit]
     values = values[:end]

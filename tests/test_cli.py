@@ -168,6 +168,32 @@ class TestTrainCommand:
         assert code == 1
         assert "schema" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "header, schema, repeat",
+        [
+            ("a,a,label", None, "a"),
+            (
+                "layout,label",
+                {"columns": [{"name": "layout", "categorical": True,
+                              "categories": ["x", "y", "x"]}]},
+                "layout=x",
+            ),
+        ],
+        ids=["csv-header", "schema-categories"],
+    )
+    def test_duplicate_feature_name_is_named(self, tmp_path, capsys, header, schema, repeat):
+        data = tmp_path / "train.csv"
+        cells = ["x,1", "y,-1"] if schema else ["1,2,1", "3,4,-1"]
+        data.write_text("\n".join([header] + cells * 2) + "\n")
+        args = ["train", "--data", str(data), "--model-out", str(tmp_path / "m.json")]
+        if schema:
+            (tmp_path / "schema.json").write_text(json.dumps(schema))
+            args += ["--schema", str(tmp_path / "schema.json")]
+        assert main(args) == 1
+        line = assert_one_error_line(capsys)
+        assert line == f"error: duplicate feature name {repeat!r}"
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestTweakCommand:
     def test_all_positive_instances_skipped(self, tmp_path, capsys):

@@ -862,6 +862,52 @@ class TestNotCoveredReason:
         assert out == NotCovered(reason)
 
 
+class TestBoxBoundaries:
+    """A leaf's box is (lo, hi]: a value on its upper bound is inside, one on
+    its lower bound is not. The search and the oracle each state that test,
+    so the search-vs-oracle properties cannot see a drift both share; these
+    cases pin it in each of tweak, brute_force_tweak, sweep and
+    build_positive_instance. x = (0.5, -1.0) votes -1 in both trees."""
+
+    ON_UPPER = (0, 0.5, (1, 0.0, -1, 1), -1)  # positive on x0 <= 0.5, x1 > 0
+    ON_LOWER = (0, 0.5, -1, (1, 0.0, -1, 1))  # positive on x0 > 0.5, x1 > 0
+    CASES = {
+        "fixed-x0-on-upper-bound": (ON_UPPER, [False, True], False, [0.5, 0.1]),
+        "fixed-x0-on-lower-bound": (ON_LOWER, [False, True], False, None),
+        "satisfied-x0-on-upper-bound": (ON_UPPER, [True, True], True, [0.5, 0.1]),
+        "unsatisfied-x0-on-lower-bound": (ON_LOWER, [True, True], True, [0.6, 0.1]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_entry_point_reads_the_box_as_lo_open_hi_closed(self, case):
+        spec, adjustable, skip_satisfied, expected = self.CASES[case]
+        ens = TreeEnsemble((tree(spec),), plain_space(2, adjustable))
+        (path,) = extract_paths(ens.trees[0], POSITIVE)
+        x, epsilon = Instance([0.5, -1.0]), 0.1
+        out = tweak(ens, x, "euclidean", epsilon, skip_satisfied)
+        oracle = brute_force_tweak(
+            ens, x, "euclidean", epsilon, skip_satisfied=skip_satisfied
+        )
+        (row,) = sweep(ens, [x], [epsilon], ["euclidean"], skip_satisfied)
+        if expected is None:
+            # Infeasible, not placed on the bound and then rejected.
+            assert out == NotCovered(
+                "no candidate flips the ensemble: 1 positive paths over 1 "
+                "negative-voting trees (1 infeasible, 0 rejected)"
+            )
+            assert isinstance(oracle, NotCovered)
+            assert (row.covered, row.micro_avg_cost) == (0, None)
+            with pytest.raises(InfeasiblePath) as raised:
+                build_positive_instance(x, path, epsilon, ens.feature_space, skip_satisfied)
+            assert raised.value.feature == 0
+            return
+        assert out.values.tolist() == oracle.values.tolist() == [expected]
+        assert (row.covered, row.micro_avg_cost) == (1, out.best.cost)
+        built = build_positive_instance(x, path, epsilon, ens.feature_space, skip_satisfied)
+        assert built.values.tolist() == expected
+        assert route(ens.trees[0], built).path_index == path.path_index
+
+
 class TestSweep:
     def _fixture(self):
         trees = (
