@@ -16,7 +16,7 @@ import sys
 
 from treetweak import __version__
 from treetweak.costs import COST_NAMES
-from treetweak.errors import TreeTweakError
+from treetweak.errors import DegenerateLabels, EmptyDataset, TreeTweakError
 from treetweak.feature_space import load_instances, load_schema, load_table
 from treetweak.forest import load_model, predict_ensemble, save_model
 from treetweak.recommend import (
@@ -52,6 +52,14 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     train, test = stratified_split(instances, args.test_fraction, seed=args.seed)
+    # Evaluation needs both classes in the holdout; find out before training.
+    n_pos = sum(inst.label == 1 for inst in test)
+    if n_pos == 0 or n_pos == len(test):
+        error = EmptyDataset if not test else DegenerateLabels
+        raise error(
+            f"the holdout of {len(test)} of {len(instances)} instances holds "
+            f"{len(test) - n_pos} negative and {n_pos} positive; evaluation needs both classes"
+        )
     ens = train_forest(train, cfg, space)
     metrics = evaluate_classifier(ens, test)
     save_model(ens, args.model_out)

@@ -11,9 +11,11 @@ and feature subsampling draw from per-tree generators spawned
 deterministically from the master seed. All trees grow in lockstep, each
 depth first over its own explicit stack: wave w takes node w, in
 preorder, of every tree still growing, so each tree makes the same draws
-and the same splits as it would alone. The feature columns are sorted
-once per forest, and one segmented search scores every splittable node
-of a wave, in calls of at most COLUMN_CAP sample columns.
+and the same splits as it would alone. A node holds the distinct samples
+that reach it, each weighted by its bootstrap count in its tree, so no
+repeat is ever expanded. The feature columns are sorted once per forest,
+and one segmented search scores every splittable node of a wave, in
+calls of at most COLUMN_CAP distinct sample columns.
 """
 
 from __future__ import annotations
@@ -96,20 +98,27 @@ def impurity(counts: tuple[int, int], criterion: str) -> float:
 def _impurity_vec(neg: np.ndarray, pos: np.ndarray, criterion: str) -> np.ndarray:
     total = neg + pos
     p_neg = neg / total
-    p_pos = pos / total
+    p_pos = np.divide(pos, total, out=total)
     if criterion == GINI:
-        return 1.0 - p_neg * p_neg - p_pos * p_pos
+        # 1 - p_neg**2 - p_pos**2, in that order, written over p_neg.
+        p_neg *= p_neg
+        np.subtract(1.0, p_neg, out=p_neg)
+        p_pos *= p_pos
+        p_neg -= p_pos
+        return p_neg
+    # -(p_neg log2 p_neg + p_pos log2 p_pos), where 0 log2 0 is 0.
+    log = np.zeros_like(p_neg)
+    np.log2(p_neg, out=log, where=p_neg > 0)
+    p_neg *= log
+    log.fill(0.0)
+    np.log2(p_pos, out=log, where=p_pos > 0)
+    p_pos *= log
+    p_neg += p_pos
+    return np.negative(p_neg, out=p_neg)
 
-    def plogp(p):
-        out = np.zeros_like(p)
-        np.log2(p, out=out, where=p > 0)
-        return p * out
 
-    return -(plogp(p_neg) + plogp(p_pos))
-
-
-# Sample columns one segmented split search takes at most. More nodes per
-# call save per-call overhead; fewer keep its [features, columns]
+# Distinct sample columns one segmented split search takes at most. More
+# nodes per call save per-call overhead; fewer keep its [features, columns]
 # temporaries small. A node with more samples than this is searched alone.
 COLUMN_CAP = 8192
 
@@ -142,27 +151,33 @@ class _Splits(NamedTuple):
 
     ``gain`` is -inf where no sampled feature has two distinct values;
     ``row`` indexes the winning feature in the node's feature ids.
-    ``samples`` holds every node's samples ascending on its winning
-    feature, in the node's own columns; the first ``n_left`` of them, with
-    ``pos_left`` positives, have values <= ``threshold``.
+    ``samples`` holds every node's distinct samples ascending on its
+    winning feature, in the node's own columns; the first ``cut`` of them
+    have values <= ``threshold``, and weigh ``n_left`` in all, ``pos_left``
+    of it positive.
     """
 
     gain: np.ndarray
     row: np.ndarray
     threshold: np.ndarray
     samples: np.ndarray
+    cut: np.ndarray
     n_left: np.ndarray
     pos_left: np.ndarray
 
 
-def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criterion) -> _Splits:
+def _best_splits(
+    cols: _SortedColumns, idx, starts, tree, counts, features, parent_imp, criterion
+) -> _Splits:
     """Search the best split of S nodes at once, as one segmented array.
 
-    Node s owns the sample columns ``idx[starts[s]:starts[s + 1]]``
-    (repeats allowed, at least two), the sorted feature ids
-    ``features[s]`` and the impurity ``parent_imp[s]``. Every node gets
-    what a search of it alone gives: thresholds are midpoints between
-    consecutive distinct sorted values; within a feature the lowest
+    Node s owns the distinct sample columns ``idx[starts[s]:starts[s + 1]]``,
+    each weighted by its count ``counts[tree[s], sample]`` in the node's
+    tree (``counts`` is a float64 ``[trees, m]`` table; a node weighs at
+    least two), the sorted feature ids ``features[s]`` and the impurity
+    ``parent_imp[s]``. Every node gets what a search of it alone, with each
+    sample repeated as often as it weighs, gives: thresholds are midpoints
+    between consecutive distinct sorted values; within a feature the lowest
     threshold of the largest gain wins, and across features the first.
     """
     width, m, S = len(idx), cols.rank.shape[1], len(starts)
@@ -175,33 +190,46 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
     at = cols.rank.take(offset + idx)
     at += seg * m
     at.sort(axis=1)
-    at += offset - seg * m  # feature * m + rank
+    at -= seg * m
+    at += offset  # feature * m + rank
+    del offset
+    boundary = np.zeros(at.shape, dtype=bool)
     v = cols.values.take(at)
-    # Exact integer counts (float64 holds them), read only at value
-    # boundaries, so the order of tied values inside the sort does not
-    # matter. Taking each node's total off at the next node's first column
-    # makes one cumsum restart at every node.
-    pos_left = cols.pos.take(at)
-    n_pos = np.add.reduceat(pos_left[0], starts)
-    pos_left[:, starts[1:]] -= n_pos[:-1]
-    pos_left.cumsum(axis=1, out=pos_left)
-    n_node = sizes.astype(float)[seg]
-    n_left = np.arange(1.0, width + 1) - starts[seg]
-    neg_left = n_left - pos_left
-    n_right = n_node - n_left
-    pos_right = n_pos[seg] - pos_left
-    neg_right = n_right - pos_right
-    # A node's last column has nothing on its right: its 0/0 is masked out
-    # below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        child = (
-            n_left * _impurity_vec(neg_left, pos_left, criterion)
-            + n_right * _impurity_vec(neg_right, pos_right, criterion)
-        ) / n_node
-    boundary = np.zeros(v.shape, dtype=bool)
     np.greater(v[:, 1:], v[:, :-1], out=boundary[:, :-1])
+    del v
     boundary[:, starts + sizes - 1] = False
-    gains = np.where(boundary, parent_imp[seg] - child, -math.inf)
+    # Weights are exact integer counts (float64 holds them), so every
+    # cumulative weight read at a value boundary equals the count of the
+    # same samples repeated, whatever the order of tied values inside the
+    # sort. Taking each node's total off at the next node's first column
+    # makes one cumsum restart at every node.
+    key = cols.sample.take(at)
+    key += (tree * m).take(seg)
+    n_left = counts.take(key)
+    del key
+    pos_left = cols.pos.take(at)
+    pos_left *= n_left
+    n_node = np.add.reduceat(n_left[0], starts)
+    n_pos = np.add.reduceat(pos_left[0], starts)
+    for cum, total in ((n_left, n_node), (pos_left, n_pos)):
+        cum[:, starts[1:]] -= total[:-1]
+        cum.cumsum(axis=1, out=cum)
+    # (n_left imp_left + n_right imp_right) / n_node, with the right side
+    # written over the left side's cumulative counts. A node's last column
+    # has nothing on its right: its 0/0 is masked out below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = n_left - pos_left
+        child = _impurity_vec(neg, pos_left, criterion)
+        child *= n_left
+        n_right = np.subtract(n_node.take(seg), n_left, out=n_left)
+        pos_right = np.subtract(n_pos.take(seg), pos_left, out=pos_left)
+        np.subtract(n_right, pos_right, out=neg)
+        right = _impurity_vec(neg, pos_right, criterion)
+        right *= n_right
+        child += right
+        child /= n_node.take(seg)
+    gains = np.subtract(parent_imp.take(seg), child, out=child)
+    gains[~boundary] = -math.inf
     feature_best = np.maximum.reduceat(gains, starts, axis=1)
     row = feature_best.argmax(axis=0)  # the first feature wins a tie
     gain = feature_best.take(row * S + np.arange(S))
@@ -211,21 +239,25 @@ def _best_splits(cols: _SortedColumns, idx, starts, features, parent_imp, criter
     win = row[seg] * width + column
     hit = gains.take(win) == gain[seg]
     b = np.minimum.reduceat(np.where(hit, column, width), starts)
-    v = v.take(win)
+    at = at.take(win)
+    v = cols.values.take(at)
+    # A node of one distinct sample has no boundary; clipping keeps its
+    # unused hi inside the array.
+    lo, hi = v[b], v.take(b + 1, mode="clip")
     # (lo + hi) / 2 is the correctly rounded midpoint unless the sum
     # overflows; there halving first keeps it finite. Halving first
     # everywhere would round twice on subnormal values.
-    lo, hi = v[b], v[b + 1]
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
     huge = np.isinf(threshold)
     threshold[huge] = lo[huge] / 2.0 + hi[huge] / 2.0
     # The partition compares values with the threshold, as routing does;
     # a midpoint may round up onto the next value.
-    n_left = np.add.reduceat(v <= threshold[seg], starts)
-    last = row * width + starts + n_left - 1
+    cut = np.add.reduceat(v <= threshold[seg], starts)
+    last = row * width + starts + cut - 1
     return _Splits(
-        gain, row, threshold, cols.sample.take(at.take(win)), n_left, pos_left.take(last)
+        gain, row, threshold, cols.sample.take(at), cut,
+        n_node - n_right.take(last), n_pos - pos_right.take(last),
     )
 
 
@@ -247,7 +279,7 @@ def _as_arrays(data, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _chunks(wave: list) -> Iterator[list]:
     """Consecutive runs of the wave's nodes holding at most COLUMN_CAP
-    samples in all; a node larger than that forms a run alone."""
+    distinct samples in all; a node larger than that forms a run alone."""
     chunk, width = [], 0
     for node in wave:
         if chunk and width + len(node[1]) > COLUMN_CAP:
@@ -259,57 +291,67 @@ def _chunks(wave: list) -> Iterator[list]:
         yield chunk
 
 
-def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
-    """Grow one tree per sample ``samples[k]`` (an index array into ``Xt``,
-    repeats allowed) and generator ``rngs[k]``, all trees in lockstep.
+def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
+    """Grow one tree per row ``counts[k]``, the float64 number of times
+    each sample of ``Xt`` is in tree k's sample, with generator
+    ``rngs[k]``, all trees in lockstep.
 
-    Each tree grows depth first over its own explicit stack, left child
-    first, so its nodes (in the JSON layout), its draws from its generator
-    and its ``gains`` updates all come in preorder, as if it grew alone.
-    Wave w takes node w of every tree still growing; the wave's splittable
-    nodes are then scored together by :func:`_best_splits`, in calls of at
-    most COLUMN_CAP sample columns. Returns the trees and the ``[K, n]``
-    per-feature impurity decreases, each split adding (node sample fraction
-    x gain).
+    A node holds the distinct samples that reach it, each weighted by its
+    count: all copies of a sample go the same way at every split, so the
+    weight is the same at every node of the tree, and node sizes, the leaf
+    majority, ``min_samples_split`` and the importances all count the
+    weight. Each tree grows depth first over its own explicit stack, left
+    child first, so its nodes (in the JSON layout), its draws from its
+    generator and its ``gains`` updates all come in preorder, as if it grew
+    alone. Wave w takes node w of every tree still growing; the wave's
+    splittable nodes are then scored together by :func:`_best_splits`, in
+    calls of at most COLUMN_CAP distinct sample columns. Returns the trees
+    and the ``[K, n]`` per-feature impurity decreases, each split adding
+    (node weight fraction x gain).
     """
     n_features = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n_features)
     cols = _sort_columns(Xt, pos)
     all_features = np.arange(n_features)
-    gains = np.zeros((len(samples), n_features))
-    nodes: list[list[dict]] = [[] for _ in samples]
-    # Per tree: (samples, positives among them, depth, the split whose
-    # right child it is).
-    stacks = [[(idx, int(pos.take(idx).sum()), 0, None)] for idx in samples]
-    growing = range(len(samples))
+    gains = np.zeros((len(counts), n_features))
+    nodes: list[list[dict]] = [[] for _ in counts]
+    totals = [int(c.sum()) for c in counts]
+    # Per tree: (distinct samples, their weight, its positive part, depth,
+    # the split whose right child it is).
+    stacks = [
+        [(np.flatnonzero(c), total, int(c @ pos), 0, None)]
+        for c, total in zip(counts, totals)
+    ]
+    growing = range(len(counts))
     while growing:
         wave = []
         for k in growing:
-            idx, n_pos, depth, parent = stacks[k].pop()
+            idx, size, n_pos, depth, parent = stacks[k].pop()
             if parent is not None:
                 parent["right"] = len(nodes[k])
-            n_neg = len(idx) - n_pos
+            n_neg = size - n_pos
             nodes[k].append({"leaf": 1 if n_pos > n_neg else -1})  # majority, ties to -1
-            if n_pos and n_neg and depth < max_depth and len(idx) >= cfg.min_samples_split:
+            if n_pos and n_neg and depth < max_depth and size >= cfg.min_samples_split:
                 if fps >= n_features:
                     feature_ids = all_features
                 else:
                     feature_ids = np.sort(rngs[k].choice(n_features, size=fps, replace=False))
                 parent_imp = impurity((n_neg, n_pos), cfg.criterion)
-                wave.append((k, idx, n_pos, depth, feature_ids, parent_imp))
+                wave.append((k, idx, size, n_pos, depth, feature_ids, parent_imp))
         for chunk in _chunks(wave):
-            _, idx, _, _, features, parent_imp = zip(*chunk)
+            tree, idx, _, _, _, features, parent_imp = zip(*chunk)
             starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
             found = _best_splits(
-                cols, np.concatenate(idx), starts, np.stack(features),
-                np.array(parent_imp), cfg.criterion,
+                cols, np.concatenate(idx), starts, np.array(tree), counts,
+                np.stack(features), np.array(parent_imp), cfg.criterion,
             )
             ordered = found.samples
-            for node, start, gain, row, threshold, n_left, pos_left in zip(
+            for node, start, gain, row, threshold, cut, n_left, pos_left in zip(
                 chunk, starts.tolist(), found.gain.tolist(), found.row.tolist(),
-                found.threshold.tolist(), found.n_left.tolist(), found.pos_left.tolist(),
+                found.threshold.tolist(), found.cut.tolist(), found.n_left.tolist(),
+                found.pos_left.tolist(),
             ):
-                k, idx, n_pos, depth, feature_ids, _ = node
+                k, idx, size, n_pos, depth, feature_ids, _ = node
                 if gain == -math.inf:
                     continue
                 # Positive-gain splits are preferred; an impure node where
@@ -319,15 +361,17 @@ def _grow(Xt, pos, samples, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 # unless the midpoint rounds onto the node's largest value
                 # and the right child is empty, which max_depth stops.
                 feature = int(feature_ids[row])
-                gains[k, feature] += (len(idx) / len(samples[k])) * max(gain, 0.0)
+                gains[k, feature] += (size / totals[k]) * max(gain, 0.0)
                 # The split replaces the node's leaf, still its tree's last
                 # node: a tree gives one node per wave.
                 split = dict(feature=feature, threshold=threshold, left=len(nodes[k]))
                 nodes[k][-1] = split
-                cut, end = start + n_left, start + len(idx)
-                pos_left = int(pos_left)
-                stacks[k].append((ordered[cut:end].copy(), n_pos - pos_left, depth + 1, split))
-                stacks[k].append((ordered[start:cut].copy(), pos_left, depth + 1, None))
+                cut, end = start + cut, start + len(idx)
+                n_left, pos_left = int(n_left), int(pos_left)
+                stacks[k].append((
+                    ordered[cut:end].copy(), size - n_left, n_pos - pos_left, depth + 1, split,
+                ))
+                stacks[k].append((ordered[start:cut].copy(), n_left, pos_left, depth + 1, None))
         growing = [k for k in growing if stacks[k]]
     return trees_from_nodes(nodes), gains
 
@@ -337,7 +381,7 @@ def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
     Raises LengthMismatch unless every row has as many values as the
     first."""
     Xt, pos = _as_arrays(data, len(data[0].values) if data else 0)
-    return _grow(Xt, pos, [np.arange(len(pos))], cfg, [rng])[0][0]
+    return _grow(Xt, pos, np.ones((1, len(pos))), cfg, [rng])[0][0]
 
 
 def train_forest(
@@ -348,7 +392,8 @@ def train_forest(
     """Train a bagged forest of cfg.num_trees trees.
 
     Each tree draws its bootstrap sample and feature subsets from its own
-    generator, spawned from the master seed; the trees grow in lockstep.
+    generator, spawned from the master seed; the trees grow in lockstep,
+    each over its distinct samples weighted by their bootstrap count.
     The importances, set as the ensemble is built, are the trees' impurity
     decreases averaged over trees and normalized to sum 1, or all zeros
     when no split ever gained (e.g. a forest of single leaves).
@@ -358,8 +403,11 @@ def train_forest(
     m = len(pos)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
     rngs = [np.random.default_rng(stream) for stream in streams]
-    samples = [rng.integers(0, m, size=m) if bootstrap else np.arange(m) for rng in rngs]
-    trees, gains = _grow(Xt, pos, samples, cfg, rngs)
+    counts = np.ones((cfg.num_trees, m))
+    if bootstrap:
+        for row, rng in zip(counts, rngs):
+            row[:] = np.bincount(rng.integers(0, m, size=m), minlength=m)
+    trees, gains = _grow(Xt, pos, counts, cfg, rngs)
     mean = np.mean(gains, axis=0)
     total = mean.sum()
     importances = mean / total if total > 0.0 else np.zeros_like(mean)

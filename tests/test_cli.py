@@ -86,6 +86,30 @@ class TestTrainCommand:
         assert assert_one_error_line(capsys).startswith("error: line 2: column 'x0'")
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([-1, 1], "holdout of 0 of 2 instances holds 0 negative and 0 positive"),
+            ([-1, 1, -1], "holdout of 1 of 3 instances holds 1 negative and 0 positive"),
+        ],
+        ids=["empty-holdout", "one-class-holdout"],
+    )
+    def test_an_unusable_holdout_stops_before_training(
+        self, tmp_path, capsys, monkeypatch, labels, message
+    ):
+        def refuse(*args):
+            raise AssertionError("train_forest called")
+
+        monkeypatch.setattr(cli, "train_forest", refuse)
+        data = tmp_path / "train.csv"
+        rows = [f"{i}.0,{label}" for i, label in enumerate(labels)]
+        data.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model)]) == 1
+        line = assert_one_error_line(capsys)
+        assert message in line and "evaluation needs both classes" in line
+        assert not model.exists()
+
     def test_same_seed_twice_identical_files(self, tmp_path):
         data = write_gaussian_csv(tmp_path / "train.csv")
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"

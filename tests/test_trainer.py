@@ -131,8 +131,8 @@ def best_split(rows, pos, parent_imp, criterion):
     of ``rows`` and searching every row, as (gain, row, threshold) or None."""
     f, m = rows.shape
     found = _best_splits(
-        _sort_columns(rows, pos), np.arange(m), np.array([0]),
-        np.arange(f)[None, :], np.array([parent_imp]), criterion,
+        _sort_columns(rows, pos), np.arange(m), np.array([0]), np.array([0]),
+        np.ones((1, m)), np.arange(f)[None, :], np.array([parent_imp]), criterion,
     )
     if found.gain[0] == -math.inf:
         return None
@@ -191,37 +191,95 @@ def segmented_searches(draw):
     return table, pos, nodes
 
 
+def distinct_with_counts(nodes, m):
+    """Each node's samples (repeats allowed) as one tree of its own: the
+    ``[S, m]`` count table and the nodes as (tree, distinct samples in
+    order of first appearance, feature ids)."""
+    counts = np.array([np.bincount(samples, minlength=m) for samples, _ in nodes], dtype=float)
+    weighted = []
+    for s, (samples, ids) in enumerate(nodes):
+        _, first = np.unique(samples, return_index=True)
+        weighted.append((s, np.asarray(samples)[np.sort(first)], ids))
+    return counts, weighted
+
+
+def check_segmented_search(table, pos, counts, nodes, criterion):
+    """One ``_best_splits`` call over ``nodes``, each (tree, distinct
+    samples, feature ids) weighted by ``counts[tree]``, checked node by node
+    against the scalar oracle run on the node's samples repeated as often
+    as they weigh."""
+    tree = np.array([t for t, _, _ in nodes])
+    idx = [np.asarray(distinct) for _, distinct, _ in nodes]
+    features = np.array([ids for _, _, ids in nodes])
+    starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
+    repeats = [np.repeat(i, counts[t, i].astype(int)) for t, i in zip(tree, idx)]
+    parent_imp = []
+    for i in repeats:
+        n_pos = int(pos[i].sum())
+        parent_imp.append(impurity((len(i) - n_pos, n_pos), criterion))
+    found = _best_splits(
+        _sort_columns(table, pos), np.concatenate(idx), starts, tree, counts, features,
+        np.array(parent_imp), criterion,
+    )
+    for s, (distinct, i) in enumerate(zip(idx, repeats)):
+        rows = table[features[s]][:, i]
+        expected = reference_best_split(rows, pos[i], parent_imp[s], criterion)
+        if expected is None:
+            assert found.gain[s] == -math.inf
+            continue
+        r, threshold = int(found.row[s]), found.threshold[s]
+        assert (float(found.gain[s]), r, threshold) == expected
+        # The node's distinct samples come back ordered on the winning
+        # feature, those routed left first; what goes left weighs as much
+        # as its repeats.
+        go_left = rows[r] <= threshold
+        cut, end = starts[s] + found.cut[s], starts[s] + len(distinct)
+        assert sorted(found.samples[starts[s]:cut]) == sorted(set(i[go_left]))
+        assert sorted(found.samples[cut:end]) == sorted(set(i[~go_left]))
+        assert found.n_left[s] == np.count_nonzero(go_left)
+        assert found.pos_left[s] == pos[i[go_left]].sum()
+
+
 class TestSegmentedSearch:
     @settings(max_examples=200, deadline=None)
     @given(segmented_searches(), st.sampled_from(["gini", "entropy"]))
     def test_each_node_equals_its_own_scalar_search(self, search, criterion):
         table, pos, nodes = search
-        idx = [np.array(samples) for samples, _ in nodes]
-        features = np.array([ids for _, ids in nodes])
-        starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
-        parent_imp = []
-        for i in idx:
-            n_pos = int(pos[i].sum())
-            parent_imp.append(impurity((len(i) - n_pos, n_pos), criterion))
-        found = _best_splits(
-            _sort_columns(table, pos), np.concatenate(idx), starts, features,
-            np.array(parent_imp), criterion,
-        )
-        for s, i in enumerate(idx):
-            rows = table[features[s]][:, i]
-            expected = reference_best_split(rows, pos[i], parent_imp[s], criterion)
-            if expected is None:
-                assert found.gain[s] == -math.inf
-                continue
-            r, threshold = int(found.row[s]), found.threshold[s]
-            assert (float(found.gain[s]), r, threshold) == expected
-            # The node's samples come back ordered on the winning feature,
-            # those routed left first.
-            go_left = rows[r] <= threshold
-            cut, end = starts[s] + found.n_left[s], starts[s] + len(i)
-            assert sorted(found.samples[starts[s]:cut]) == sorted(i[go_left])
-            assert sorted(found.samples[cut:end]) == sorted(i[~go_left])
-            assert found.pos_left[s] == pos[i[go_left]].sum()
+        counts, weighted = distinct_with_counts(nodes, len(pos))
+        check_segmented_search(table, pos, counts, weighted, criterion)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_weights_of_one_are_the_unweighted_search(self, criterion):
+        rng = np.random.default_rng(1)
+        table = np.round(rng.normal(size=(3, 30)), 1)
+        pos = (rng.random(30) < 0.5).astype(float)
+        nodes = [(0, rng.permutation(30)[:size], [0, 2]) for size in (2, 9, 30)]
+        check_segmented_search(table, pos, np.ones((1, 30)), nodes, criterion)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_one_heavy_sample_next_to_samples_of_weight_one(self, criterion):
+        rng = np.random.default_rng(2)
+        table = np.round(rng.normal(size=(2, 12)), 1)
+        pos = np.array([1.0, 0.0] * 6)
+        counts = np.ones((1, 12))
+        counts[0, 3] = 1500.0
+        check_segmented_search(table, pos, counts, [(0, np.arange(12), [0, 1])], criterion)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_weights_across_several_nodes_of_one_call(self, criterion):
+        # Two trees' bootstrap counts: tree 0's distinct samples split over
+        # three nodes, tree 1's in one, all searched in one call.
+        rng = np.random.default_rng(3)
+        m = 60
+        table = np.round(rng.normal(size=(4, m)), 1)
+        pos = (rng.random(m) < 0.5).astype(float)
+        counts = np.array([np.bincount(rng.integers(0, m, m), minlength=m) for _ in range(2)],
+                          dtype=float)
+        d0, d1 = np.flatnonzero(counts[0]), np.flatnonzero(counts[1])
+        nodes = [(0, d0[:10], [0, 3]), (1, d1, [1, 2]), (0, d0[10:25], [0, 1]),
+                 (0, d0[25:], [2, 3])]
+        assert counts[0, d0].max() > 1 and counts[1, d1].max() > 1
+        check_segmented_search(table, pos, counts, nodes, criterion)
 
     def test_a_midpoint_that_rounds_up_sends_both_values_left(self):
         # (a + b) / 2 rounds to b here, and routing sends b left too, so the
@@ -230,7 +288,8 @@ class TestSegmentedSearch:
         b = np.nextafter(a, 2.0)
         found = _best_splits(
             _sort_columns(np.array([[a, b]]), np.array([0.0, 1.0])), np.array([0, 1]),
-            np.array([0]), np.array([[0]]), np.array([0.5]), "gini",
+            np.array([0]), np.array([0]), np.ones((1, 2)), np.array([[0]]),
+            np.array([0.5]), "gini",
         )
         assert found.threshold[0] == b
         assert found.n_left[0] == 2 and found.pos_left[0] == 1.0
@@ -242,7 +301,8 @@ class TestSegmentedSearch:
         a, b = 5e-324, 1e-323
         found = _best_splits(
             _sort_columns(np.array([[a, b]]), np.array([0.0, 1.0])), np.array([0, 1]),
-            np.array([0]), np.array([[0]]), np.array([0.5]), "gini",
+            np.array([0]), np.array([0]), np.ones((1, 2)), np.array([[0]]),
+            np.array([0.5]), "gini",
         )
         assert found.threshold[0] == (a + b) / 2.0 != a / 2.0 + b / 2.0
 
