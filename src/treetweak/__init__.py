@@ -30,7 +30,6 @@ from treetweak.forest import (
     extract_paths,
     load_model,
     predict_ensemble,
-    predict_tree,
     route,
     save_model,
     trees_from_nodes,
@@ -105,7 +104,6 @@ __all__ = [
     "one_hot_decode",
     "one_hot_encode",
     "predict_ensemble",
-    "predict_tree",
     "rank_correlation",
     "route",
     "save_model",

@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from treetweak.errors import CorruptModel, LengthMismatch, NonFiniteValue, SchemaVersionMismatch
+from treetweak.errors import CorruptModel, LengthMismatch, SchemaVersionMismatch, TreeTweakError
 from treetweak.feature_space import FeatureSpace, Instance
 
 FORMAT_VERSION = 1
@@ -100,7 +100,6 @@ class DecisionTree:
     children: np.ndarray
     label: np.ndarray
     depth: int
-    leaf_count: int
     positive_leaf_count: int
 
 
@@ -263,15 +262,13 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
     node_threshold[at] = threshold
     node_label = np.zeros(count, dtype=np.intp)
     node_label[slot[leaf_ids]] = label
-    leaf_count = np.add.reduceat(is_leaf, start, dtype=np.intp)
     positive = np.add.reduceat(node_label == 1, start, dtype=np.intp)
     return tuple(
         DecisionTree(
             node_feature[a:b], node_threshold[a:b], children[a:b], node_label[a:b], *stats
         )
         for a, b, *stats in zip(
-            start.tolist(), (start + sizes).tolist(), depth.tolist(),
-            leaf_count.tolist(), positive.tolist(),
+            start.tolist(), (start + sizes).tolist(), depth.tolist(), positive.tolist()
         )
     )
 
@@ -335,14 +332,9 @@ def _values(x) -> np.ndarray:
     return x.values if isinstance(x, Instance) else np.asarray(x, dtype=float)
 
 
-def predict_tree(tree: DecisionTree, x) -> int:
-    """Label of the leaf reached by routing <= left, > right."""
-    return route(tree, x).leaf_label
-
-
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
-    """``[predict_tree(t, x) for t in ens.trees]``, routing all trees at once.
-    Raises LengthMismatch unless x is one row of one value per feature."""
+    """``[route(t, x).leaf_label for t in ens.trees]``, routing all trees at
+    once. Raises LengthMismatch unless x is one row of one value per feature."""
     vals = _values(x)
     if vals.shape != (ens.feature_space.n,):
         raise LengthMismatch(f"expected {ens.feature_space.n} values, got shape {vals.shape}")
@@ -703,7 +695,7 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
             raise ValueError("importances must be numbers")
         return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, NonFiniteValue) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, TreeTweakError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
 
 

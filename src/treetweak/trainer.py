@@ -26,7 +26,13 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode, LengthMismatch
+from treetweak.errors import (
+    DegenerateLabels,
+    EmptyDataset,
+    EmptyNode,
+    LengthMismatch,
+    NonFiniteValue,
+)
 from treetweak.feature_space import FeatureSpace, Instance
 from treetweak.forest import DecisionTree, TreeEnsemble, trees_from_nodes, vote_sums
 
@@ -263,13 +269,18 @@ def _best_splits(
 
 def _as_arrays(data, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``[n, m]`` transposed feature matrix and the float positive mask.
-    Raises LengthMismatch unless every row has n values."""
+    Raises LengthMismatch unless every row has n values, and
+    NonFiniteValue, naming the row and feature, for a NaN or inf."""
     if len(data) == 0:
         raise EmptyDataset("no instances")
     for inst in data:
         if len(inst.values) != n:
             raise LengthMismatch(f"expected {n} values, got {len(inst.values)}")
     X = np.stack([inst.values for inst in data])
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, feature = np.argwhere(~finite)[0].tolist()
+        raise NonFiniteValue(f"instance {row} has value {X[row, feature]} at feature {feature}")
     labels = [inst.label for inst in data]
     if any(lab is None for lab in labels):
         raise ValueError("every instance must be labeled")

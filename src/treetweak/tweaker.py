@@ -64,7 +64,6 @@ from treetweak.forest import (
     extract_paths,
     positive_rows,
     predict_ensemble,
-    predict_tree,
     tree_votes,
 )
 
@@ -220,16 +219,17 @@ def build_positive_instance(
     unconditioned features keep x's values. The result is guaranteed to
     route through the path's tree to this exact leaf.
 
-    Raises InfeasiblePath when, for some feature, no value of the feature
-    is both allowed and inside the box: an interval too narrow for
-    epsilon, or a non-adjustable feature x puts outside its bounds.
+    x and epsilon are checked by :func:`check_search_args`. Raises
+    InfeasiblePath when, for some feature, no value of the feature is both
+    allowed and inside the box: an interval too narrow for epsilon, or a
+    non-adjustable feature x puts outside its bounds.
     """
     if path.leaf_label != 1:
         raise ValueError("positive instances are built from positive paths only")
-    epsilon = _check_epsilon(epsilon)
+    (x_values,), (epsilon,), _ = check_search_args(space.n, [x], [epsilon], [], None)
     intervals = _fold_conditions(path.conditions)
     values = _apply_intervals(
-        x.values, intervals, epsilon, space.adjustable_mask, skip_satisfied
+        x_values, intervals, epsilon, space.adjustable_mask, skip_satisfied
     )
     return Instance(values)
 
@@ -421,20 +421,18 @@ def brute_force_tweak(
     """Testing oracle: plain enumeration over positive paths of all trees.
 
     Unlike :func:`tweak` it also visits trees already voting positive
-    (pass ``only_negative_trees=True`` for a strict A/B against tweak),
-    folds every path from scratch, and never budgets.
-    Guarded to models with at most ``BRUTE_FORCE_PATH_LIMIT`` positive
-    paths in scope. Prices the candidates as tweak does, with one call to
-    ``delta``.
+    (pass ``only_negative_trees=True`` for a strict A/B against tweak; x's
+    votes then come from one ``tree_votes`` call), folds every path from
+    scratch, and never budgets. Guarded to models with at most
+    ``BRUTE_FORCE_PATH_LIMIT`` positive paths in scope. Prices the
+    candidates as tweak does, with one call to ``delta``.
     """
     (x_values,), (epsilon,), (delta_fn,) = check_search_args(
         ens.feature_space.n, [x], [epsilon], [delta], None
     )
-    scope = [
-        k
-        for k, tree in enumerate(ens.trees)
-        if not (only_negative_trees and predict_tree(tree, x_values) != -1)
-    ]
+    scope = range(ens.num_trees)
+    if only_negative_trees:
+        scope = np.flatnonzero(tree_votes(ens, x_values) == -1).tolist()
     total_paths = sum(ens.trees[k].positive_leaf_count for k in scope)
     if total_paths > BRUTE_FORCE_PATH_LIMIT:
         raise SearchSpaceTooLarge(

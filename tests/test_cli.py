@@ -50,6 +50,15 @@ def write_stump_model(path):
     return path
 
 
+def edited_model(edit):
+    """A model-text corruption that applies ``edit`` to the parsed document."""
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
 def strict_json(text):
     """``json.loads`` refusing NaN and +-Infinity, which JSON does not have."""
     def refuse(constant):
@@ -91,8 +100,9 @@ class TestTrainCommand:
         [
             ([-1, 1], "holdout of 0 of 2 instances holds 0 negative and 0 positive"),
             ([-1, 1, -1], "holdout of 1 of 3 instances holds 1 negative and 0 positive"),
+            ([-1] * 5, "holdout of 1 of 5 instances holds 1 negative and 0 positive"),
         ],
-        ids=["empty-holdout", "one-class-holdout"],
+        ids=["empty-holdout", "one-class-holdout", "one-class-table"],
     )
     def test_an_unusable_holdout_stops_before_training(
         self, tmp_path, capsys, monkeypatch, labels, message
@@ -108,6 +118,47 @@ class TestTrainCommand:
         assert main(["train", "--data", str(data), "--model-out", str(model)]) == 1
         line = assert_one_error_line(capsys)
         assert message in line and "evaluation needs both classes" in line
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trees", "0"], "num_trees must be >= 1"),
+            (["--max-depth", "0"], "max_depth must be >= 1"),
+            (["--min-samples-split", "1"], "min_samples_split must be >= 2"),
+            (["--features-per-split", "0"], "features_per_split must be in [1, 3], got 0"),
+            (["--features-per-split", "4"], "features_per_split must be in [1, 3], got 4"),
+            (["--test-fraction", "0"], "test_fraction must be in (0, 1)"),
+            (["--test-fraction", "1"], "test_fraction must be in (0, 1)"),
+        ],
+        ids=["trees-0", "max-depth-0", "min-samples-split-1", "features-per-split-0",
+             "features-per-split-n+1", "test-fraction-0", "test-fraction-1"],
+    )
+    def test_out_of_range_setting_exits_1_and_writes_no_model(
+        self, tmp_path, capsys, flags, message
+    ):
+        data = write_gaussian_csv(tmp_path / "train.csv", m=20, n=3)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model)] + flags) == 1
+        assert assert_one_error_line(capsys) == f"error: {message}"
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f0,label\n1.0,-1\n", "fitting needs at least 2 rows"),
+            ("f0,label\n1.0,yes\n2.0,-1\n", "line 2: label 'yes' is not an integer"),
+        ],
+        ids=["one-row", "label-yes"],
+    )
+    def test_an_unusable_table_exits_1_and_writes_no_model(
+        self, tmp_path, capsys, text, message
+    ):
+        data = tmp_path / "train.csv"
+        data.write_text(text)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model)]) == 1
+        assert assert_one_error_line(capsys) == f"error: {message}"
         assert not model.exists()
 
     def test_same_seed_twice_identical_files(self, tmp_path):
@@ -172,17 +223,19 @@ class TestTrainCommand:
             {"columns": [{"name": "f0", "categorial": True}]},
             {"columns": [{"name": "f0"}], "label_colum": "label"},
             {"columns": [{"name": "f0"}], "label_column": 5},
+            "[" * 100_000 + "]" * 100_000,  # the text itself: json.dumps would recurse
         ],
         ids=[
             "not-an-object", "no-columns", "columns-not-a-list", "no-name",
             "name-not-a-string", "categories-not-a-list", "adjustable-not-a-bool",
             "unknown-column-key", "unknown-top-level-key", "label-column-not-a-string",
+            "nested-100000-deep",
         ],
     )
     def test_malformed_schema_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
         data = write_gaussian_csv(tmp_path / "train.csv", m=20, n=1)
         schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps(doc))
+        schema.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(
             [
                 "train", "--data", str(data), "--schema", str(schema),
@@ -235,17 +288,36 @@ class TestTweakCommand:
         assert doc["skipped_positive"] == [0, 1]
         assert doc["results"] == []
 
-    @pytest.mark.parametrize("corruption", ["infinite-child", "deep-nesting"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda text: text.replace('"right": 2', '"right": Infinity'),
+             "malformed model document: tree 0: node 0 has right"),
+            (lambda text: "[" * 200_000, "not valid JSON"),
+            (lambda text: f"[{text}]", "model document must be a JSON object"),
+            (edited_model(lambda doc: doc.update(trees=[])),
+             "malformed model document: an ensemble needs at least one tree"),
+            (edited_model(lambda doc: doc.update(importances=[0.5, 0.5])),
+             "malformed model document: importances must have one entry per feature"),
+            (edited_model(lambda doc: doc.update(importances=[-1.0])),
+             "malformed model document: importances must be nonnegative"),
+            (edited_model(lambda doc: doc["feature_space"]["features"][0].update(std_dev=0.0)),
+             "malformed model document: feature 'x0' has std_dev <= 0"),
+            (edited_model(lambda doc: doc["feature_space"]["features"].append(
+                doc["feature_space"]["features"][0])),
+             "malformed model document: duplicate feature name 'x0'"),
+            (edited_model(lambda doc: doc["feature_space"]["features"].clear()),
+             "malformed model document: a feature space needs at least one feature"),
+        ],
+        ids=["infinite-child", "deep-nesting", "json-array", "no-trees",
+             "importances-of-another-length", "negative-importance", "zero-std-dev",
+             "duplicate-feature-name", "no-features"],
+    )
     def test_corrupt_model_exits_1_with_one_error_line(
-        self, tmp_path, capsys, corruption
+        self, tmp_path, capsys, corrupt, message
     ):
         model = write_stump_model(tmp_path / "model.json")
-        if corruption == "infinite-child":
-            text = model.read_text()
-            assert '"right": 2' in text
-            model.write_text(text.replace('"right": 2', '"right": Infinity'))
-        else:
-            model.write_text("[" * 200_000)
+        model.write_text(corrupt(model.read_text()))
         data = tmp_path / "inst.csv"
         data.write_text("x0\n-1.0\n")
         out = tmp_path / "out.json"
@@ -253,8 +325,8 @@ class TestTweakCommand:
             ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
         )
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert assert_one_error_line(capsys).startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_stump_fixture_contains_analytic_candidate(self, tmp_path):
         model = write_stump_model(tmp_path / "model.json")
@@ -480,6 +552,67 @@ class TestSchemaPipeline:
                 for rec in trans["recommendations"]:
                     assert rec["feature"] == "signal"
 
+
+    def _category_switches(self, tmp_path):
+        """Every ``category_switches`` entry of ``tweak`` on a forest over a
+        frozen ``age`` and an adjustable 4-category ``layout``, whose chance
+        of a +1 label rises with the category."""
+        rng = np.random.default_rng(1)
+        layouts = ["list", "grid", "tiles", "cards"]
+        rows = [
+            (rng.normal(40.0, 10.0), layout, 1 if rng.random() < (1 + 2 * c) / 8 else -1)
+            for c, layout in ((int(c), layouts[c]) for c in rng.integers(0, 4, 400))
+        ]
+        train = tmp_path / "train.csv"
+        train.write_text(
+            "\n".join(["age,layout,label"] + [f"{a},{l},{y}" for a, l, y in rows]) + "\n"
+        )
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "age", "adjustable": False},
+            {"name": "layout", "categorical": True, "categories": layouts,
+             "adjustable": True},
+        ]}))
+        model = tmp_path / "model.json"
+        assert main(
+            [
+                "train", "--data", str(train), "--schema", str(schema),
+                "--model-out", str(model), "--trees", "25", "--seed", "1",
+            ]
+        ) == 0
+        out = tmp_path / "out.json"
+        assert main(
+            [
+                "tweak", "--model", str(model), "--data", str(train),
+                "--out", str(out), "--delta", "euclidean",
+            ]
+        ) == 0
+        doc = json.loads(out.read_text())
+        switches = [
+            switch
+            for result in doc["results"]
+            for trans in result["transformations"]
+            for switch in trans.get("category_switches", [])
+        ]
+        assert switches
+        return layouts, switches
+
+    def test_an_adjustable_categorical_column_is_reported_as_category_switches(
+        self, tmp_path
+    ):
+        layouts, switches = self._category_switches(tmp_path)
+        for switch in switches:
+            assert switch["group"] == "layout"
+            assert switch["from"] in layouts and switch["to"] in layouts
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="placement moves one indicator of a one-hot group, which the "
+        "arg-max projection can read as no switch at all (ROADMAP item 6)",
+    )
+    def test_no_category_switch_stays_on_its_category(self, tmp_path):
+        _, switches = self._category_switches(tmp_path)
+        assert all(switch["from"] != switch["to"] for switch in switches)
 
     def test_unknown_category_names_its_line_and_column(self, tmp_path, capsys):
         train = tmp_path / "train.csv"

@@ -22,7 +22,6 @@ from treetweak.forest import (
     load_model,
     positive_rows,
     predict_ensemble,
-    predict_tree,
     route,
     save_model,
     tree_votes,
@@ -162,12 +161,12 @@ def count_leaves(tree):
 
 class TestPredictTree:
     def test_single_leaf(self):
-        assert predict_tree(tree(1), Instance([123.0])) == 1
+        assert route(tree(1), Instance([123.0])).leaf_label == 1
 
     def test_stump_boundary_routes_left(self):
         tree = stump(0, 0.5, -1, 1)
-        assert predict_tree(tree, Instance([0.5])) == -1
-        assert predict_tree(tree, Instance([0.5000001])) == 1
+        assert route(tree, Instance([0.5])).leaf_label == -1
+        assert route(tree, Instance([0.5000001])).leaf_label == 1
 
     def test_depth3_corners_reach_designed_leaves(self):
         # A full depth-3 tree splitting features 0,1,2 at 0; each of the 8
@@ -182,7 +181,7 @@ class TestPredictTree:
         for corner in range(8):
             bits = [(corner >> shift) & 1 for shift in (2, 1, 0)]
             x = Instance([1.0 if b else -1.0 for b in bits])
-            assert predict_tree(t, x) == labels[corner]
+            assert route(t, x).leaf_label == labels[corner]
             assert route(t, x).path_index == corner
 
 
@@ -208,7 +207,7 @@ class TestPredictEnsemble:
             ens = random_ensemble(rng, int(rng.integers(1, 6)), 4, 3)
             for _ in range(20):
                 x = Instance(rng.normal(0, 2, 4))
-                total = sum(predict_tree(t, x) for t in ens.trees)
+                total = sum(route(t, x).leaf_label for t in ens.trees)
                 assert predict_ensemble(ens, x) == (-1 if total <= 0 else 1)
 
 
@@ -363,7 +362,7 @@ class TestFlatView:
                     node = rng.choice(inner)
                     row[tree.feature[node]] = tree.threshold[node]
             for x in X:
-                expected = [predict_tree(t, x) for t in ens.trees]
+                expected = [route(t, x).leaf_label for t in ens.trees]
                 assert tree_votes(ens, x).tolist() == expected
 
     def test_threshold_ties_route_left(self):
@@ -392,7 +391,7 @@ class TestFlatView:
         sums = vote_sums(ens, X)
         assert sums.shape == (len(X),)
         assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
-        assert sums.tolist() == [sum(predict_tree(t, x) for t in ens.trees) for x in X]
+        assert sums.tolist() == [sum(route(t, x).leaf_label for t in ens.trees) for x in X]
         assert X.tobytes() == before
 
     @settings(max_examples=200, deadline=None)
@@ -471,7 +470,7 @@ class TestFlatView:
                 for key in ("feature", "threshold", "children", "label"):
                     assert np.shares_memory(getattr(t, key), getattr(ens.nodes, key))
             for x in rng.normal(0, 2, (20, 3)):
-                assert tree_votes(ens, x).tolist() == [predict_tree(t, x) for t in ens.trees]
+                assert tree_votes(ens, x).tolist() == [route(t, x).leaf_label for t in ens.trees]
             # Each positive path's conditions, folded into a box.
             boxes = ens.positive_boxes
             paths = [p for k, t in enumerate(ens.trees) for p in extract_paths(t, "positive", k)]
@@ -540,7 +539,7 @@ class TestExtractPaths:
         rng = np.random.default_rng(6)
         for depth in (1, 2, 3, 4):
             tree = random_tree(rng, 4, depth, p_leaf=0.0)
-            assert tree.leaf_count <= 2**depth
+            assert count_leaves(tree) <= 2**depth
 
 
 class TestRoute:
@@ -556,13 +555,14 @@ class TestRoute:
         assert path.conditions == ((0, GT, 0.5),)
         assert path.leaf_label == 1
 
-    def test_route_agrees_with_predict(self):
+    def test_route_agrees_with_tree_votes(self):
         rng = np.random.default_rng(9)
         tree = random_tree(rng, 6, 5)
+        ens = TreeEnsemble((tree,), plain_space(6))
         for _ in range(100):
             x = Instance(rng.normal(0, 2, 6))
             path = route(tree, x)
-            assert path.leaf_label == predict_tree(tree, x)
+            assert [path.leaf_label] == tree_votes(ens, x).tolist()
             assert replay(tree, path) == path.leaf_label
 
 
@@ -690,6 +690,23 @@ class TestSerialization:
         doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
         doc["feature_space"]["features"][2][field] = value
         with pytest.raises(CorruptModel):
+            ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda features: features[2].update(std_dev=0.0),
+            lambda features: features.append(features[2]),
+            lambda features: features.clear(),
+        ],
+        ids=["zero-std-dev", "duplicate-name", "no-features"],
+    )
+    def test_a_bad_feature_space_is_corrupt(self, edit):
+        # These raised ZeroVariance or SchemaMismatch, without the
+        # "malformed model document" of every other fault of the file.
+        doc = ensemble_to_dict(self._ensemble(seed=6, num_trees=3))
+        edit(doc["feature_space"]["features"])
+        with pytest.raises(CorruptModel, match="^malformed model document: "):
             ensemble_from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [("group", 1), ("category", None)])
@@ -863,10 +880,9 @@ class TestTreesFromNodes:
             ):
                 assert a.dtype == b.dtype == want.dtype
                 assert np.array_equal(a, want) and np.array_equal(b, want)
-            label = arrays[3]
-            stats = depth, int(np.count_nonzero(label)), int(np.count_nonzero(label == 1))
+            stats = depth, int(np.count_nonzero(arrays[3] == 1))
             for t in (built, tree):
-                assert (t.depth, t.leaf_count, t.positive_leaf_count) == stats
+                assert (t.depth, t.positive_leaf_count) == stats
         assert dumps_model(rebuilt) == dumps_model(ens) == reference_dumps(ens)
 
 

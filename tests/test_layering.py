@@ -3,13 +3,17 @@
 Every import sits at module level, and a module imports only the modules
 before it in ``LAYERS``, so the package has no import cycle. No module
 reaches for another module's private (``_``-prefixed) names, so each
-module's internals stay its own.
+module's internals stay its own. The package's ``__all__`` lists exactly
+the names it exports.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import treetweak
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treetweak"
 LAYERS = ["errors", "costs", "feature_space", "forest", "trainer", "tweaker", "recommend", "cli"]
@@ -112,3 +116,14 @@ def test_no_private_names_from_other_modules(name):
         and resolved(node.value) in modules
     ]
     assert imported + read == []
+
+
+def test_all_lists_exactly_the_public_names_of_the_package():
+    # An export left behind by a removed function, or a name imported into
+    # the package but not listed, fails here.
+    public = {
+        name
+        for name, value in vars(treetweak).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(treetweak.__all__) == sorted(public | {"__version__"})

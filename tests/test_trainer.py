@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetweak import trainer
-from treetweak.errors import DegenerateLabels, EmptyDataset, EmptyNode, LengthMismatch
+from treetweak.errors import (
+    DegenerateLabels,
+    EmptyDataset,
+    EmptyNode,
+    LengthMismatch,
+    NonFiniteValue,
+)
 from treetweak.feature_space import Instance
 from treetweak.forest import (
     TreeEnsemble,
     dumps_model,
     load_model,
     predict_ensemble,
-    predict_tree,
+    route,
     save_model,
     vote_sums,
 )
@@ -366,7 +372,7 @@ class TestTrainTree:
         assert tree.label[0] == 0  # the root is a split
         assert 0.2 < tree.threshold[0] < 0.8
         for inst in data:
-            assert predict_tree(tree, inst) == inst.label
+            assert route(tree, inst).leaf_label == inst.label
 
     def test_xor_at_depth_two(self):
         data = labeled(
@@ -375,7 +381,7 @@ class TestTrainTree:
         cfg = TrainConfig(max_depth=2, features_per_split=2)
         tree = train_tree(data, cfg, np.random.default_rng(0))
         for inst in data:
-            assert predict_tree(tree, inst) == inst.label
+            assert route(tree, inst).leaf_label == inst.label
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(4)
@@ -394,7 +400,7 @@ class TestTrainTree:
         tree = train_tree(data, TrainConfig(max_depth=5000), np.random.default_rng(0))
         assert tree.depth > 2000
         for inst in data[::97]:
-            assert predict_tree(tree, inst) == inst.label
+            assert route(tree, inst).leaf_label == inst.label
 
     def test_leaf_majority_rule_with_tie_to_negative(self):
         # Route the training data through a no-bootstrap tree: every leaf
@@ -593,7 +599,7 @@ class TestEvaluate:
             labels = np.array([inst.label for inst in data])
             preds = np.array([predict_ensemble(ens, inst) for inst in data])
             scores = [
-                sum(predict_tree(tree, inst) == 1 for tree in ens.trees) / num_trees
+                sum(route(tree, inst).leaf_label == 1 for tree in ens.trees) / num_trees
                 for inst in data
             ]
             tp = int(np.sum((labels == 1) & (preds == 1)))
@@ -628,6 +634,27 @@ class TestEvaluate:
         wins = (pos[:, None] > neg[None, :]).mean()
         ties = (pos[:, None] == neg[None, :]).mean()
         assert roc_auc_from_scores(scores, y) == pytest.approx(wins + 0.5 * ties)
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda data, space: train_forest(data, TrainConfig(num_trees=5, seed=1), space),
+            lambda data, space: train_tree(data, TrainConfig(), np.random.default_rng(1)),
+            lambda data, space: evaluate_classifier(
+                TreeEnsemble((stump(0, 0.0, -1, 1),), space), data
+            ),
+        ],
+        ids=["train_forest", "train_tree", "evaluate_classifier"],
+    )
+    def test_rejected_naming_row_and_feature(self, entry, bad):
+        # A NaN or inf row was trained on, and scored, without any error.
+        space, data = gaussian_instances(1, m=200, n=3)
+        data[7] = Instance([0.0, 0.0, bad], label=data[7].label)
+        with pytest.raises(NonFiniteValue, match=f"instance 7 has value {bad} at feature 2"):
+            entry(data, space)
 
 
 class TestMidranks:

@@ -27,7 +27,6 @@ from treetweak.forest import (
     ensemble_to_dict,
     extract_paths,
     predict_ensemble,
-    predict_tree,
     route,
 )
 import treetweak.tweaker as tweaker_mod
@@ -158,7 +157,7 @@ class TestCandidateSet:
         for x in sample_negative_instances(ens, rng, 10):
             expected = set()
             for k, t in enumerate(ens.trees):
-                if predict_tree(t, x) != -1:
+                if route(t, x).leaf_label != -1:
                     continue
                 for path in extract_paths(t, "positive", tree_index=k):
                     lows, highs = {}, {}
@@ -353,14 +352,14 @@ class TestBruteForce:
         x = Instance(np.zeros(6))
         paths = extract_paths(chain)
         assert len(paths) == depth + 1
-        assert predict_tree(chain, x) == -1
+        assert route(chain, x).leaf_label == -1
         assert route(chain, x) == paths[0]
         a = tweak(ens, x, "euclidean", 0.05)
         b = brute_force_tweak(ens, x, "euclidean", 0.05, only_negative_trees=True)
         assert isinstance(a, Found) and isinstance(b, Found)
         np.testing.assert_array_equal(a.best.candidate.values, b.best.candidate.values)
         assert a.best.sort_key() == b.best.sort_key() == (a.best.cost, 0, depth)
-        assert predict_tree(chain, a.best.candidate) == 1
+        assert route(chain, a.best.candidate).leaf_label == 1
         assert route(chain, a.best.candidate) == paths[-1]
 
 
@@ -701,8 +700,11 @@ class TestNonFiniteInstance:
             lambda ens, x: candidate_set(ens, x, 0.1, "cosine"),
             lambda ens, x: sweep(ens, [Instance([-1.0, 0.0]), x], [0.1], ["cosine"]),
             lambda ens, x: brute_force_tweak(ens, x, "cosine", 0.1),
+            lambda ens, x: build_positive_instance(
+                x, extract_paths(ens.trees[0], POSITIVE)[0], 0.1, ens.feature_space
+            ),
         ],
-        ids=["tweak", "candidate_set", "sweep", "brute_force_tweak"],
+        ids=["tweak", "candidate_set", "sweep", "brute_force_tweak", "build_positive_instance"],
     )
     def test_rejected_at_entry(self, entry, bad):
         # A NaN that reaches the costing gives a meaningless cost: with
@@ -726,9 +728,12 @@ class TestInstanceLength:
                 ens, x, "cosine", 0.1, only_negative_trees=True
             ),
             predict_ensemble,
+            lambda ens, x: build_positive_instance(
+                x, extract_paths(ens.trees[2], POSITIVE)[0], 0.1, ens.feature_space
+            ),
         ],
         ids=["tweak", "candidate_set", "sweep", "brute_force_tweak",
-             "brute_force_tweak-negative-trees", "predict_ensemble"],
+             "brute_force_tweak-negative-trees", "predict_ensemble", "build_positive_instance"],
     )
     def test_rejected_before_routing(self, entry, length):
         # A short x used to index past its end, and a long one was routed
