@@ -19,7 +19,6 @@ from treetweak.feature_space import (
     fit_standardizer,
     load_instances,
     load_table,
-    one_hot_decode,
     one_hot_encode,
     standardize,
 )
@@ -42,7 +41,6 @@ from treetweak.trainer import (
     impurity,
     stratified_split,
     train_forest,
-    train_tree,
 )
 from treetweak.tweaker import (
     Found,
@@ -101,7 +99,6 @@ __all__ = [
     "load_instances",
     "load_model",
     "load_table",
-    "one_hot_decode",
     "one_hot_encode",
     "predict_ensemble",
     "rank_correlation",
@@ -112,7 +109,6 @@ __all__ = [
     "sweep",
     "top_k_transformations",
     "train_forest",
-    "train_tree",
     "trees_from_nodes",
     "tweak",
 ]

@@ -197,7 +197,10 @@ def _cmd_tweak(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    epsilon_grid = [float(v) for v in args.epsilon_grid.split(",") if v.strip()]
+    try:
+        epsilon_grid = [float(v) for v in args.epsilon_grid.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--epsilon-grid: {exc}") from None
     if args.deltas.strip() == "all":
         delta_names = list(COST_NAMES)
     else:

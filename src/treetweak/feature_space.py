@@ -75,6 +75,12 @@ class FeatureSpace:
         if len(set(names)) != len(names):
             repeat = next(name for i, name in enumerate(names) if name in names[:i])
             raise SchemaMismatch(f"duplicate feature name {repeat!r}")
+        members = [f.one_hot for f in feats if f.one_hot is not None]
+        if len(set(members)) != len(members):
+            repeat = next(m for i, m in enumerate(members) if m in members[:i])
+            raise SchemaMismatch(
+                f"one-hot group {repeat.group!r} repeats category {repeat.category!r}"
+            )
         for f in feats:
             if not (math.isfinite(f.mean) and math.isfinite(f.std_dev)):
                 raise NonFiniteValue(f"feature {f.name!r}: mean or std_dev not finite")
@@ -257,17 +263,6 @@ def one_hot_encode(values: Sequence, categories: Sequence[str]) -> np.ndarray:
             raise UnknownCategory(v, tuple(categories))
         out[i, j] = 1.0
     return out
-
-
-def one_hot_decode(row: Sequence[float], categories: Sequence[str]):
-    """Inverse of :func:`one_hot_encode` for a single indicator row."""
-    arr = np.asarray(row, dtype=float)
-    if arr.shape != (len(categories),):
-        raise LengthMismatch("indicator row length does not match categories")
-    hot = np.nonzero(arr == 1.0)[0]
-    if len(hot) != 1 or not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError("indicator row must contain exactly one 1 and otherwise 0s")
-    return categories[int(hot[0])]
 
 
 @dataclass(frozen=True)
@@ -481,6 +476,11 @@ def load_schema(path) -> TableSchema:
             raise SchemaMismatch(
                 f"schema {path}: column {c['name']!r} needs a boolean 'categorical' "
                 "and 'adjustable' and a list of strings as 'categories'"
+            )
+        if "categories" in c and not categorical:
+            raise SchemaMismatch(
+                f"schema {path}: column {c['name']!r} lists 'categories' but is "
+                "not 'categorical': true"
             )
         spec = ColumnSpec(c["name"], categorical, tuple(categories) or None, adjustable)
         columns.append(spec)

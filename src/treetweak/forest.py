@@ -53,10 +53,6 @@ FORMAT_VERSION = 1
 LE = "le"  # value <= threshold
 GT = "gt"  # value >  threshold
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-ALL = "all"
-
 
 class Condition(NamedTuple):
     """One boolean test on a path: feature (direction) threshold."""
@@ -77,7 +73,6 @@ class Path:
 
     conditions: tuple[Condition, ...]
     leaf_label: int
-    tree_index: int = 0
     path_index: int = 0
 
 
@@ -455,8 +450,8 @@ def predict_ensemble(ens: "TreeEnsemble", x) -> int:
     return -1 if tree_votes(ens, x).sum() <= 0 else 1
 
 
-def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
-    """The unique path an instance traverses."""
+def route(tree: DecisionTree, x) -> Path:
+    """The unique path an instance traverses, with its leaf's ordinal."""
     vals = _values(x)
     conds: list[Condition] = []
     node = 0
@@ -468,31 +463,23 @@ def route(tree: DecisionTree, x, tree_index: int = 0) -> Path:
     return Path(
         conditions=tuple(conds),
         leaf_label=int(tree.label[node]),
-        tree_index=tree_index,
         # Preorder lists the leaves left to right.
         path_index=int(np.count_nonzero(tree.label[:node])),
     )
 
 
-def extract_paths(
-    tree: DecisionTree, polarity: str = ALL, tree_index: int = 0
-) -> list[Path]:
-    """Depth-first enumeration of root-to-leaf paths with the wanted label."""
-    if polarity not in (ALL, POSITIVE, NEGATIVE):
-        raise ValueError(f"polarity must be one of {ALL}/{POSITIVE}/{NEGATIVE}")
-    wanted = {POSITIVE: (1,), NEGATIVE: (-1,), ALL: (-1, 1)}[polarity]
+def extract_paths(tree: DecisionTree) -> list[Path]:
+    """Every root-to-leaf path of the tree, leaves left to right, so a
+    path's ``path_index`` is its place in the list."""
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     children, label = tree.children.tolist(), tree.label.tolist()
     paths: list[Path] = []
-    ordinal = 0
     # Left-first: leaves are met in left-to-right order.
     stack: list[tuple[int, tuple[Condition, ...]]] = [(0, ())]
     while stack:
         node, conds = stack.pop()
         if label[node]:
-            if label[node] in wanted:
-                paths.append(Path(conds, label[node], tree_index, ordinal))
-            ordinal += 1
+            paths.append(Path(conds, label[node], len(paths)))
             continue
         right, left = children[node]
         f, t = feature[node], threshold[node]

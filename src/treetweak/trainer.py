@@ -34,7 +34,7 @@ from treetweak.errors import (
     NonFiniteValue,
 )
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import DecisionTree, TreeEnsemble, trees_from_nodes, vote_sums
+from treetweak.forest import TreeEnsemble, trees_from_nodes, vote_sums
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -385,14 +385,6 @@ def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
                 stacks[k].append((ordered[start:cut].copy(), n_left, pos_left, depth + 1, None))
         growing = [k for k in growing if stacks[k]]
     return trees_from_nodes(nodes), gains
-
-
-def train_tree(data: list[Instance], cfg: TrainConfig, rng) -> DecisionTree:
-    """Grow a single tree on all of ``data``; ``rng`` is a numpy Generator.
-    Raises LengthMismatch unless every row has as many values as the
-    first."""
-    Xt, pos = _as_arrays(data, len(data[0].values) if data else 0)
-    return _grow(Xt, pos, np.ones((1, len(pos))), cfg, [rng])[0][0]
 
 
 def train_forest(

@@ -58,7 +58,6 @@ from treetweak.feature_space import FeatureSpace, Instance
 from treetweak.forest import (
     GT,
     LE,
-    POSITIVE,
     Path,
     TreeEnsemble,
     extract_paths,
@@ -420,10 +419,11 @@ def brute_force_tweak(
 ) -> TweakOutcome:
     """Testing oracle: plain enumeration over positive paths of all trees.
 
-    Unlike :func:`tweak` it also visits trees already voting positive
-    (pass ``only_negative_trees=True`` for a strict A/B against tweak; x's
-    votes then come from one ``tree_votes`` call), folds every path from
-    scratch, and never budgets. Guarded to models with at most
+    Each tree's paths come from :func:`extract_paths`, and those ending on
+    a -1 leaf are skipped. Unlike :func:`tweak` it also visits trees
+    already voting positive (pass ``only_negative_trees=True`` for a strict
+    A/B against tweak; x's votes then come from one ``tree_votes`` call),
+    folds every path from scratch, and never budgets. Guarded to models with at most
     ``BRUTE_FORCE_PATH_LIMIT`` positive paths in scope. Prices the
     candidates as tweak does, with one call to ``delta``.
     """
@@ -441,7 +441,9 @@ def brute_force_tweak(
 
     rows = []
     for k in scope:
-        for path in extract_paths(ens.trees[k], POSITIVE, tree_index=k):
+        for path in extract_paths(ens.trees[k]):
+            if path.leaf_label != 1:
+                continue
             try:
                 inst = build_positive_instance(
                     x, path, epsilon, ens.feature_space, skip_satisfied

@@ -202,7 +202,7 @@ def test_criterion_02_single_tree_optimality():
         if not xs:
             continue
         trees_checked += 1
-        positive_paths = extract_paths(tree, "positive")
+        positive_paths = [p for p in extract_paths(tree) if p.leaf_label == 1]
         for x in xs:
             # Exhaustive independent enumeration of the search space.
             pool = []
@@ -248,11 +248,7 @@ def test_criterion_03_validity_invariants():
             for cand in candidate_set(ens, x, 0.2, "euclidean"):
                 total += 1
                 assert predict_ensemble(ens, cand.candidate) == 1
-                path = route(
-                    ens.trees[cand.source_tree],
-                    cand.candidate,
-                    tree_index=cand.source_tree,
-                )
+                path = route(ens.trees[cand.source_tree], cand.candidate)
                 assert path.leaf_label == 1
                 assert path.path_index == cand.source_path
                 assert cand.candidate.values[2] == x.values[2]

@@ -224,12 +224,14 @@ class TestTrainCommand:
             {"columns": [{"name": "f0"}], "label_colum": "label"},
             {"columns": [{"name": "f0"}], "label_column": 5},
             "[" * 100_000 + "]" * 100_000,  # the text itself: json.dumps would recurse
+            # Was trained as a continuous column.
+            {"columns": [{"name": "f0", "categories": ["x", "y"]}]},
         ],
         ids=[
             "not-an-object", "no-columns", "columns-not-a-list", "no-name",
             "name-not-a-string", "categories-not-a-list", "adjustable-not-a-bool",
             "unknown-column-key", "unknown-top-level-key", "label-column-not-a-string",
-            "nested-100000-deep",
+            "nested-100000-deep", "categories-without-categorical",
         ],
     )
     def test_malformed_schema_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
@@ -308,10 +310,20 @@ class TestTweakCommand:
              "malformed model document: duplicate feature name 'x0'"),
             (edited_model(lambda doc: doc["feature_space"]["features"].clear()),
              "malformed model document: a feature space needs at least one feature"),
+            # Loaded, and then encoded a row's x into layout=y's column.
+            (edited_model(lambda doc: doc.update(
+                importances=[1.0, 0.0, 0.0],
+                feature_space={"features": doc["feature_space"]["features"] + [
+                    {"name": f"layout={c}", "kind": "one_hot", "group": "layout",
+                     "category": "x", "adjustable": False, "mean": 0.5, "std_dev": 0.5}
+                    for c in "xy"
+                ]},
+            )),
+             "malformed model document: one-hot group 'layout' repeats category 'x'"),
         ],
         ids=["infinite-child", "deep-nesting", "json-array", "no-trees",
              "importances-of-another-length", "negative-importance", "zero-std-dev",
-             "duplicate-feature-name", "no-features"],
+             "duplicate-feature-name", "no-features", "repeated-category"],
     )
     def test_corrupt_model_exits_1_with_one_error_line(
         self, tmp_path, capsys, corrupt, message
@@ -735,6 +747,7 @@ class TestFlagsAndEnv:
             ["--deltas", ","],
             ["--deltas", "nope"],
             ["--budget", "-1"],
+            ["--epsilon-grid", "0.1,abc"],
         ],
     )
     def test_sweep_arguments_checked_before_the_model_is_read(
@@ -744,7 +757,11 @@ class TestFlagsAndEnv:
         out = tmp_path / "out.csv"
         code = main(["sweep", "--model", missing, "--data", missing, "--out", str(out)] + flags)
         assert code == 1
-        assert "missing.json" not in assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        assert "missing.json" not in line
+        if flags[-1] == "0.1,abc":
+            # float's own message named the value but not the flag.
+            assert "epsilon-grid" in line
         assert not out.exists()
 
 
@@ -861,6 +878,16 @@ class TestReportCommand:
             ranking_from_scores({f: freq["top_2"][f] for f in common}),
         )
         assert doc["rank_correlations"]["top_1_vs_top_2"] == pytest.approx(expected)
+
+    def test_lists_sharing_fewer_than_two_features_are_not_correlated(self, tmp_path):
+        recs = tmp_path / "recs.json"
+        recs.write_text(json.dumps({"results": [{
+            "status": "found",
+            "transformations": [{"recommendations": [{"feature": "a"}]}],
+        }]}))
+        out = tmp_path / "report.json"
+        assert main(["report", "--recommendations", str(recs), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rank_correlations"] == {}
 
     @pytest.mark.parametrize(
         "doc",

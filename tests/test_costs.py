@@ -103,6 +103,10 @@ class TestPearson:
         with pytest.raises(ZeroVariance):
             pearson_correlation_distance([1, 1, 1], [1, 2, 3])
 
+    def test_one_component(self):
+        with pytest.raises(ZeroVariance, match="at least 2 components"):
+            pearson_correlation_distance([1.0], [3.0])
+
     def test_identical_constant_vectors_cost_zero(self):
         assert pearson_correlation_distance([2, 2, 2], [2, 2, 2]) == 0.0
 

@@ -27,7 +27,6 @@ from treetweak.feature_space import (
     load_instances,
     load_schema,
     load_table,
-    one_hot_decode,
     one_hot_encode,
     standardize,
 )
@@ -49,6 +48,10 @@ class TestFitStandardizer:
         space = FeatureSpace([FeatureMeta("a")])
         with pytest.raises(ZeroVariance):
             fit_standardizer([[5.0], [5.0], [5.0]], space)
+
+    def test_table_of_another_width_rejected(self):
+        with pytest.raises(SchemaMismatch, match="2 columns"):
+            fit_standardizer([[1.0], [2.0]], plain_space(2))
 
     def test_standardized_table_has_unit_stats(self):
         # Oracle: recompute sample statistics on the transformed output.
@@ -138,6 +141,10 @@ class TestDestandardize:
         space = FeatureSpace([FeatureMeta("a", mean=3.0, std_dev=2.0)])
         assert destandardize(Instance([1.0]), space)[0] == 5.0
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            destandardize([1.0, 2.0], plain_space(3))
+
     def test_tweak_pivots_around_raw_threshold(self):
         # A standardized threshold moved by +-eps lands at t +- eps*sigma in
         # raw units, pivoting around the raw threshold t.
@@ -165,11 +172,9 @@ class TestOneHot:
             one_hot_encode(["a"], ["a", "b", "c"]), [[1.0, 0.0, 0.0]]
         )
 
-    def test_decode_is_inverse(self):
+    def test_each_category_has_its_own_column(self):
         categories = ["a", "b", "c", "d"]
-        for value in categories:
-            row = one_hot_encode([value], categories)[0]
-            assert one_hot_decode(row, categories) == value
+        np.testing.assert_array_equal(one_hot_encode(categories, categories), np.eye(4))
 
     def test_unknown_category(self):
         with pytest.raises(UnknownCategory):
@@ -189,6 +194,10 @@ class TestInstance:
         inst = Instance([1, 2, 3], label=1)
         assert inst.values.dtype == float
         assert len(inst) == 3
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Instance([[1.0, 2.0]])
 
 
 class TestLoadTable(object):

@@ -473,10 +473,14 @@ class TestFlatView:
                 assert tree_votes(ens, x).tolist() == [route(t, x).leaf_label for t in ens.trees]
             # Each positive path's conditions, folded into a box.
             boxes = ens.positive_boxes
-            paths = [p for k, t in enumerate(ens.trees) for p in extract_paths(t, "positive", k)]
+            found = [
+                (k, p) for k, t in enumerate(ens.trees) for p in extract_paths(t)
+                if p.leaf_label == 1
+            ]
             assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == (
-                [p.tree_index for p in paths], [p.path_index for p in paths]
+                [k for k, _ in found], [p.path_index for _, p in found]
             )
+            paths = [p for _, p in found]
             for lo, hi, path in zip(boxes.lo, boxes.hi, paths):
                 want_lo, want_hi = np.full(3, -math.inf), np.full(3, math.inf)
                 for f, direction, t in path.conditions:
@@ -503,21 +507,19 @@ class TestFlatView:
 
 class TestExtractPaths:
     def test_single_leaf_tree(self):
-        paths = extract_paths(tree(1), "positive")
+        paths = extract_paths(tree(1))
         assert len(paths) == 1
         assert paths[0].conditions == ()
         assert paths[0].leaf_label == 1
 
     def test_full_depth2_counts(self):
         t = tree((0, 0.0, (1, 0.0, 1, -1), (1, 0.0, -1, 1)))
-        assert len(extract_paths(t, "positive")) == 2
-        assert len(extract_paths(t, "negative")) == 2
-        assert len(extract_paths(t, "all")) == 4
+        labels = [p.leaf_label for p in extract_paths(t)]
+        assert labels == [1, -1, -1, 1]
 
     def test_path_conditions_recorded(self):
         tree = stump(0, 0.5, -1, 1)
-        (neg,) = extract_paths(tree, "negative")
-        (pos,) = extract_paths(tree, "positive")
+        neg, pos = extract_paths(tree)
         assert neg.conditions == ((0, LE, 0.5),)
         assert pos.conditions == ((0, GT, 0.5),)
 
@@ -525,11 +527,8 @@ class TestExtractPaths:
         rng = np.random.default_rng(5)
         for _ in range(30):
             tree = random_tree(rng, 5, int(rng.integers(1, 6)))
-            paths = extract_paths(tree, "all")
+            paths = extract_paths(tree)
             assert len(paths) == count_leaves(tree)
-            assert len(extract_paths(tree, "positive")) + len(
-                extract_paths(tree, "negative")
-            ) == len(paths)
             # ordinals are exactly 0..leaves-1 in order
             assert [p.path_index for p in paths] == list(range(len(paths)))
             for path in paths:
@@ -765,8 +764,8 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         for _ in range(200):
             x = Instance(rng.normal(0, 2, 6))
-            for k, (a, b) in enumerate(zip(ens.trees, loaded.trees)):
-                assert route(b, x, k) == route(a, x, k)
+            for a, b in zip(ens.trees, loaded.trees):
+                assert route(b, x) == route(a, x)
 
     def test_non_finite_importances_are_corrupt(self):
         doc = ensemble_to_dict(self._ensemble(seed=7, num_trees=2))
@@ -774,7 +773,9 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             ensemble_from_dict(doc)
 
-    @pytest.mark.parametrize("nodes", MALFORMED_TREES.values(), ids=list(MALFORMED_TREES))
+    @pytest.mark.parametrize(
+        "nodes", [*MALFORMED_TREES.values(), []], ids=[*MALFORMED_TREES, "no-nodes"]
+    )
     def test_malformed_tree_structure_is_corrupt(self, nodes):
         doc = ensemble_to_dict(self._ensemble(seed=8, num_trees=2))
         doc["trees"][1]["nodes"] = nodes

@@ -273,6 +273,10 @@ class TestRankCorrelation:
         with pytest.raises(DegenerateRanking):
             rank_correlation({"a": 1, "b": 1}, {"a": 1, "b": 2})
 
+    def test_single_feature(self):
+        with pytest.raises(ValueError, match="at least 2 features"):
+            rank_correlation({"a": 1}, {"a": 1})
+
     def test_mismatched_feature_sets(self):
         with pytest.raises(ValueError):
             rank_correlation({"a": 1}, {"b": 1})

@@ -37,7 +37,6 @@ from treetweak.trainer import (
     roc_auc_from_scores,
     stratified_split,
     train_forest,
-    train_tree,
 )
 
 from conftest import gaussian_instances, plain_space, random_ensemble, stump
@@ -45,6 +44,12 @@ from conftest import gaussian_instances, plain_space, random_ensemble, stump
 
 def labeled(rows, labels):
     return [Instance(row, label=int(lab)) for row, lab in zip(rows, labels)]
+
+
+def one_tree(data, cfg):
+    """The tree of a one-tree forest over as many features as the first
+    row has."""
+    return train_forest(data, cfg, plain_space(len(data[0].values))).trees[0]
 
 
 def rows_of_widths(widths):
@@ -71,6 +76,15 @@ class TestImpurity:
     def test_empty_node(self):
         with pytest.raises(EmptyNode):
             impurity((0, 0), "gini")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: impurity((1, 1), "mse"), lambda: TrainConfig(criterion="mse")],
+        ids=["impurity", "TrainConfig"],
+    )
+    def test_unknown_criterion(self, make):
+        with pytest.raises(ValueError, match="criterion must be 'gini' or 'entropy'"):
+            make()
 
 
 def reference_split_on_feature(column, pos_mask, parent_imp, criterion):
@@ -354,21 +368,21 @@ def test_trained_model_bytes_are_pinned(name):
 class TestTrainTree:
     def test_pure_positive_dataset(self):
         data = labeled(np.zeros((5, 2)), [1] * 5)
-        tree = train_tree(data, TrainConfig(), np.random.default_rng(0))
+        tree = one_tree(data, TrainConfig())
         assert tree.label[0] == 1  # the root is a leaf
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            train_tree([], TrainConfig(), np.random.default_rng(0))
+            train_forest([], TrainConfig(), plain_space(2))
 
     @pytest.mark.parametrize("widths", [[3, 4], [3, 2]], ids=["wider", "narrower"])
     def test_rows_of_another_width_than_the_first_are_rejected(self, widths):
         with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
-            train_tree(rows_of_widths(widths), TrainConfig(), np.random.default_rng(0))
+            one_tree(rows_of_widths(widths), TrainConfig())
 
     def test_separable_1d_stump(self):
         data = labeled([[0.1], [0.2], [0.8], [0.9]], [-1, -1, 1, 1])
-        tree = train_tree(data, TrainConfig(), np.random.default_rng(0))
+        tree = one_tree(data, TrainConfig())
         assert tree.label[0] == 0  # the root is a split
         assert 0.2 < tree.threshold[0] < 0.8
         for inst in data:
@@ -379,7 +393,7 @@ class TestTrainTree:
             [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [-1, 1, 1, -1]
         )
         cfg = TrainConfig(max_depth=2, features_per_split=2)
-        tree = train_tree(data, cfg, np.random.default_rng(0))
+        tree = one_tree(data, cfg)
         for inst in data:
             assert route(tree, inst).leaf_label == inst.label
 
@@ -387,9 +401,7 @@ class TestTrainTree:
         rng = np.random.default_rng(4)
         data = labeled(rng.normal(0, 1, (200, 4)), rng.choice((-1, 1), 200))
         for depth in (1, 2, 3):
-            tree = train_tree(
-                data, TrainConfig(max_depth=depth, features_per_split=4), rng
-            )
+            tree = one_tree(data, TrainConfig(max_depth=depth, features_per_split=4))
             assert tree.depth <= depth
 
     def test_deeper_than_the_recursion_limit(self):
@@ -397,7 +409,7 @@ class TestTrainTree:
         # end, so the tree is as deep as the data is long.
         x = np.arange(2400.0)
         data = labeled(x[:, None], np.where(x % 2 == 0, -1, 1))
-        tree = train_tree(data, TrainConfig(max_depth=5000), np.random.default_rng(0))
+        tree = one_tree(data, TrainConfig(max_depth=5000))
         assert tree.depth > 2000
         for inst in data[::97]:
             assert route(tree, inst).leaf_label == inst.label
@@ -407,9 +419,7 @@ class TestTrainTree:
         # label must be the majority of the samples it receives, -1 on ties.
         rng = np.random.default_rng(8)
         data = labeled(rng.normal(0, 1, (120, 3)), rng.choice((-1, 1), 120))
-        tree = train_tree(
-            data, TrainConfig(max_depth=3, features_per_split=3), np.random.default_rng(1)
-        )
+        tree = one_tree(data, TrainConfig(max_depth=3, features_per_split=3))
 
         stack = [(0, data)]
         while stack:
@@ -430,9 +440,7 @@ class TestTrainTree:
         # Recompute the weighted impurity change of every trained split.
         rng = np.random.default_rng(12)
         data = labeled(rng.normal(0, 1, (150, 4)), rng.choice((-1, 1), 150))
-        tree = train_tree(
-            data, TrainConfig(max_depth=4, features_per_split=4), np.random.default_rng(2)
-        )
+        tree = one_tree(data, TrainConfig(max_depth=4, features_per_split=4))
 
         stack = [(0, data)]
         while stack:
@@ -456,17 +464,6 @@ class TestTrainTree:
 
 
 class TestTrainForest:
-    def test_single_tree_without_bootstrap_matches_train_tree(self):
-        rng = np.random.default_rng(3)
-        data = labeled(rng.normal(0, 1, (80, 3)), rng.choice((-1, 1), 80))
-        cfg = TrainConfig(num_trees=1, bootstrap=False, seed=17)
-        ens = train_forest(data, cfg, plain_space(3))
-        solo = train_tree(
-            data, cfg, np.random.default_rng(np.random.SeedSequence(17).spawn(1)[0])
-        )
-        ens_solo = TreeEnsemble((solo,), plain_space(3), ens.importances, ens.metadata)
-        assert dumps_model(ens) == dumps_model(ens_solo)
-
     def test_same_seed_is_bitwise_identical(self):
         rng = np.random.default_rng(5)
         data = labeled(rng.normal(0, 1, (100, 4)), rng.choice((-1, 1), 100))
@@ -625,6 +622,10 @@ class TestEvaluate:
         y = rng.choice((-1, 1), 2000)
         assert abs(roc_auc_from_scores(scores, y) - 0.5) < 0.05
 
+    def test_auc_needs_both_classes(self):
+        with pytest.raises(DegenerateLabels):
+            roc_auc_from_scores([0.2, 0.7], [1, 1])
+
     def test_auc_matches_pair_counting_oracle(self):
         rng = np.random.default_rng(14)
         scores = np.round(rng.uniform(0, 1, 300), 2)  # force some ties
@@ -642,12 +643,11 @@ class TestNonFiniteRows:
         "entry",
         [
             lambda data, space: train_forest(data, TrainConfig(num_trees=5, seed=1), space),
-            lambda data, space: train_tree(data, TrainConfig(), np.random.default_rng(1)),
             lambda data, space: evaluate_classifier(
                 TreeEnsemble((stump(0, 0.0, -1, 1),), space), data
             ),
         ],
-        ids=["train_forest", "train_tree", "evaluate_classifier"],
+        ids=["train_forest", "evaluate_classifier"],
     )
     def test_rejected_naming_row_and_feature(self, entry, bad):
         # A NaN or inf row was trained on, and scored, without any error.

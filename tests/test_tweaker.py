@@ -19,7 +19,6 @@ from treetweak.recommend import top_k_transformations
 from treetweak.forest import (
     GT,
     LE,
-    POSITIVE,
     Condition,
     Path,
     TreeEnsemble,
@@ -74,7 +73,7 @@ class TestBuildPositiveInstance:
 
     def test_two_sided_interval_binds_on_upper(self):
         tree = interval_tree(0.2, 0.8)
-        (path,) = extract_paths(tree, "positive")
+        (path,) = [p for p in extract_paths(tree) if p.leaf_label == 1]
         out = build_positive_instance(Instance([5.0]), path, 0.1, plain_space(1))
         np.testing.assert_allclose(out.values, [0.7])
         assert route(tree, out).path_index == path.path_index
@@ -112,6 +111,11 @@ class TestBuildPositiveInstance:
     def test_negative_path_rejected(self):
         path = Path((Condition(0, LE, 0.5),), leaf_label=-1)
         with pytest.raises(ValueError):
+            build_positive_instance(Instance([0.0]), path, 0.1, plain_space(1))
+
+    def test_unknown_direction_rejected(self):
+        path = positive_path((0, "eq", 0.5))
+        with pytest.raises(ValueError, match="unknown condition direction 'eq'"):
             build_positive_instance(Instance([0.0]), path, 0.1, plain_space(1))
 
     def test_epsilon_must_be_positive(self):
@@ -159,7 +163,9 @@ class TestCandidateSet:
             for k, t in enumerate(ens.trees):
                 if route(t, x).leaf_label != -1:
                     continue
-                for path in extract_paths(t, "positive", tree_index=k):
+                for path in extract_paths(t):
+                    if path.leaf_label != 1:
+                        continue
                     lows, highs = {}, {}
                     for f, d, t in path.conditions:
                         if d == LE:
@@ -244,11 +250,7 @@ class TestTweak:
                     continue
                 for cand in out.all_candidates:
                     assert predict_ensemble(ens, cand.candidate) == 1
-                    path = route(
-                        ens.trees[cand.source_tree],
-                        cand.candidate,
-                        tree_index=cand.source_tree,
-                    )
+                    path = route(ens.trees[cand.source_tree], cand.candidate)
                     assert path.leaf_label == 1
                     assert path.path_index == cand.source_path
                     assert cand.candidate.values[2] == x.values[2]
@@ -430,11 +432,7 @@ class TestFoldingEquivalence:
                 for cand in out.all_candidates:
                     seen += 1
                     assert predict_ensemble(ens, cand.candidate) == 1
-                    path = route(
-                        ens.trees[cand.source_tree],
-                        cand.candidate,
-                        tree_index=cand.source_tree,
-                    )
+                    path = route(ens.trees[cand.source_tree], cand.candidate)
                     assert path.leaf_label == 1
                     assert path.path_index == cand.source_path
                     assert cand.candidate.values[2] == x.values[2]
@@ -500,16 +498,14 @@ class TestBatchedSearchEdges:
             ens = TreeEnsemble(trees, plain_space(4))
             boxes = ens.positive_boxes
             paths = [
-                path
+                (k, path)
                 for k, tree in enumerate(trees)
-                for path in extract_paths(tree, POSITIVE, tree_index=k)
+                for path in extract_paths(tree)
+                if path.leaf_label == 1
             ]
             assert boxes.lo.shape == (len(paths), 4)
-            for r, path in enumerate(paths):
-                assert (boxes.tree[r], boxes.ordinal[r]) == (
-                    path.tree_index,
-                    path.path_index,
-                )
+            for r, (k, path) in enumerate(paths):
+                assert (boxes.tree[r], boxes.ordinal[r]) == (k, path.path_index)
                 folded = tweaker_mod._fold_conditions(path.conditions)
                 for f in range(4):
                     lo, hi = folded.get(f, (-math.inf, math.inf))
@@ -701,7 +697,7 @@ class TestNonFiniteInstance:
             lambda ens, x: sweep(ens, [Instance([-1.0, 0.0]), x], [0.1], ["cosine"]),
             lambda ens, x: brute_force_tweak(ens, x, "cosine", 0.1),
             lambda ens, x: build_positive_instance(
-                x, extract_paths(ens.trees[0], POSITIVE)[0], 0.1, ens.feature_space
+                x, extract_paths(ens.trees[0])[1], 0.1, ens.feature_space
             ),
         ],
         ids=["tweak", "candidate_set", "sweep", "brute_force_tweak", "build_positive_instance"],
@@ -729,7 +725,7 @@ class TestInstanceLength:
             ),
             predict_ensemble,
             lambda ens, x: build_positive_instance(
-                x, extract_paths(ens.trees[2], POSITIVE)[0], 0.1, ens.feature_space
+                x, extract_paths(ens.trees[2])[1], 0.1, ens.feature_space
             ),
         ],
         ids=["tweak", "candidate_set", "sweep", "brute_force_tweak",
@@ -887,7 +883,7 @@ class TestBoxBoundaries:
     def test_every_entry_point_reads_the_box_as_lo_open_hi_closed(self, case):
         spec, adjustable, skip_satisfied, expected = self.CASES[case]
         ens = TreeEnsemble((tree(spec),), plain_space(2, adjustable))
-        (path,) = extract_paths(ens.trees[0], POSITIVE)
+        (path,) = [p for p in extract_paths(ens.trees[0]) if p.leaf_label == 1]
         x, epsilon = Instance([0.5, -1.0]), 0.1
         out = tweak(ens, x, "euclidean", epsilon, skip_satisfied)
         oracle = brute_force_tweak(
