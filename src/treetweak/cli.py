@@ -338,8 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("TREETWEAK_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, os.environ.get("TREETWEAK_LOG", "warning").upper(), None)
+    level = level if isinstance(level, int) else logging.WARNING  # BASIC_FORMAT is a str
     logging.basicConfig(level=level, stream=sys.stderr)
 
 

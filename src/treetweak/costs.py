@@ -7,9 +7,9 @@ domain and is symmetric in its arguments.
 Each function takes ``x`` as an ``[n]`` vector and ``y`` either as an
 ``[n]`` vector, giving a float, or as a ``[C, n]`` matrix of candidates,
 giving a ``[C]`` float64 array with one cost per row. Where a cost is
-undefined (a zero-norm vector for cosine, a constant vector for Pearson)
-the vector form raises :class:`ZeroVector` or :class:`ZeroVariance` and
-the matrix form puts NaN in that row. The vector form is the matrix form
+undefined (a zero vector for cosine, a constant one other than x for
+Pearson) the vector form raises :class:`ZeroVector` or :class:`ZeroVariance`
+and the matrix form puts NaN in that row. The vector form is the matrix form
 on a single row, so both give bit-for-bit the same numbers: every
 reduction runs along the last axis of a C-contiguous array, which sums in
 the same order for one row as for many.
@@ -41,11 +41,11 @@ def _rowwise(undefined=None, degree=0):
     over a ``[C, n]`` matrix ``Y`` into a cost function of a vector or a
     matrix ``y``.
 
-    ``undefined(n)`` builds the exception the vector form raises for an
-    undefined row. A row whose intermediates overflowed, or underflowed
-    although neither vector is zero, is computed again on x and the row,
-    each scaled exactly by a power of two to magnitudes below 1, so every
-    other row keeps its bits; a distance (``degree=1``) shares the smaller
+    The kernel marks undefined rows once, by exact tests on the caller's
+    values; ``undefined(n)`` builds the exception the vector form raises. A
+    defined row whose intermediates overflowed or underflowed is costed again
+    on x and the row, each scaled exactly by a power of two to below 1, so
+    other rows keep their bits; a distance (``degree=1``) shares the smaller
     scale, its kernel taking x as one row per candidate, and divides it out.
     """
 
@@ -56,11 +56,12 @@ def _rowwise(undefined=None, degree=0):
             Y = np.ascontiguousarray(np.atleast_2d(b))
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 costs, bad, over = kernel(a, Y)
+                over &= ~bad
                 if over.any():
                     ex, ey = _unit_exponent(a), _unit_exponent(Y[over])
                     if degree:
                         ex = ey = np.minimum(ex, ey)
-                    again, bad[over], _ = kernel(np.ldexp(a, ex), np.ldexp(Y[over], ey))
+                    again, _, _ = kernel(np.ldexp(a, ex), np.ldexp(Y[over], ey))
                     costs[over] = np.ldexp(again, -degree * ey[:, 0])
             if b.ndim == 2:
                 costs[bad] = np.nan
@@ -116,16 +117,15 @@ def euclidean_distance(x, Y):
 
 @_rowwise(lambda n: ZeroVector("cosine distance undefined for a zero-norm vector"))
 def cosine_distance(x, Y):
-    """1 minus the cosine of the angle between the vectors; range [0, 2]."""
+    """1 minus the cosine of the angle between the vectors; range [0, 2].
+    Undefined where x or the row has no nonzero component."""
     nx = np.sqrt((x * x).sum())
     ny = np.sqrt((Y * Y).sum(axis=1))
     dot, norms = (Y * x).sum(axis=1), nx * ny
     costs = 1.0 - np.clip(dot / norms, -1.0, 1.0)
     costs[(Y == x).all(axis=1)] = 0.0
-    # A zero row stays undefined when computed again; a zero x would flag
-    # every row for nothing.
-    small = (ny < _TINY_NORM) | (nx < _TINY_NORM and x.any())
-    return costs, (nx == 0.0) | (ny == 0.0), np.isinf(norms) | np.isinf(dot) | small
+    small = (ny < _TINY_NORM) | (nx < _TINY_NORM)
+    return costs, ~(x.any() & Y.any(axis=1)), np.isinf(norms) | np.isinf(dot) | small
 
 
 @_rowwise()
@@ -149,7 +149,8 @@ def _zero_variance(n: int) -> ZeroVariance:
 
 @_rowwise(_zero_variance)
 def pearson_correlation_distance(x, Y):
-    """1 minus the Pearson correlation of the two vectors; range [0, 2]."""
+    """1 minus the Pearson correlation of the two vectors; range [0, 2].
+    Undefined where x, or a row other than x, has all components exactly equal."""
     dx = x - x.mean()
     dY = Y - Y.mean(axis=1, keepdims=True)
     vx = (dx * dx).sum()
@@ -158,8 +159,8 @@ def pearson_correlation_distance(x, Y):
     costs = 1.0 - np.clip(dot / np.sqrt(var), -1.0, 1.0)
     same = (Y == x).all(axis=1)
     costs[same] = 0.0
-    undefined = ~same & ((len(x) < 2) | (vx == 0.0) | (vy == 0.0))
-    small = (vy < _TINY) | (vx < _TINY and dx.any())
+    undefined = ~same & ((x == x[:1]).all() | (Y == Y[:, :1]).all(axis=1))
+    small = (vy < _TINY) | (vx < _TINY)
     return costs, undefined, ~np.isfinite(var) | np.isinf(dot) | small
 
 

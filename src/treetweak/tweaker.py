@@ -325,9 +325,7 @@ def _generate_candidates(
     ]
 
 
-def _row_costs(
-    delta: Callable, x_values, tree: np.ndarray, path: np.ndarray, values: np.ndarray
-) -> np.ndarray:
+def _row_costs(delta: Callable, x_values, values: np.ndarray) -> np.ndarray:
     """The cost of every candidate row, from one call to ``delta``.
 
     An undefined cost (NaN) becomes inf, which ranks the candidate last.
@@ -338,9 +336,9 @@ def _row_costs(
             f"cost function returned shape {costs.shape} for {len(values)} candidates"
         )
     undefined = np.isnan(costs)
-    for k, p in zip(tree[undefined].tolist(), path[undefined].tolist()):
+    if undefined.any():
         logger.warning(
-            "cost undefined for candidate tree %d path %d; ranked last", k, p
+            "cost undefined for %d of %d candidates; ranked last", undefined.sum(), len(costs)
         )
     costs[undefined] = INF
     return costs
@@ -405,7 +403,7 @@ def tweak(
         if stats.truncated:
             reason += "; search truncated by budget"
         return NotCovered(reason)
-    costs = _row_costs(delta_fn, x_values, tree, path, values)
+    costs = _row_costs(delta_fn, x_values, values)
     return Found(x_values, tree, path, values, costs)
 
 
@@ -455,7 +453,7 @@ def brute_force_tweak(
     if not rows:
         return NotCovered("exhaustive enumeration found no valid transformation")
     tree, path_index, values = map(np.array, zip(*rows))
-    costs = _row_costs(delta_fn, x_values, tree, path_index, values)
+    costs = _row_costs(delta_fn, x_values, values)
     return Found(x_values, tree, path_index, values, costs)
 
 
@@ -509,8 +507,8 @@ def sweep(
     )
     priced = [
         [
-            (len(values), [_row_costs(fn, x, tree, path, values) for fn in delta_fns])
-            for tree, path, values, _ in _generate_candidates(
+            (len(values), [_row_costs(fn, x, values) for fn in delta_fns])
+            for _, _, values, _ in _generate_candidates(
                 ens, x, votes, epsilons, skip_satisfied, budget
             )
         ]

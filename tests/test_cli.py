@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import re
 
@@ -15,9 +16,10 @@ from treetweak.forest import (
     ensemble_to_dict,
     load_model,
     predict_ensemble,
+    route,
     save_model,
 )
-from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance
+from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, load_instances
 from treetweak.tweaker import Found
 
 from conftest import plain_space, stump, tree
@@ -503,7 +505,76 @@ class TestTweakCommand:
             assert len(outcome._built) == len(result["transformations"]) <= 2
 
 
+@st.composite
+def mixed_tables(draw):
+    """A labelled CSV and its schema: 40-80 rows, 1-3 continuous columns,
+    each adjustable or not, and 0-2 categorical columns of 2-3 categories
+    left at their default (non-adjustable). The label is +1 where a
+    weighted sum of the columns, each category counting as its ordinal, is
+    above its median, so each class holds about half the rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(40, 80))
+    adjustable = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    levels = draw(st.lists(st.integers(2, 3), max_size=2))
+    X = rng.normal(size=(m, len(adjustable)))
+    K = rng.integers(0, levels, size=(m, len(levels)))
+    score = X @ rng.normal(size=len(adjustable)) + K @ rng.normal(size=len(levels))
+    labels = np.where(score > np.median(score), 1, -1)
+    names = [f"c{j}" for j in range(len(adjustable))] + [f"k{j}" for j in range(len(levels))]
+    lines = [",".join(names + ["label"])] + [
+        ",".join([repr(v) for v in x] + ["abc"[k] for k in ks] + [str(y)])
+        for x, ks, y in zip(X.tolist(), K.tolist(), labels.tolist())
+    ]
+    columns = [{"name": f"c{j}", "adjustable": a} for j, a in enumerate(adjustable)]
+    columns += [{"name": f"k{j}", "categorical": True} for j in range(len(levels))]
+    return "\n".join(lines) + "\n", {"columns": columns}
+
+
 class TestSchemaPipeline:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        table=mixed_tables(),
+        trees=st.integers(3, 7),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 99),
+    )
+    def test_every_transformation_keeps_the_contract(
+        self, tmp_path, table, trees, depth, seed
+    ):
+        # The paper's contract through train and tweak over mixed schemas.
+        # Adjustable one-hot groups are left out: ROADMAP item 6 (the
+        # strict xfail below).
+        text, schema = table
+        data, schema_file = tmp_path / "train.csv", tmp_path / "schema.json"
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        data.write_text(text)
+        schema_file.write_text(json.dumps(schema))
+        assert main(
+            [
+                "train", "--data", str(data), "--schema", str(schema_file),
+                "--model-out", str(model), "--trees", str(trees),
+                "--max-depth", str(depth), "--seed", str(seed),
+            ]
+        ) == 0
+        assert main(
+            ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
+        ) == 0
+        ens = load_model(model)
+        rows = load_instances(data, ens.feature_space)
+        frozen = ~ens.feature_space.adjustable_mask
+        for result in json.loads(out.read_text())["results"]:
+            x = rows[result["instance_index"]].values
+            for trans in result["transformations"]:
+                candidate = Instance(trans["candidate_standardized"])
+                assert predict_ensemble(ens, candidate) == 1
+                leaf = route(ens.trees[trans["source_tree"]], candidate)
+                assert (leaf.path_index, leaf.leaf_label) == (trans["source_path"], 1)
+                assert (candidate.values[frozen] == x[frozen]).all()
+
     def test_categorical_and_frozen_columns_end_to_end(self, tmp_path):
         rng = np.random.default_rng(77)
         train = tmp_path / "train.csv"
@@ -690,6 +761,16 @@ class TestFlagsAndEnv:
         doc = json.loads(out.read_text())
         assert doc["results"][0]["status"] == "not_covered"
         assert "budget" in doc["results"][0]["reason"]
+
+    def test_log_env_var_naming_a_non_level_falls_back(self, monkeypatch):
+        # logging.BASIC_FORMAT is a string, not a level. The root logger's
+        # handlers are emptied so that basicConfig configures it, as in a
+        # fresh process.
+        monkeypatch.setenv("TREETWEAK_LOG", "basic_format")
+        monkeypatch.setattr(logging.root, "handlers", [])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
 
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TREETWEAK_LOG", "debug")

@@ -104,8 +104,21 @@ class TestPearson:
             pearson_correlation_distance([1, 1, 1], [1, 2, 3])
 
     def test_one_component(self):
-        with pytest.raises(ZeroVariance, match="at least 2 components"):
-            pearson_correlation_distance([1.0], [3.0])
+        for y in [3.0], [2.0]:
+            with pytest.raises(ZeroVariance, match="at least 2 components"):
+                pearson_correlation_distance([1.0], y)
+
+    def test_constant_vectors_a_power_of_two_apart(self):
+        with pytest.raises(ZeroVariance, match="constant vector"):
+            pearson_correlation_distance([1, 1, 1], [2, 2, 2])
+        got = pearson_correlation_distance([1, 1, 1], np.array([[2, 2, 2], [3, 3, 3]]))
+        assert np.isnan(got).all()
+
+    def test_constant_vector_whose_float_mean_differs(self):
+        # The float mean of [0.1, 0.1, 0.1] is not 0.1, so its computed
+        # variance is not 0.
+        with pytest.raises(ZeroVariance, match="constant vector"):
+            pearson_correlation_distance([1, 2, 3], [0.1, 0.1, 0.1])
 
     def test_identical_constant_vectors_cost_zero(self):
         assert pearson_correlation_distance([2, 2, 2], [2, 2, 2]) == 0.0
@@ -189,11 +202,15 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def vector_and_matrix(draw):
-    """x of length n >= 1 and a [C, n] matrix whose rows are random, zero,
-    constant, equal to x, or x with some components changed."""
+    """x of length n >= 1, random or constant (zero included) and at unit
+    scale or near 1e-170 or 1e170, and a [C, n] matrix whose rows are
+    random, zero, constant, equal to x, x with some components changed, a
+    power-of-two multiple of x, or random near 1e-170 or 1e170."""
     n = draw(st.integers(1, 40))
     vector = st.lists(finite, min_size=n, max_size=n).map(np.array)
-    x = draw(vector)
+    constant = st.one_of(st.just(0.1), finite).map(lambda v: np.full(n, v))
+    scaled = vector.flatmap(lambda v: st.sampled_from([v * 1e-170, v * 1e170]))
+    x = draw(st.one_of(vector, constant, scaled))
 
     def tweaked(changes):
         y = x.copy()
@@ -203,29 +220,46 @@ def vector_and_matrix(draw):
     row = st.one_of(
         vector,
         st.just(np.zeros(n)),
-        finite.map(lambda v: np.full(n, v)),
+        constant,
         st.just(x),
         st.lists(finite, min_size=1, max_size=n).map(tweaked),
+        st.integers(-4, 4).map(lambda e: np.ldexp(x, e)),
+        scaled,
     )
     rows = draw(st.lists(row, min_size=1, max_size=10))
     return x, np.array(rows)
+
+
+# Where a cost is undefined, by its definition on the caller's own values,
+# and what its vector form raises there; every other cost is defined.
+UNDEFINED = {
+    "cosine": (ZeroVector, lambda x, y: not (x.any() and y.any())),
+    "pearson": (
+        ZeroVariance,
+        lambda x, y: (x != y).any() and ((x == x[0]).all() or (y == y[0]).all()),
+    ),
+}
 
 
 class TestMatrixForm:
     @settings(max_examples=200, deadline=None)
     @given(vector_and_matrix())
     def test_rows_equal_vector_form(self, case):
+        # The matrix form is NaN exactly where the cost is undefined, the
+        # vector form raises exactly there, and every other row equals the
+        # vector form bit for bit.
         x, Y = case
         for name, fn in COST_FUNCTIONS.items():
             got = fn(x, Y)
             assert got.shape == (len(Y),) and got.dtype == np.float64, name
+            error, undefined = UNDEFINED.get(name, (None, lambda x, y: False))
             for y, cost in zip(Y, got):
-                try:
-                    expected = fn(x, y)
-                except (ZeroVector, ZeroVariance):
+                if undefined(x, y):
                     assert math.isnan(cost), name
+                    with pytest.raises(error):
+                        fn(x, y)
                 else:
-                    assert cost == expected, name
+                    assert cost == fn(x, y), name
 
     def test_no_rows(self):
         for fn in COST_FUNCTIONS.values():
@@ -332,7 +366,7 @@ class TestOverflow:
         )
 
     def test_zero_vectors_stay_undefined(self):
-        # Zero and constant rows are computed again and stay undefined.
+        # Zero and constant rows are undefined, however tiny x is.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cosine_distance([1e-170, 1.0], np.array([[0.0, 0.0], [1e-170, 1.0]]))

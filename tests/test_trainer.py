@@ -375,11 +375,6 @@ class TestTrainTree:
         with pytest.raises(EmptyDataset):
             train_forest([], TrainConfig(), plain_space(2))
 
-    @pytest.mark.parametrize("widths", [[3, 4], [3, 2]], ids=["wider", "narrower"])
-    def test_rows_of_another_width_than_the_first_are_rejected(self, widths):
-        with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
-            one_tree(rows_of_widths(widths), TrainConfig())
-
     def test_separable_1d_stump(self):
         data = labeled([[0.1], [0.2], [0.8], [0.9]], [-1, -1, 1, 1])
         tree = one_tree(data, TrainConfig())

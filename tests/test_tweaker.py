@@ -552,7 +552,14 @@ class TestRowwiseCosting:
         costs = [c.cost for c in out.all_candidates]
         assert costs[0] == math.inf and all(math.isfinite(c) for c in costs[1:])
         assert out.best is out.all_candidates[1]
-        assert "cost undefined for candidate tree 0 path 0" in caplog.text
+        assert caplog.messages == ["cost undefined for 1 of 2 candidates; ranked last"]
+
+        # One warning per cost call, however many of its costs are undefined.
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="treetweak.tweaker"):
+            out = tweak(ens, x, lambda x_values, Y: np.full(len(Y), np.nan), 0.1)
+        assert [c.cost for c in out.all_candidates] == [math.inf, math.inf]
+        assert caplog.messages == ["cost undefined for 2 of 2 candidates; ranked last"]
 
 
 def reference_top_k(candidates, k):
