@@ -23,7 +23,6 @@ from treetweak.feature_space import (
     standardize,
 )
 from treetweak.forest import (
-    DecisionTree,
     Path,
     TreeEnsemble,
     extract_paths,
@@ -69,7 +68,6 @@ __all__ = [
     "COST_NAMES",
     "ClassifierMetrics",
     "ColumnSpec",
-    "DecisionTree",
     "FeatureMeta",
     "FeatureSpace",
     "Found",

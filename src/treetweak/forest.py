@@ -8,14 +8,14 @@ Conventions pinned here and relied on everywhere else:
   split of votes resolves to -1;
 * thresholds are finite.
 
-Trees have one constructor, ``trees_from_nodes(forest)``, which checks
+A forest has one constructor, ``trees_from_nodes(forest)``, which checks
 and orders the JSON ``nodes`` lists of a whole forest in one pass of
-array operations. A tree is stored only as preorder node arrays, child
-indices counting from its root; every walk over it is a loop over node
-indices. An ensemble owns the one store of its trees' arrays (``nodes``),
-and its trees are views of it. No other module reads those arrays: an
-ensemble hands out the folded box of every positive leaf
-(``positive_boxes``), built on first use.
+array operations. It returns the one store of the trees' preorder node
+arrays (``ForestNodes``), which an ensemble holds as it is; tree k is the
+slice from ``root[k]`` up to the next root, its child indices counting
+from its root, and every walk over it is a loop over node indices. No
+other module reads those arrays: an ensemble hands out the folded box of
+every positive leaf (``positive_boxes``), built on first use.
 
 Matrices of rows are routed through a second layout of the trees, also
 built on first use (``routing``): complete binary blocks of
@@ -37,7 +37,7 @@ Trees and ensembles are immutable after construction; every read operation
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -76,26 +76,35 @@ class Path:
     path_index: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionTree:
-    """An immutable binary tree of threshold tests, stored as preorder node
-    arrays (the layout of the JSON ``nodes``); built by
-    :func:`trees_from_nodes`.
+class ForestNodes(NamedTuple):
+    """An immutable forest of binary trees of threshold tests, stored as
+    preorder node arrays (the layout of the JSON ``nodes``), concatenated
+    in tree order; built by :func:`trees_from_nodes`.
 
-    Node 0 is the root and every node comes right before its left subtree,
-    so the leaves run left to right. ``children[i]`` is (right, left) of
-    node i, so column ``int(v <= t)`` holds the child a value v goes to. A
-    leaf's children are the leaf itself, so routing a row for ``depth``
-    steps always ends on its leaf. ``feature`` and ``threshold`` are 0 at
-    leaves, and ``label`` is 0 at internal nodes.
+    Tree k's nodes run from ``root[k]`` up to the next root, its root
+    first and every node right before its left subtree, so its leaves run
+    left to right. ``children[i]`` is (right, left) of node i, counting
+    from its tree's root, so column ``int(v <= t)`` holds the child a
+    value v goes to. A leaf's children are the leaf itself, so routing a
+    row for ``depth[k]`` steps always ends on its leaf in tree k.
+    ``feature`` and ``threshold`` are 0 at leaves, and ``label`` is 0 at
+    internal nodes.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     children: np.ndarray
     label: np.ndarray
-    depth: int
-    positive_leaf_count: int
+    root: np.ndarray
+    depth: np.ndarray
+
+
+def _tree_arrays(nodes: ForestNodes, k: int) -> tuple[np.ndarray, ...]:
+    """Tree k's feature, threshold, children and label: its slice of the
+    store, from ``root[k]`` up to the next root."""
+    root = nodes.root
+    end = root[k + 1] if k + 1 < len(root) else len(nodes.label)
+    return tuple(a[root[k]:end] for a in nodes[:4])
 
 
 def _node_error(start: np.ndarray, i: int, what: str) -> ValueError:
@@ -145,7 +154,7 @@ def _column(nodes: list, key: str, dtype, start, ids) -> np.ndarray:
         raise _node_error(start, int(ids[j]), f"has {key} out of range") from None
 
 
-def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ...]:
+def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
     """Build every tree of a forest from its JSON ``nodes`` list, all at once.
 
     Tree k's nodes may come in any order, node 0 its root; the tree is
@@ -154,13 +163,13 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
     structure is checked and ordered by whole-forest array passes, one per
     depth level.
 
-    Raises ValueError, naming the tree, unless every tree is a non-empty
-    list of objects and every node is reached from its root exactly once
-    (no cycles, no shared or orphaned nodes). A node with a ``"leaf"`` key
-    is a leaf, whose label must be the integer -1 or +1. Any other node
-    needs a ``feature`` and ``left`` and ``right`` child indices that are
-    nonnegative integers, and a ``threshold`` that is a finite number
-    (bool is neither).
+    Raises ValueError unless the forest has a tree and, naming the tree,
+    unless every tree is a non-empty list of objects and every node is
+    reached from its root exactly once (no cycles, no shared or orphaned
+    nodes). A node with a ``"leaf"`` key is a leaf, whose label must be
+    the integer -1 or +1. Any other node needs a ``feature`` and ``left``
+    and ``right`` child indices that are nonnegative integers, and a
+    ``threshold`` that is a finite number (bool is neither).
     """
     sizes = []
     for k, nodes in enumerate(forest):
@@ -168,7 +177,7 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
             raise ValueError(f"tree {k}: nodes must be a non-empty list")
         sizes.append(len(nodes))
     if not sizes:
-        return ()
+        raise ValueError("an ensemble needs at least one tree")
     # Node ids run over the whole forest, tree by tree.
     start = np.cumsum([0] + sizes[:-1])
     sizes = np.array(sizes)
@@ -243,8 +252,8 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
         slot[rchild[split]] = after + subtree[lchild[split]]
     del levels, subtree, lchild, rchild
 
-    # The preorder arrays of the forest, in which tree k's slots still run
-    # from start[k]; child indices count from the tree's own root.
+    # The preorder arrays of the forest, in which tree k's slots run from
+    # start[k]; child indices count from the tree's own root.
     at = slot[inner_ids]
     local = np.arange(count) - start[tree_of]
     children = np.stack([local, local], axis=1)  # a leaf's children are itself
@@ -257,27 +266,7 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> tuple[DecisionTree, ..
     node_threshold[at] = threshold
     node_label = np.zeros(count, dtype=np.intp)
     node_label[slot[leaf_ids]] = label
-    positive = np.add.reduceat(node_label == 1, start, dtype=np.intp)
-    return tuple(
-        DecisionTree(
-            node_feature[a:b], node_threshold[a:b], children[a:b], node_label[a:b], *stats
-        )
-        for a, b, *stats in zip(
-            start.tolist(), (start + sizes).tolist(), depth.tolist(), positive.tolist()
-        )
-    )
-
-
-class ForestNodes(NamedTuple):
-    """All trees' node arrays, concatenated in tree order; tree k's child
-    indices count from its root ``root[k]``, and ``depth`` is the largest."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
-    label: np.ndarray
-    root: np.ndarray
-    depth: int
+    return ForestNodes(node_feature, node_threshold, children, node_label, start, depth)
 
 
 class PositiveBoxes(NamedTuple):
@@ -328,15 +317,16 @@ def _values(x) -> np.ndarray:
 
 
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
-    """``[route(t, x).leaf_label for t in ens.trees]``, routing all trees at
-    once. Raises LengthMismatch unless x is one row of one value per feature."""
+    """``[route(ens, k, x).leaf_label for k in range(ens.num_trees)]``,
+    routing all trees at once. Raises LengthMismatch unless x is one row of
+    one value per feature."""
     vals = _values(x)
     if vals.shape != (ens.feature_space.n,):
         raise LengthMismatch(f"expected {ens.feature_space.n} values, got shape {vals.shape}")
     feature, threshold, children, label, root, depth = ens.nodes
     steps = children.ravel()
     node = root
-    for _ in range(depth):
+    for _ in range(depth.max()):
         node = root + steps[2 * node + (vals[feature[node]] <= threshold[node])]
     return label[node]
 
@@ -377,7 +367,7 @@ def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
     X = np.ascontiguousarray(X)
     feature, threshold, exits, roots = ens.routing
     count, trees = len(X), len(roots)
-    depths = np.maximum([tree.depth for tree in ens.trees], 1)
+    depths = np.maximum(ens.nodes.depth, 1)
     row_start = np.arange(count) * n
     out = np.empty(count)
     live = np.arange(count)
@@ -450,29 +440,30 @@ def predict_ensemble(ens: "TreeEnsemble", x) -> int:
     return -1 if tree_votes(ens, x).sum() <= 0 else 1
 
 
-def route(tree: DecisionTree, x) -> Path:
-    """The unique path an instance traverses, with its leaf's ordinal."""
+def route(ens: "TreeEnsemble", k: int, x) -> Path:
+    """The unique path an instance traverses in tree k, with its leaf's
+    ordinal."""
+    feature, threshold, children, label = _tree_arrays(ens.nodes, k)
     vals = _values(x)
     conds: list[Condition] = []
     node = 0
-    while not tree.label[node]:
-        feature, threshold = int(tree.feature[node]), float(tree.threshold[node])
-        go_left = vals[feature] <= threshold
-        conds.append(Condition(feature, LE if go_left else GT, threshold))
-        node = tree.children[node, int(go_left)]
+    while not label[node]:
+        f, t = int(feature[node]), float(threshold[node])
+        go_left = vals[f] <= t
+        conds.append(Condition(f, LE if go_left else GT, t))
+        node = children[node, int(go_left)]
     return Path(
         conditions=tuple(conds),
-        leaf_label=int(tree.label[node]),
+        leaf_label=int(label[node]),
         # Preorder lists the leaves left to right.
-        path_index=int(np.count_nonzero(tree.label[:node])),
+        path_index=int(np.count_nonzero(label[:node])),
     )
 
 
-def extract_paths(tree: DecisionTree) -> list[Path]:
-    """Every root-to-leaf path of the tree, leaves left to right, so a
+def extract_paths(ens: "TreeEnsemble", k: int) -> list[Path]:
+    """Every root-to-leaf path of tree k, leaves left to right, so a
     path's ``path_index`` is its place in the list."""
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    children, label = tree.children.tolist(), tree.label.tolist()
+    feature, threshold, children, label = (a.tolist() for a in _tree_arrays(ens.nodes, k))
     paths: list[Path] = []
     # Left-first: leaves are met in left-to-right order.
     stack: list[tuple[int, tuple[Condition, ...]]] = [(0, ())]
@@ -492,41 +483,23 @@ def extract_paths(tree: DecisionTree) -> list[Path]:
 class TreeEnsemble:
     """A forest plus the feature space its thresholds live in.
 
+    ``nodes`` is the one store of the trees' arrays, as
+    :func:`trees_from_nodes` built it (no copy is made).
     ``importances`` holds one nonnegative weight per feature, summing to 1
-    (or all zeros when never computed). ``nodes`` is the one store of the
-    trees' arrays, a copy made as the ensemble is built; ``trees`` are
-    rebuilt as views of it.
+    (or all zeros when never computed).
     """
 
-    trees: tuple[DecisionTree, ...]
+    nodes: ForestNodes
     feature_space: FeatureSpace
     importances: np.ndarray = None  # type: ignore[assignment]
     metadata: dict = field(default_factory=dict)
-    nodes: ForestNodes = field(init=False, repr=False)
 
     def __post_init__(self):
-        trees = tuple(self.trees)
-        if not trees:
-            raise ValueError("an ensemble needs at least one tree")
-        sizes = [len(tree.label) for tree in trees]
-        root = np.cumsum([0] + sizes[:-1])
-        feature, threshold, children, label = (
-            np.concatenate([getattr(tree, key) for tree in trees])
-            for key in ("feature", "threshold", "children", "label")
-        )
-        n = self.feature_space.n
+        feature, n = self.nodes.feature, self.feature_space.n
         out = feature >= n  # 0 at leaves, and a space has a feature
         if out.any():
             i = int(np.argmax(out))
-            raise _node_error(root, i, f"tests feature {feature[i]}, outside the space")
-        object.__setattr__(self, "trees", tuple(
-            replace(tree, feature=feature[a:b], threshold=threshold[a:b],
-                    children=children[a:b], label=label[a:b])
-            for tree, a, b in zip(trees, root.tolist(), (root + sizes).tolist())
-        ))
-        object.__setattr__(self, "nodes", ForestNodes(
-            feature, threshold, children, label, root, max(tree.depth for tree in trees)
-        ))
+            raise _node_error(self.nodes.root, i, f"tests feature {feature[i]}, outside the space")
         imps = self.importances
         imps = np.zeros(n) if imps is None else np.asarray(imps, dtype=float)
         if imps.shape != (n,):
@@ -542,7 +515,7 @@ class TreeEnsemble:
 
     @property
     def num_trees(self) -> int:
-        return len(self.trees)
+        return len(self.nodes.root)
 
     @cached_property
     def positive_boxes(self) -> PositiveBoxes:
@@ -635,16 +608,13 @@ class TreeEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_tree(tree: DecisionTree) -> list[dict]:
+def _flatten_tree(nodes: ForestNodes, k: int) -> list[dict]:
     return [
         {"leaf": label}
         if label
         else {"feature": feature, "threshold": threshold, "left": left, "right": right}
         for feature, threshold, (right, left), label in zip(
-            tree.feature.tolist(),
-            tree.threshold.tolist(),
-            tree.children.tolist(),
-            tree.label.tolist(),
+            *(a.tolist() for a in _tree_arrays(nodes, k))
         )
     ]
 
@@ -661,7 +631,7 @@ def _document_head(ens: TreeEnsemble) -> dict:
 
 def ensemble_to_dict(ens: TreeEnsemble) -> dict:
     doc = _document_head(ens)
-    doc["trees"] = [{"nodes": _flatten_tree(t)} for t in ens.trees]
+    doc["trees"] = [{"nodes": _flatten_tree(ens.nodes, k)} for k in range(ens.num_trees)]
     return doc
 
 
@@ -677,29 +647,30 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         for k, entry in enumerate(entries):
             if not isinstance(entry, dict) or "nodes" not in entry:
                 raise ValueError(f"tree {k}: expected an object with a 'nodes' list")
-        trees = trees_from_nodes([entry["nodes"] for entry in entries])
+        nodes = trees_from_nodes([entry["nodes"] for entry in entries])
         importances = doc["importances"]
         if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
             raise ValueError("importances must be numbers")
-        return TreeEnsemble(trees, space, importances, dict(doc["metadata"]))
+        return TreeEnsemble(nodes, space, importances, dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, TreeTweakError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
 
 
-def _tree_text(tree: DecisionTree) -> str:
-    """One entry of the document's ``trees`` as ``json.dumps(indent=2)``
+def _tree_text(nodes: ForestNodes, k: int) -> str:
+    """Tree k's entry of the document's ``trees`` as ``json.dumps(indent=2)``
     writes it two levels deep: keys sorted, floats as ``float.__repr__``."""
-    threshold = map(float.__repr__, tree.threshold.tolist())
-    nodes = [
-        f'        {{\n          "leaf": {label}\n        }}'
-        if label
-        else f'        {{\n          "feature": {feature},\n          "left": {left},'
+    feature, threshold, children, label = _tree_arrays(nodes, k)
+    lines = [
+        f'        {{\n          "leaf": {leaf}\n        }}'
+        if leaf
+        else f'        {{\n          "feature": {f},\n          "left": {left},'
         f'\n          "right": {right},\n          "threshold": {text}\n        }}'
-        for feature, text, (right, left), label in zip(
-            tree.feature.tolist(), threshold, tree.children.tolist(), tree.label.tolist()
+        for f, text, (right, left), leaf in zip(
+            feature.tolist(), map(float.__repr__, threshold.tolist()), children.tolist(),
+            label.tolist(),
         )
     ]
-    return '    {\n      "nodes": [\n' + ",\n".join(nodes) + "\n      ]\n    }"
+    return '    {\n      "nodes": [\n' + ",\n".join(lines) + "\n      ]\n    }"
 
 
 def dumps_model(ens: TreeEnsemble) -> str:
@@ -711,7 +682,7 @@ def dumps_model(ens: TreeEnsemble) -> str:
     straight from its node arrays.
     """
     head = json.dumps(_document_head(ens), indent=2, sort_keys=True)
-    trees = ",\n".join(_tree_text(tree) for tree in ens.trees)
+    trees = ",\n".join(_tree_text(ens.nodes, k) for k in range(ens.num_trees))
     return f'{head[:-2]},\n  "trees": [\n{trees}\n  ]\n}}\n'
 
 

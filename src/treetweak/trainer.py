@@ -34,7 +34,7 @@ from treetweak.errors import (
     NonFiniteValue,
 )
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import TreeEnsemble, trees_from_nodes, vote_sums
+from treetweak.forest import ForestNodes, TreeEnsemble, trees_from_nodes, vote_sums
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -302,7 +302,7 @@ def _chunks(wave: list) -> Iterator[list]:
         yield chunk
 
 
-def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
+def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[ForestNodes, np.ndarray]:
     """Grow one tree per row ``counts[k]``, the float64 number of times
     each sample of ``Xt`` is in tree k's sample, with generator
     ``rngs[k]``, all trees in lockstep.
@@ -316,9 +316,9 @@ def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[list, np.ndarray]:
     generator and its ``gains`` updates all come in preorder, as if it grew
     alone. Wave w takes node w of every tree still growing; the wave's
     splittable nodes are then scored together by :func:`_best_splits`, in
-    calls of at most COLUMN_CAP distinct sample columns. Returns the trees
-    and the ``[K, n]`` per-feature impurity decreases, each split adding
-    (node weight fraction x gain).
+    calls of at most COLUMN_CAP distinct sample columns. Returns the
+    forest's node store and the ``[K, n]`` per-feature impurity decreases,
+    each split adding (node weight fraction x gain).
     """
     n_features = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n_features)
@@ -410,7 +410,7 @@ def train_forest(
     if bootstrap:
         for row, rng in zip(counts, rngs):
             row[:] = np.bincount(rng.integers(0, m, size=m), minlength=m)
-    trees, gains = _grow(Xt, pos, counts, cfg, rngs)
+    nodes, gains = _grow(Xt, pos, counts, cfg, rngs)
     mean = np.mean(gains, axis=0)
     total = mean.sum()
     importances = mean / total if total > 0.0 else np.zeros_like(mean)
@@ -423,7 +423,7 @@ def train_forest(
         "bootstrap": bootstrap,
         "seed": cfg.seed,
     }
-    return TreeEnsemble(trees, space, importances, metadata)
+    return TreeEnsemble(nodes, space, importances, metadata)
 
 
 def stratified_split(

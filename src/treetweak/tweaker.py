@@ -431,7 +431,9 @@ def brute_force_tweak(
     scope = range(ens.num_trees)
     if only_negative_trees:
         scope = np.flatnonzero(tree_votes(ens, x_values) == -1).tolist()
-    total_paths = sum(ens.trees[k].positive_leaf_count for k in scope)
+    label, root = ens.nodes.label, ens.nodes.root
+    leaf_tree = np.searchsorted(root, np.flatnonzero(label == 1), side="right") - 1
+    total_paths = int(np.isin(leaf_tree, scope).sum())
     if total_paths > BRUTE_FORCE_PATH_LIMIT:
         raise SearchSpaceTooLarge(
             f"{total_paths} positive paths exceed the {BRUTE_FORCE_PATH_LIMIT} limit"
@@ -439,7 +441,7 @@ def brute_force_tweak(
 
     rows = []
     for k in scope:
-        for path in extract_paths(ens.trees[k]):
+        for path in extract_paths(ens, k):
             if path.leaf_label != 1:
                 continue
             try:

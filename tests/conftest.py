@@ -31,8 +31,9 @@ def plain_space(n, adjustable=None):
 
 
 def tree(spec):
-    """A DecisionTree from a nested spec: a leaf is its label, -1 or +1, and
-    an internal node is ``(feature, threshold, left, right)``."""
+    """The JSON ``nodes`` list of a tree from a nested spec: a leaf is its
+    label, -1 or +1, and an internal node is ``(feature, threshold, left,
+    right)``. :func:`trees_from_nodes` builds a forest of such lists."""
     nodes = []
     stack = [(spec, None)]  # (spec, the node whose right child it is)
     while stack:
@@ -46,7 +47,7 @@ def tree(spec):
         node = {"feature": feature, "threshold": threshold, "left": len(nodes) + 1}
         nodes.append(node)
         stack += ((right, node), (left, None))
-    return trees_from_nodes([nodes])[0]
+    return nodes
 
 
 def stump(feature, threshold, left_label, right_label):
@@ -68,7 +69,7 @@ def random_tree(rng, n_features, max_depth, p_leaf=0.3):
 
 def random_ensemble(rng, num_trees, n_features, max_depth, space=None):
     trees = tuple(random_tree(rng, n_features, max_depth) for _ in range(num_trees))
-    return TreeEnsemble(trees, space or plain_space(n_features))
+    return TreeEnsemble(trees_from_nodes(trees), space or plain_space(n_features))
 
 
 def sample_negative_instances(ens, rng, count, scale=1.5, attempts=400):

@@ -36,6 +36,7 @@ from treetweak.forest import (
     route,
     save_model,
     tree_votes,
+    trees_from_nodes,
 )
 from treetweak.recommend import (
     HELPFUL,
@@ -165,7 +166,8 @@ def oracle_cases(draw):
     value = _GRID | st.floats(-3, 3)
     xs = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))
     epsilon = draw(st.floats(0, 1, exclude_min=True))
-    return TreeEnsemble(trees, plain_space(n, mask)), xs, epsilon, draw(st.booleans())
+    ens = TreeEnsemble(trees_from_nodes(trees), plain_space(n, mask))
+    return ens, xs, epsilon, draw(st.booleans())
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,14 +197,13 @@ def test_criterion_02_single_tree_optimality():
     trees_checked = 0
     while trees_checked < 30:
         ens = random_ensemble(rng, 1, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
-        tree = ens.trees[0]
-        if np.count_nonzero(tree.label) > 64:
+        if np.count_nonzero(ens.nodes.label) > 64:
             continue
         xs = sample_negative_instances(ens, rng, 5)
         if not xs:
             continue
         trees_checked += 1
-        positive_paths = [p for p in extract_paths(tree) if p.leaf_label == 1]
+        positive_paths = [p for p in extract_paths(ens, 0) if p.leaf_label == 1]
         for x in xs:
             # Exhaustive independent enumeration of the search space.
             pool = []
@@ -248,7 +249,7 @@ def test_criterion_03_validity_invariants():
             for cand in candidate_set(ens, x, 0.2, "euclidean"):
                 total += 1
                 assert predict_ensemble(ens, cand.candidate) == 1
-                path = route(ens.trees[cand.source_tree], cand.candidate)
+                path = route(ens, cand.source_tree, cand.candidate)
                 assert path.leaf_label == 1
                 assert path.path_index == cand.source_path
                 assert cand.candidate.values[2] == x.values[2]
@@ -266,7 +267,7 @@ def test_criterion_04_majority_vote_semantics():
     rng = np.random.default_rng(4000)
     pairs = ties = 0
     # An engineered everywhere-tied ensemble plus random even/odd forests.
-    tied = TreeEnsemble((tree(1), tree(-1)), plain_space(3))
+    tied = TreeEnsemble(trees_from_nodes([tree(1), tree(-1)]), plain_space(3))
     forests = [tied] + [
         random_ensemble(rng, int(rng.integers(1, 7)), 3, 3) for _ in range(199)
     ]
@@ -274,7 +275,7 @@ def test_criterion_04_majority_vote_semantics():
         for _ in range(50):
             x = Instance(rng.normal(0, 2, 3))
             pairs += 1
-            total = sum(route(tree, x).leaf_label for tree in ens.trees)
+            total = sum(route(ens, k, x).leaf_label for k in range(ens.num_trees))
             assert tree_votes(ens, x).sum() == total
             assert predict_ensemble(ens, x) == (-1 if total <= 0 else 1)
             ties += total == 0

@@ -18,6 +18,7 @@ from treetweak.forest import (
     predict_ensemble,
     route,
     save_model,
+    trees_from_nodes,
 )
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, load_instances
 from treetweak.tweaker import Found
@@ -47,7 +48,7 @@ def assert_one_error_line(capsys):
 
 
 def write_stump_model(path):
-    ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1), importances=[1.0])
+    ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1), importances=[1.0])
     save_model(ens, path)
     return path
 
@@ -375,7 +376,7 @@ class TestTweakCommand:
     )
     def test_a_placement_that_overflows_is_not_covered(self, tmp_path, spec):
         model = tmp_path / "model.json"
-        save_model(TreeEnsemble((tree(spec),), plain_space(1)), model)
+        save_model(TreeEnsemble(trees_from_nodes([tree(spec)]), plain_space(1)), model)
         data = tmp_path / "inst.csv"
         data.write_text("x0\n0\n")
         out = tmp_path / "out.json"
@@ -394,7 +395,7 @@ class TestTweakCommand:
         # 1e300 standardizes to 1e310, which the stump would route right.
         space = FeatureSpace([FeatureMeta("x0", std_dev=1e-10)])
         model = tmp_path / "model.json"
-        save_model(TreeEnsemble((stump(0, 0.0, -vote, vote),), space), model)
+        save_model(TreeEnsemble(trees_from_nodes([stump(0, 0.0, -vote, vote)]), space), model)
         data = tmp_path / "inst.csv"
         data.write_text("x0\n1e300\n")
         out = tmp_path / "out.json"
@@ -406,7 +407,7 @@ class TestTweakCommand:
         # The candidate 1e10 + 0.05 is 1e310 in raw units.
         space = FeatureSpace([FeatureMeta("x0", std_dev=1e300)])
         model = tmp_path / "model.json"
-        save_model(TreeEnsemble((stump(0, 1e10, -1, 1),), space), model)
+        save_model(TreeEnsemble(trees_from_nodes([stump(0, 1e10, -1, 1)]), space), model)
         data = tmp_path / "inst.csv"
         data.write_text("x0\n0\n")
         out = tmp_path / "out.json"
@@ -571,7 +572,7 @@ class TestSchemaPipeline:
             for trans in result["transformations"]:
                 candidate = Instance(trans["candidate_standardized"])
                 assert predict_ensemble(ens, candidate) == 1
-                leaf = route(ens.trees[trans["source_tree"]], candidate)
+                leaf = route(ens, trans["source_tree"], candidate)
                 assert (leaf.path_index, leaf.leaf_label) == (trans["source_path"], 1)
                 assert (candidate.values[frozen] == x[frozen]).all()
 
@@ -762,18 +763,26 @@ class TestFlagsAndEnv:
         assert doc["results"][0]["status"] == "not_covered"
         assert "budget" in doc["results"][0]["reason"]
 
-    def test_log_env_var_naming_a_non_level_falls_back(self, monkeypatch):
-        # logging.BASIC_FORMAT is a string, not a level. The root logger's
-        # handlers are emptied so that basicConfig configures it, as in a
-        # fresh process.
-        monkeypatch.setenv("TREETWEAK_LOG", "basic_format")
+    @staticmethod
+    def fresh_root_logger(monkeypatch):
+        """Empty the root logger's handlers, so that basicConfig configures
+        it as in a fresh process, and unset its level; both come back after
+        the test."""
         monkeypatch.setattr(logging.root, "handlers", [])
+        monkeypatch.setattr(logging.root, "level", logging.NOTSET)
+
+    def test_log_env_var_naming_a_non_level_falls_back(self, monkeypatch):
+        # logging.BASIC_FORMAT is a string, not a level.
+        monkeypatch.setenv("TREETWEAK_LOG", "basic_format")
+        self.fresh_root_logger(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             main(["--version"])
         assert exit_info.value.code == 0
+        assert logging.root.level == logging.WARNING
 
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TREETWEAK_LOG", "debug")
+        self.fresh_root_logger(monkeypatch)
         model = write_stump_model(tmp_path / "model.json")
         data = tmp_path / "inst.csv"
         data.write_text("x0\n-0.5\n")
@@ -781,6 +790,7 @@ class TestFlagsAndEnv:
         assert main(
             ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
         ) == 0
+        assert logging.root.level == logging.DEBUG
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -1027,7 +1037,7 @@ class TestReportCommand:
 # A small valid model: x = (-1, -1) is negative under both trees.
 _MODEL = ensemble_to_dict(
     TreeEnsemble(
-        (tree((0, 0.0, -1, (1, 0.5, 1, -1))), stump(1, 0.0, -1, 1)),
+        trees_from_nodes([tree((0, 0.0, -1, (1, 0.5, 1, -1))), stump(1, 0.0, -1, 1)]),
         plain_space(2),
         importances=[0.5, 0.5],
     )

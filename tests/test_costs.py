@@ -18,7 +18,7 @@ from treetweak.costs import (
 )
 from treetweak.errors import LengthMismatch, ZeroVariance, ZeroVector
 from treetweak.feature_space import Instance
-from treetweak.forest import TreeEnsemble
+from treetweak.forest import TreeEnsemble, trees_from_nodes
 from treetweak.tweaker import Found, tweak
 
 from conftest import plain_space, stump
@@ -309,7 +309,7 @@ class TestOverflow:
         assert euclidean_distance([-1e308], [[1e308]]).tolist() == [math.inf]
 
     def test_euclidean_tweak_with_a_huge_epsilon(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outcome = tweak(ens, Instance([-1.0]), "euclidean", 1e300)

@@ -33,9 +33,21 @@ from treetweak.trainer import TrainConfig, train_forest
 from conftest import gaussian_instances, plain_space, random_ensemble, random_tree, stump, tree
 
 
+def alone(nodes, n):
+    """A one-tree ensemble over n features: its store holds just the tree,
+    whose root is node 0."""
+    return TreeEnsemble(trees_from_nodes([nodes]), plain_space(n))
+
+
+def spans(nodes):
+    """Each tree's slice of a store: ``root[k]`` up to the next root."""
+    bounds = [*nodes.root.tolist(), len(nodes.label)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def replay(tree, path):
-    """Walk the tree following the recorded conditions; return the leaf's
-    label."""
+    """Walk a one-tree store following the recorded conditions; return the
+    leaf's label."""
     node = 0
     for feature, direction, threshold in path.conditions:
         assert tree.label[node] == 0
@@ -148,7 +160,8 @@ def preorder_reference(nodes):
 
 
 def count_leaves(tree):
-    """Leaves reached from the root by following child indices."""
+    """Leaves of a one-tree store reached from the root by following child
+    indices."""
     count, stack = 0, [0]
     while stack:
         node = stack.pop()
@@ -161,12 +174,12 @@ def count_leaves(tree):
 
 class TestPredictTree:
     def test_single_leaf(self):
-        assert route(tree(1), Instance([123.0])).leaf_label == 1
+        assert route(alone(tree(1), 1), 0, Instance([123.0])).leaf_label == 1
 
     def test_stump_boundary_routes_left(self):
-        tree = stump(0, 0.5, -1, 1)
-        assert route(tree, Instance([0.5])).leaf_label == -1
-        assert route(tree, Instance([0.5000001])).leaf_label == 1
+        ens = alone(stump(0, 0.5, -1, 1), 1)
+        assert route(ens, 0, Instance([0.5])).leaf_label == -1
+        assert route(ens, 0, Instance([0.5000001])).leaf_label == 1
 
     def test_depth3_corners_reach_designed_leaves(self):
         # A full depth-3 tree splitting features 0,1,2 at 0; each of the 8
@@ -178,26 +191,27 @@ class TestPredictTree:
             return (2, 0.0, labels[i], labels[i + 1])
 
         t = tree((0, 0.0, (1, 0.0, level2(0), level2(2)), (1, 0.0, level2(4), level2(6))))
+        ens = alone(t, 3)
         for corner in range(8):
             bits = [(corner >> shift) & 1 for shift in (2, 1, 0)]
             x = Instance([1.0 if b else -1.0 for b in bits])
-            assert route(t, x).leaf_label == labels[corner]
-            assert route(t, x).path_index == corner
+            assert route(ens, 0, x).leaf_label == labels[corner]
+            assert route(ens, 0, x).path_index == corner
 
 
 class TestPredictEnsemble:
     def test_single_positive_vote(self):
-        ens = TreeEnsemble((tree(1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree(1)]), plain_space(1))
         assert predict_ensemble(ens, Instance([0.0])) == 1
 
     def test_majority_negative(self):
         trees = (tree(-1), tree(-1), tree(1))
-        ens = TreeEnsemble(trees, plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         assert predict_ensemble(ens, Instance([0.0])) == -1
 
     def test_even_tie_resolves_negative(self):
         trees = (tree(1), tree(-1))
-        ens = TreeEnsemble(trees, plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         assert tree_votes(ens, Instance([0.0])).sum() == 0
         assert predict_ensemble(ens, Instance([0.0])) == -1
 
@@ -207,7 +221,7 @@ class TestPredictEnsemble:
             ens = random_ensemble(rng, int(rng.integers(1, 6)), 4, 3)
             for _ in range(20):
                 x = Instance(rng.normal(0, 2, 4))
-                total = sum(route(t, x).leaf_label for t in ens.trees)
+                total = sum(route(ens, k, x).leaf_label for k in range(ens.num_trees))
                 assert predict_ensemble(ens, x) == (-1 if total <= 0 else 1)
 
 
@@ -280,7 +294,7 @@ def forests_with_rows(draw):
     specs = draw(st.lists(node | deep, min_size=count, max_size=count))
     if mirrored:
         specs += [negated(spec) for spec in specs]
-    ens = TreeEnsemble(tuple(tree(spec) for spec in specs), plain_space(n))
+    ens = TreeEnsemble(trees_from_nodes([tree(spec) for spec in specs]), plain_space(n))
     tests = ens.nodes.threshold[ens.nodes.label == 0].tolist()
     value = (
         st.sampled_from(tests + [-0.0, 0.0, math.nan])
@@ -325,11 +339,10 @@ class TestFlatView:
     def test_matches_serialized_preorder_layout(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            tree = random_tree(rng, 4, 5)
+            ens = alone(random_tree(rng, 4, 5), 4)
+            tree = ens.nodes
             right, left = tree.children[:, 0], tree.children[:, 1]
-            nodes = ensemble_to_dict(
-                TreeEnsemble((tree,), plain_space(4))
-            )["trees"][0]["nodes"]
+            nodes = ensemble_to_dict(ens)["trees"][0]["nodes"]
             assert len(left) == len(nodes)
             for slot, entry in enumerate(nodes):
                 if "leaf" in entry:
@@ -347,7 +360,7 @@ class TestFlatView:
             ens = random_ensemble(rng, int(rng.integers(1, 6)), 3, 5)
             X = rng.normal(0, 2, (50, 3))
             # put some rows exactly on thresholds
-            X[:5, 0] = ens.trees[0].threshold[0]
+            X[:5, 0] = ens.nodes.threshold[0]  # tree 0's root
             assert list(vote_sums(ens, X)) == [tree_votes(ens, x).sum() for x in X]
 
     def test_tree_votes_match_scalar_predictions(self):
@@ -356,31 +369,33 @@ class TestFlatView:
             ens = random_ensemble(rng, int(rng.integers(1, 8)), 3, 5)
             X = rng.normal(0, 2, (30, 3))
             # rows exactly on thresholds of internal nodes of every tree
-            for row, tree in zip(X[:10], ens.trees * 10):
-                inner = np.flatnonzero(tree.label == 0)
+            feature, threshold, _, label, _, _ = ens.nodes
+            for row, span in zip(X[:10], spans(ens.nodes) * 10):
+                inner = span.start + np.flatnonzero(label[span] == 0)
                 if inner.size:
                     node = rng.choice(inner)
-                    row[tree.feature[node]] = tree.threshold[node]
+                    row[feature[node]] = threshold[node]
             for x in X:
-                expected = [route(t, x).leaf_label for t in ens.trees]
+                expected = [route(ens, k, x).leaf_label for k in range(ens.num_trees)]
                 assert tree_votes(ens, x).tolist() == expected
 
     def test_threshold_ties_route_left(self):
-        ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.5, 1, -1)]), plain_space(1))
         assert list(vote_sums(ens, [[0.5], [np.nextafter(0.5, 1.0)]])) == [1, -1]
 
     def test_empty_matrix(self):
-        ens = TreeEnsemble((stump(0, 0.5, 1, -1),), plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.5, 1, -1)]), plain_space(2))
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
 
     def test_a_forest_of_single_leaves_votes_its_labels(self):
         # Each root is a leaf's block: every row reads the label, whatever
         # its values.
-        ens = TreeEnsemble(tuple(map(tree, [1, -1, 1, 1, -1, 1])), plain_space(2))
+        labels = [1, -1, 1, 1, -1, 1]
+        ens = TreeEnsemble(trees_from_nodes([tree(v) for v in labels]), plain_space(2))
         X = [[0.0, 0.0], [-1.0, 1.0], [1.0, -1.0], [math.nan, math.inf], [-math.inf, math.nan]]
         assert vote_sums(ens, X).tolist() == [2] * 5
         assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
-        negative = TreeEnsemble((tree(-1),), plain_space(1))
+        negative = TreeEnsemble(trees_from_nodes([tree(-1)]), plain_space(1))
         assert vote_sums(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [-1] * 3
 
     @settings(max_examples=200, deadline=None)
@@ -391,7 +406,9 @@ class TestFlatView:
         sums = vote_sums(ens, X)
         assert sums.shape == (len(X),)
         assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
-        assert sums.tolist() == [sum(route(t, x).leaf_label for t in ens.trees) for x in X]
+        assert sums.tolist() == [
+            sum(route(ens, k, x).leaf_label for k in range(ens.num_trees)) for x in X
+        ]
         assert X.tobytes() == before
 
     @settings(max_examples=200, deadline=None)
@@ -422,7 +439,8 @@ class TestFlatView:
     ):
         # A row that follows a stump's left branch takes ``labels`` as its
         # votes, and one that goes right the opposite votes.
-        ens = TreeEnsemble(tuple(stump(0, 0.0, v, -v) for v in labels), plain_space(1))
+        trees = [stump(0, 0.0, v, -v) for v in labels]
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         X = [[-1.0], [0.0], [1.0], [math.nan]]
         assert vote_sums(ens, X).tolist() == [total, total, -total, -total]
         assert positive_rows(ens, X).tolist() == [total > 0] * 2 + [-total > 0] * 2
@@ -445,7 +463,7 @@ class TestFlatView:
         space, data = gaussian_instances(4, m=1000, n=n)
         ens = train_forest(data, TrainConfig(num_trees=10, max_depth=max_depth, seed=2), space)
         if max_depth is None:  # TrainConfig's default depth limit is n
-            assert max(t.depth for t in ens.trees) < n
+            assert ens.nodes.depth.max() < n
         assert routing_bytes(ens) <= 1.5 * sum(a.nbytes for a in ens.nodes[:5])
 
     def test_routing_blocks_of_a_deep_chain_stay_near_its_node_store(self):
@@ -456,26 +474,32 @@ class TestFlatView:
     def test_a_row_without_one_value_per_feature_is_rejected(self, votes, shape):
         # The gathers are unchecked: a narrow matrix would be routed on a
         # neighbouring row's cells, and a wide one on its first n columns.
-        ens = TreeEnsemble((tree((0, 0.0, (2, 0.5, 1, -1), (2, 0.5, -1, 1))),), plain_space(3))
+        spec = (0, 0.0, (2, 0.5, 1, -1), (2, 0.5, -1, 1))
+        ens = TreeEnsemble(trees_from_nodes([tree(spec)]), plain_space(3))
         with pytest.raises(LengthMismatch, match=re.escape(f"got shape {shape}")):
             votes(ens, np.zeros(shape))
 
-    def test_trees_are_views_of_the_ensembles_one_store(self):
+    def test_the_ensemble_keeps_the_builders_arrays(self):
+        rng = np.random.default_rng(13)
+        forest = trees_from_nodes([random_tree(rng, 3, 5) for _ in range(6)])
+        ens = TreeEnsemble(forest, plain_space(3))
+        assert ens.nodes is forest
+        for key in ("feature", "threshold", "children", "label"):
+            assert getattr(ens.nodes, key) is getattr(forest, key)
+
+    def test_trees_are_slices_of_the_ensembles_one_store(self):
         rng = np.random.default_rng(13)
         made = random_ensemble(rng, 6, 3, 5)
         space, data = gaussian_instances(3, m=200, n=3)
         trained = train_forest(data, TrainConfig(num_trees=5, max_depth=4, seed=1), space)
         for ens in (made, ensemble_from_dict(ensemble_to_dict(made)), trained):
-            for t in ens.trees:
-                for key in ("feature", "threshold", "children", "label"):
-                    assert np.shares_memory(getattr(t, key), getattr(ens.nodes, key))
+            trees = range(ens.num_trees)
             for x in rng.normal(0, 2, (20, 3)):
-                assert tree_votes(ens, x).tolist() == [route(t, x).leaf_label for t in ens.trees]
+                assert tree_votes(ens, x).tolist() == [route(ens, k, x).leaf_label for k in trees]
             # Each positive path's conditions, folded into a box.
             boxes = ens.positive_boxes
             found = [
-                (k, p) for k, t in enumerate(ens.trees) for p in extract_paths(t)
-                if p.leaf_label == 1
+                (k, p) for k in trees for p in extract_paths(ens, k) if p.leaf_label == 1
             ]
             assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == (
                 [k for k, _ in found], [p.path_index for _, p in found]
@@ -492,8 +516,8 @@ class TestFlatView:
 
     def test_positive_boxes_built_once_per_ensemble(self):
         trees = (stump(0, 0.5, -1, 1), stump(1, -0.5, 1, -1))
-        a = TreeEnsemble(trees, plain_space(2))
-        b = TreeEnsemble(trees, plain_space(2))
+        a = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
+        b = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         boxes = a.positive_boxes
         assert a.positive_boxes is boxes
         assert b.positive_boxes is not boxes
@@ -507,76 +531,72 @@ class TestFlatView:
 
 class TestExtractPaths:
     def test_single_leaf_tree(self):
-        paths = extract_paths(tree(1))
+        paths = extract_paths(alone(tree(1), 1), 0)
         assert len(paths) == 1
         assert paths[0].conditions == ()
         assert paths[0].leaf_label == 1
 
     def test_full_depth2_counts(self):
-        t = tree((0, 0.0, (1, 0.0, 1, -1), (1, 0.0, -1, 1)))
-        labels = [p.leaf_label for p in extract_paths(t)]
+        ens = alone(tree((0, 0.0, (1, 0.0, 1, -1), (1, 0.0, -1, 1))), 2)
+        labels = [p.leaf_label for p in extract_paths(ens, 0)]
         assert labels == [1, -1, -1, 1]
 
     def test_path_conditions_recorded(self):
-        tree = stump(0, 0.5, -1, 1)
-        neg, pos = extract_paths(tree)
+        neg, pos = extract_paths(alone(stump(0, 0.5, -1, 1), 1), 0)
         assert neg.conditions == ((0, LE, 0.5),)
         assert pos.conditions == ((0, GT, 0.5),)
 
     def test_random_trees_cover_all_leaves(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            tree = random_tree(rng, 5, int(rng.integers(1, 6)))
-            paths = extract_paths(tree)
-            assert len(paths) == count_leaves(tree)
+            ens = alone(random_tree(rng, 5, int(rng.integers(1, 6))), 5)
+            paths = extract_paths(ens, 0)
+            assert len(paths) == count_leaves(ens.nodes)
             # ordinals are exactly 0..leaves-1 in order
             assert [p.path_index for p in paths] == list(range(len(paths)))
             for path in paths:
-                assert replay(tree, path) == path.leaf_label
+                assert replay(ens.nodes, path) == path.leaf_label
 
     def test_leaf_bound(self):
         rng = np.random.default_rng(6)
         for depth in (1, 2, 3, 4):
-            tree = random_tree(rng, 4, depth, p_leaf=0.0)
-            assert count_leaves(tree) <= 2**depth
+            ens = alone(random_tree(rng, 4, depth, p_leaf=0.0), 4)
+            assert count_leaves(ens.nodes) <= 2**depth
 
 
 class TestRoute:
     def test_stump_left(self):
-        tree = stump(0, 0.5, -1, 1)
-        path = route(tree, Instance([0.4]))
+        path = route(alone(stump(0, 0.5, -1, 1), 1), 0, Instance([0.4]))
         assert path.conditions == ((0, LE, 0.5),)
         assert path.leaf_label == -1
 
     def test_stump_right(self):
-        tree = stump(0, 0.5, -1, 1)
-        path = route(tree, Instance([0.6]))
+        path = route(alone(stump(0, 0.5, -1, 1), 1), 0, Instance([0.6]))
         assert path.conditions == ((0, GT, 0.5),)
         assert path.leaf_label == 1
 
     def test_route_agrees_with_tree_votes(self):
         rng = np.random.default_rng(9)
-        tree = random_tree(rng, 6, 5)
-        ens = TreeEnsemble((tree,), plain_space(6))
+        ens = alone(random_tree(rng, 6, 5), 6)
         for _ in range(100):
             x = Instance(rng.normal(0, 2, 6))
-            path = route(tree, x)
+            path = route(ens, 0, x)
             assert [path.leaf_label] == tree_votes(ens, x).tolist()
-            assert replay(tree, path) == path.leaf_label
+            assert replay(ens.nodes, path) == path.leaf_label
 
 
 class TestEnsembleValidation:
     def test_feature_out_of_range(self):
         with pytest.raises(ValueError):
-            TreeEnsemble((stump(3, 0.0, -1, 1),), plain_space(2))
+            TreeEnsemble(trees_from_nodes([stump(3, 0.0, -1, 1)]), plain_space(2))
         trees = (stump(1, 0.0, -1, 1), stump(2, 0.0, -1, 1))
         with pytest.raises(ValueError, match="tree 1: node 0 tests feature 2, outside"):
-            TreeEnsemble(trees, plain_space(2))
+            TreeEnsemble(trees_from_nodes(trees), plain_space(2))
 
     def test_importances_must_normalize(self):
         with pytest.raises(ValueError):
             TreeEnsemble(
-                (tree(1),), plain_space(1), importances=[0.4]
+                trees_from_nodes([tree(1)]), plain_space(1), importances=[0.4]
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -584,13 +604,13 @@ class TestEnsembleValidation:
         # So the model writer never meets a threshold json would spell as
         # NaN or Infinity.
         with pytest.raises(ValueError, match="not finite"):
-            tree((0, 0.5, -1, (0, bad, 1, -1)))
+            trees_from_nodes([tree((0, 0.5, -1, (0, bad, 1, -1)))])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_importances_rejected(self, bad):
         with pytest.raises(ValueError):
             TreeEnsemble(
-                (tree(1),), plain_space(2), importances=[bad, 0.0]
+                trees_from_nodes([tree(1)]), plain_space(2), importances=[bad, 0.0]
             )
 
 
@@ -599,7 +619,7 @@ class TestSerialization:
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, num_trees, 6, 4)
         return TreeEnsemble(
-            ens.trees,
+            ens.nodes,
             ens.feature_space,
             importances=np.full(6, 1 / 6),
             metadata={"num_trees": num_trees, "seed": seed},
@@ -764,8 +784,8 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         for _ in range(200):
             x = Instance(rng.normal(0, 2, 6))
-            for a, b in zip(ens.trees, loaded.trees):
-                assert route(b, x) == route(a, x)
+            for k in range(ens.num_trees):
+                assert route(loaded, k, x) == route(ens, k, x)
 
     def test_non_finite_importances_are_corrupt(self):
         doc = ensemble_to_dict(self._ensemble(seed=7, num_trees=2))
@@ -808,7 +828,7 @@ class TestSerialization:
         doc["trees"][0]["nodes"] = chain_nodes(depth)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         ens = ensemble_from_dict(json.loads(text))
-        assert ens.trees[0].depth == depth
+        assert ens.nodes.depth.tolist() == [depth]
         assert dumps_model(ens) == text
 
 
@@ -853,7 +873,7 @@ def edge_ensembles(draw):
         name, st.none() | st.booleans() | st.integers() | name | st.sampled_from(EDGE_FLOATS),
         max_size=3,
     ))
-    return TreeEnsemble(tuple(trees), FeatureSpace(features), importances, metadata)
+    return TreeEnsemble(trees_from_nodes(trees), FeatureSpace(features), importances, metadata)
 
 
 class TestTreesFromNodes:
@@ -872,18 +892,14 @@ class TestTreesFromNodes:
                 moved[new[old]] = node
             entry["nodes"] = moved
         rebuilt = ensemble_from_dict(doc)
-        for entry, built, tree in zip(doc["trees"], ens.trees, rebuilt.trees):
+        for k, (entry, a_span, b_span) in enumerate(
+            zip(doc["trees"], spans(ens.nodes), spans(rebuilt.nodes))
+        ):
             *arrays, depth = preorder_reference(entry["nodes"])
-            for want, a, b in zip(
-                arrays,
-                (built.feature, built.threshold, built.children, built.label),
-                (tree.feature, tree.threshold, tree.children, tree.label),
-            ):
+            for want, a, b in zip(arrays, ens.nodes, rebuilt.nodes):
                 assert a.dtype == b.dtype == want.dtype
-                assert np.array_equal(a, want) and np.array_equal(b, want)
-            stats = depth, int(np.count_nonzero(arrays[3] == 1))
-            for t in (built, tree):
-                assert (t.depth, t.positive_leaf_count) == stats
+                assert np.array_equal(a[a_span], want) and np.array_equal(b[b_span], want)
+            assert ens.nodes.depth[k] == rebuilt.nodes.depth[k] == depth
         assert dumps_model(rebuilt) == dumps_model(ens) == reference_dumps(ens)
 
 
@@ -902,7 +918,7 @@ class TestWriterParity:
             tree((0, t, -1, (1, -t, 1, -1))) for t in EDGE_FLOATS
         ] + [tree(-1)]
         names = ['a"b', "c\\d", "\u00e9\u0000"]
-        ens = TreeEnsemble(tuple(trees), FeatureSpace(FeatureMeta(s) for s in names))
+        ens = TreeEnsemble(trees_from_nodes(trees), FeatureSpace(FeatureMeta(s) for s in names))
         text = dumps_model(ens)
         assert text == reference_dumps(ens)
         assert "5e-324" in text and "1.7976931348623157e+308" in text

@@ -3,7 +3,7 @@ import pytest
 
 from treetweak.errors import DegenerateRanking, EmptyInput
 from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, OneHotMember
-from treetweak.forest import TreeEnsemble
+from treetweak.forest import TreeEnsemble, trees_from_nodes
 from treetweak.recommend import (
     DECREASE,
     HELPFUL,
@@ -27,7 +27,7 @@ from conftest import plain_space, tree
 
 def make_ens(importances, space=None):
     space = space or plain_space(len(importances))
-    return TreeEnsemble((tree(1),), space, importances=importances)
+    return TreeEnsemble(trees_from_nodes([tree(1)]), space, importances=importances)
 
 
 def make_transformation(x, values, cost=1.0, tree=0, path=0):

@@ -23,6 +23,7 @@ from treetweak.forest import (
     predict_ensemble,
     route,
     save_model,
+    trees_from_nodes,
     vote_sums,
 )
 from treetweak.trainer import (
@@ -47,9 +48,9 @@ def labeled(rows, labels):
 
 
 def one_tree(data, cfg):
-    """The tree of a one-tree forest over as many features as the first
-    row has."""
-    return train_forest(data, cfg, plain_space(len(data[0].values))).trees[0]
+    """A one-tree forest over as many features as the first row has: its
+    store holds just the tree, whose root is node 0."""
+    return train_forest(data, cfg, plain_space(len(data[0].values)))
 
 
 def rows_of_widths(widths):
@@ -368,7 +369,7 @@ def test_trained_model_bytes_are_pinned(name):
 class TestTrainTree:
     def test_pure_positive_dataset(self):
         data = labeled(np.zeros((5, 2)), [1] * 5)
-        tree = one_tree(data, TrainConfig())
+        tree = one_tree(data, TrainConfig()).nodes
         assert tree.label[0] == 1  # the root is a leaf
 
     def test_empty_dataset(self):
@@ -377,44 +378,44 @@ class TestTrainTree:
 
     def test_separable_1d_stump(self):
         data = labeled([[0.1], [0.2], [0.8], [0.9]], [-1, -1, 1, 1])
-        tree = one_tree(data, TrainConfig())
-        assert tree.label[0] == 0  # the root is a split
-        assert 0.2 < tree.threshold[0] < 0.8
+        ens = one_tree(data, TrainConfig())
+        assert ens.nodes.label[0] == 0  # the root is a split
+        assert 0.2 < ens.nodes.threshold[0] < 0.8
         for inst in data:
-            assert route(tree, inst).leaf_label == inst.label
+            assert route(ens, 0, inst).leaf_label == inst.label
 
     def test_xor_at_depth_two(self):
         data = labeled(
             [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [-1, 1, 1, -1]
         )
         cfg = TrainConfig(max_depth=2, features_per_split=2)
-        tree = one_tree(data, cfg)
+        ens = one_tree(data, cfg)
         for inst in data:
-            assert route(tree, inst).leaf_label == inst.label
+            assert route(ens, 0, inst).leaf_label == inst.label
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(4)
         data = labeled(rng.normal(0, 1, (200, 4)), rng.choice((-1, 1), 200))
         for depth in (1, 2, 3):
-            tree = one_tree(data, TrainConfig(max_depth=depth, features_per_split=4))
-            assert tree.depth <= depth
+            ens = one_tree(data, TrainConfig(max_depth=depth, features_per_split=4))
+            assert ens.nodes.depth[0] <= depth
 
     def test_deeper_than_the_recursion_limit(self):
         # Alternating 1-D labels: the best split peels one sample off an
         # end, so the tree is as deep as the data is long.
         x = np.arange(2400.0)
         data = labeled(x[:, None], np.where(x % 2 == 0, -1, 1))
-        tree = one_tree(data, TrainConfig(max_depth=5000))
-        assert tree.depth > 2000
+        ens = one_tree(data, TrainConfig(max_depth=5000))
+        assert ens.nodes.depth[0] > 2000
         for inst in data[::97]:
-            assert route(tree, inst).leaf_label == inst.label
+            assert route(ens, 0, inst).leaf_label == inst.label
 
     def test_leaf_majority_rule_with_tie_to_negative(self):
         # Route the training data through a no-bootstrap tree: every leaf
         # label must be the majority of the samples it receives, -1 on ties.
         rng = np.random.default_rng(8)
         data = labeled(rng.normal(0, 1, (120, 3)), rng.choice((-1, 1), 120))
-        tree = one_tree(data, TrainConfig(max_depth=3, features_per_split=3))
+        tree = one_tree(data, TrainConfig(max_depth=3, features_per_split=3)).nodes
 
         stack = [(0, data)]
         while stack:
@@ -435,7 +436,7 @@ class TestTrainTree:
         # Recompute the weighted impurity change of every trained split.
         rng = np.random.default_rng(12)
         data = labeled(rng.normal(0, 1, (150, 4)), rng.choice((-1, 1), 150))
-        tree = one_tree(data, TrainConfig(max_depth=4, features_per_split=4))
+        tree = one_tree(data, TrainConfig(max_depth=4, features_per_split=4)).nodes
 
         stack = [(0, data)]
         while stack:
@@ -490,7 +491,7 @@ class TestTrainForest:
         # overflow warning.
         data = labeled([[1.5e308], [1.6e308], [1.7e308], [1.75e308]], [-1, -1, 1, 1])
         ens = train_forest(data, TrainConfig(num_trees=1), plain_space(1))
-        assert 1.6e308 < ens.trees[0].threshold[0] < 1.7e308
+        assert 1.6e308 < ens.nodes.threshold[0] < 1.7e308
         path = tmp_path / "m.json"
         save_model(ens, path)
         loaded = load_model(path)
@@ -520,7 +521,7 @@ class TestFeatureImportances:
         rng = np.random.default_rng(12)
         data = labeled(rng.normal(0, 1, (30, 3)), [1] * 30)
         ens = train_forest(data, TrainConfig(num_trees=3, seed=4), plain_space(3))
-        assert all(len(tree.label) == 1 for tree in ens.trees)
+        assert ens.nodes.root.tolist() == [0, 1, 2]  # each tree is one leaf
         np.testing.assert_array_equal(ens.importances, np.zeros(3))
 
     def test_informative_feature_ranks_first(self):
@@ -538,14 +539,14 @@ class TestFeatureImportances:
 class TestEvaluate:
     def test_perfect_predictions(self):
         tree = stump(0, 0.0, -1, 1)
-        ens = TreeEnsemble((tree,), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree]), plain_space(1))
         data = [Instance([-1.0], label=-1), Instance([1.0], label=1)] * 10
         metrics = evaluate_classifier(ens, data)
         assert metrics == ClassifierMetrics(f1=1.0, mcc=1.0, roc_auc=1.0)
 
     def test_inverted_predictions(self):
         tree = stump(0, 0.0, 1, -1)  # predicts the opposite of the label
-        ens = TreeEnsemble((tree,), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree]), plain_space(1))
         data = [Instance([-1.0], label=-1), Instance([1.0], label=1)] * 10
         metrics = evaluate_classifier(ens, data)
         assert metrics.mcc == pytest.approx(-1.0)
@@ -561,7 +562,7 @@ class TestEvaluate:
         ids=["empty", "unlabeled", "single-class"],
     )
     def test_rejects_unusable_sets(self, data, error):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         with pytest.raises(error):
             evaluate_classifier(ens, data)
 
@@ -570,7 +571,7 @@ class TestEvaluate:
         # Unchecked, long rows were scored on their first three values,
         # short rows read the next row's values until an IndexError, and
         # mixed widths failed in numpy with an untyped ValueError.
-        ens = TreeEnsemble((stump(2, 0.0, -1, 1),), plain_space(3))
+        ens = TreeEnsemble(trees_from_nodes([stump(2, 0.0, -1, 1)]), plain_space(3))
         data = [
             Instance([0.0] * (width - 1) + [v], label=lab)
             for width in widths
@@ -591,7 +592,7 @@ class TestEvaluate:
             labels = np.array([inst.label for inst in data])
             preds = np.array([predict_ensemble(ens, inst) for inst in data])
             scores = [
-                sum(route(tree, inst).leaf_label == 1 for tree in ens.trees) / num_trees
+                sum(route(ens, k, inst).leaf_label == 1 for k in range(num_trees)) / num_trees
                 for inst in data
             ]
             tp = int(np.sum((labels == 1) & (preds == 1)))
@@ -639,7 +640,7 @@ class TestNonFiniteRows:
         [
             lambda data, space: train_forest(data, TrainConfig(num_trees=5, seed=1), space),
             lambda data, space: evaluate_classifier(
-                TreeEnsemble((stump(0, 0.0, -1, 1),), space), data
+                TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), space), data
             ),
         ],
         ids=["train_forest", "evaluate_classifier"],

@@ -27,6 +27,7 @@ from treetweak.forest import (
     extract_paths,
     predict_ensemble,
     route,
+    trees_from_nodes,
 )
 import treetweak.tweaker as tweaker_mod
 from treetweak.tweaker import (
@@ -72,12 +73,12 @@ class TestBuildPositiveInstance:
         np.testing.assert_allclose(out.values, [0.0, 1.1])
 
     def test_two_sided_interval_binds_on_upper(self):
-        tree = interval_tree(0.2, 0.8)
-        (path,) = [p for p in extract_paths(tree) if p.leaf_label == 1]
+        ens = TreeEnsemble(trees_from_nodes([interval_tree(0.2, 0.8)]), plain_space(1))
+        (path,) = [p for p in extract_paths(ens, 0) if p.leaf_label == 1]
         out = build_positive_instance(Instance([5.0]), path, 0.1, plain_space(1))
         np.testing.assert_allclose(out.values, [0.7])
-        assert route(tree, out).path_index == path.path_index
-        assert route(tree, out).leaf_label == 1
+        assert route(ens, 0, out).path_index == path.path_index
+        assert route(ens, 0, out).leaf_label == 1
 
     def test_interval_narrower_than_epsilon_is_infeasible(self):
         path = positive_path((0, GT, 0.2), (0, LE, 0.25))
@@ -131,11 +132,11 @@ class TestBuildPositiveInstance:
 
 class TestCandidateSet:
     def test_no_positive_paths_means_empty(self):
-        ens = TreeEnsemble((tree(-1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree(-1)]), plain_space(1))
         assert candidate_set(ens, Instance([0.0]), 0.1, "euclidean") == []
 
     def test_single_stump_single_candidate(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         cands = candidate_set(ens, Instance([-1.0]), 0.1, "euclidean")
         assert len(cands) == 1
         np.testing.assert_allclose(cands[0].candidate.values, [0.1])
@@ -144,7 +145,7 @@ class TestCandidateSet:
     def test_positive_instance_yields_empty_set(self):
         # tweak rejects a positive instance with NotNegative, which
         # candidate_set turns into an empty set rather than an error.
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         assert candidate_set(ens, Instance([2.0]), 0.1, "euclidean") == []
 
     def test_matches_local_exhaustive_enumeration(self):
@@ -155,15 +156,15 @@ class TestCandidateSet:
             tree((1, -0.5, -1, (0, 1.0, 1, -1))),
             stump(0, 0.3, -1, 1),
         )
-        ens = TreeEnsemble(trees, plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         rng = np.random.default_rng(2)
         checked = 0
         for x in sample_negative_instances(ens, rng, 10):
             expected = set()
-            for k, t in enumerate(ens.trees):
-                if route(t, x).leaf_label != -1:
+            for k in range(ens.num_trees):
+                if route(ens, k, x).leaf_label != -1:
                     continue
-                for path in extract_paths(t):
+                for path in extract_paths(ens, k):
                     if path.leaf_label != 1:
                         continue
                     lows, highs = {}, {}
@@ -195,14 +196,14 @@ class TestCandidateSet:
 
 class TestTweak:
     def test_stump_found_with_euclidean_cost(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         out = tweak(ens, Instance([-1.0]), "euclidean", 0.1)
         assert isinstance(out, Found)
         np.testing.assert_allclose(out.best.candidate.values, [0.1])
         assert out.best.cost == pytest.approx(1.1)
 
     def test_not_negative_rejected(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         with pytest.raises(NotNegative):
             tweak(ens, Instance([1.0]), "euclidean", 0.1)
 
@@ -211,7 +212,7 @@ class TestTweak:
         # feature 0: every candidate satisfies exactly one tree and flips
         # nothing else, so no transformation can win the vote.
         trees = tuple(interval_tree(10.0 * k, 10.0 * k + 1.0) for k in range(3))
-        ens = TreeEnsemble(trees, plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         x = Instance([-5.0])
         assert predict_ensemble(ens, x) == -1
         assert candidate_set(ens, x, 0.1, "euclidean") == []
@@ -222,7 +223,7 @@ class TestTweak:
     def test_non_adjustable_feature_blocks_all_paths(self):
         space = plain_space(2, adjustable=[False, True])
         trees = tuple(stump(0, 0.0, -1, 1) for _ in range(3))
-        ens = TreeEnsemble(trees, space)
+        ens = TreeEnsemble(trees_from_nodes(trees), space)
         x = Instance([-1.0, 0.0])
         assert candidate_set(ens, x, 0.1, "euclidean") == []
         assert isinstance(tweak(ens, x, "euclidean", 0.1), NotCovered)
@@ -231,7 +232,7 @@ class TestTweak:
         # Two identical stumps produce identical candidates; the earlier
         # tree index must win.
         trees = (stump(0, 0.0, -1, 1), stump(0, 0.0, -1, 1), stump(1, 5.0, 1, -1))
-        ens = TreeEnsemble(trees, plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         x = Instance([-1.0, 0.0])
         out = tweak(ens, x, "euclidean", 0.1)
         assert isinstance(out, Found)
@@ -250,7 +251,7 @@ class TestTweak:
                     continue
                 for cand in out.all_candidates:
                     assert predict_ensemble(ens, cand.candidate) == 1
-                    path = route(ens.trees[cand.source_tree], cand.candidate)
+                    path = route(ens, cand.source_tree, cand.candidate)
                     assert path.leaf_label == 1
                     assert path.path_index == cand.source_path
                     assert cand.candidate.values[2] == x.values[2]
@@ -301,7 +302,7 @@ class TestBruteForce:
                         )
 
     def test_no_positive_paths_not_covered(self):
-        ens = TreeEnsemble((tree(-1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree(-1)]), plain_space(1))
         out = brute_force_tweak(ens, Instance([0.0]), "euclidean", 0.1)
         assert isinstance(out, NotCovered)
 
@@ -347,22 +348,21 @@ class TestBruteForce:
             )
             nodes.append({"leaf": -1})
         nodes.append({"leaf": 1})
-        doc = ensemble_to_dict(TreeEnsemble((tree(1),), plain_space(6)))
+        doc = ensemble_to_dict(TreeEnsemble(trees_from_nodes([tree(1)]), plain_space(6)))
         doc["trees"][0]["nodes"] = nodes
         ens = ensemble_from_dict(doc)
-        chain = ens.trees[0]
         x = Instance(np.zeros(6))
-        paths = extract_paths(chain)
+        paths = extract_paths(ens, 0)
         assert len(paths) == depth + 1
-        assert route(chain, x).leaf_label == -1
-        assert route(chain, x) == paths[0]
+        assert route(ens, 0, x).leaf_label == -1
+        assert route(ens, 0, x) == paths[0]
         a = tweak(ens, x, "euclidean", 0.05)
         b = brute_force_tweak(ens, x, "euclidean", 0.05, only_negative_trees=True)
         assert isinstance(a, Found) and isinstance(b, Found)
         np.testing.assert_array_equal(a.best.candidate.values, b.best.candidate.values)
         assert a.best.sort_key() == b.best.sort_key() == (a.best.cost, 0, depth)
-        assert route(chain, a.best.candidate).leaf_label == 1
-        assert route(chain, a.best.candidate) == paths[-1]
+        assert route(ens, 0, a.best.candidate).leaf_label == 1
+        assert route(ens, 0, a.best.candidate) == paths[-1]
 
 
 class TestFoldingEquivalence:
@@ -410,12 +410,12 @@ class TestFoldingEquivalence:
         # One feature tested four times on a single path; the folded
         # bounds are (0.4, 0.6], so the candidate sits at 0.6 - eps.
         t = tree((0, 1.0, (0, 0.2, -1, (0, 0.6, (0, 0.4, -1, 1), -1)), -1))
-        ens = TreeEnsemble((t,), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([t]), plain_space(1))
         x = Instance([5.0])
         out = tweak(ens, x, "euclidean", 0.05)
         assert isinstance(out, Found)
         np.testing.assert_allclose(out.best.candidate.values, [0.55])
-        assert route(t, out.best.candidate).leaf_label == 1
+        assert route(ens, 0, out.best.candidate).leaf_label == 1
         # margin wider than the interval: nothing fits into (0.4, 0.6]
         assert isinstance(tweak(ens, x, "euclidean", 0.25), NotCovered)
 
@@ -432,7 +432,7 @@ class TestFoldingEquivalence:
                 for cand in out.all_candidates:
                     seen += 1
                     assert predict_ensemble(ens, cand.candidate) == 1
-                    path = route(ens.trees[cand.source_tree], cand.candidate)
+                    path = route(ens, cand.source_tree, cand.candidate)
                     assert path.leaf_label == 1
                     assert path.path_index == cand.source_path
                     assert cand.candidate.values[2] == x.values[2]
@@ -445,7 +445,7 @@ class TestBatchedSearchEdges:
         # tree 1's threshold; routing it left there gives the second
         # positive vote that flips the ensemble.
         trees = (stump(0, 1.0, 1, -1), stump(0, 0.5, 1, -1))
-        ens = TreeEnsemble(trees, plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         out = tweak(ens, Instance([2.0]), "euclidean", 0.5)
         assert isinstance(out, Found)
         assert [(c.source_tree, c.source_path) for c in out.all_candidates] == [
@@ -456,7 +456,7 @@ class TestBatchedSearchEdges:
 
     def test_negative_trees_without_positive_leaves(self):
         trees = (tree(-1), stump(1, 0.0, -1, -1))
-        ens = TreeEnsemble(trees, plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         out = tweak(ens, Instance([0.0, 0.0]), "euclidean", 0.1)
         assert ens.positive_boxes.lo.shape == (0, 2)
         assert out == NotCovered(
@@ -469,7 +469,7 @@ class TestBatchedSearchEdges:
         deep = tree((0, 0.0, 1, (1, 1.0, -1, (0, 2.0, (1, 3.0, -1, 1), 1))))
         # The stump votes +1 at x and at every candidate, so the vote ties
         # at x and each positive leaf of the deep tree flips it.
-        ens = TreeEnsemble((deep, stump(0, 10.0, 1, -1)), plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes([deep, stump(0, 10.0, 1, -1)]), plain_space(2))
         x = Instance([0.5, 1.5])
         fast = candidate_set(ens, x, 0.1, "euclidean")
         oracle = brute_force_tweak(ens, x, "euclidean", 0.1, only_negative_trees=True)
@@ -495,12 +495,12 @@ class TestBatchedSearchEdges:
                 random_tree(rng, 4, int(rng.integers(0, 7)))
                 for _ in range(int(rng.integers(1, 6)))
             )
-            ens = TreeEnsemble(trees, plain_space(4))
+            ens = TreeEnsemble(trees_from_nodes(trees), plain_space(4))
             boxes = ens.positive_boxes
             paths = [
                 (k, path)
-                for k, tree in enumerate(trees)
-                for path in extract_paths(tree)
+                for k in range(ens.num_trees)
+                for path in extract_paths(ens, k)
                 if path.leaf_label == 1
             ]
             assert boxes.lo.shape == (len(paths), 4)
@@ -520,7 +520,7 @@ class TestRowwiseCosting:
         # Moving either feature below 1.0 flips the vote sum to +1, which
         # gives the candidates (tree 0, path 0) and (tree 1, path 0).
         trees = (stump(0, 1.0, 1, -1), stump(1, 1.0, 1, -1), stump(0, 5.0, 1, -1))
-        return TreeEnsemble(trees, plain_space(2)), Instance([2.0, 2.0])
+        return TreeEnsemble(trees_from_nodes(trees), plain_space(2)), Instance([2.0, 2.0])
 
     @pytest.mark.parametrize(
         "delta",
@@ -651,7 +651,7 @@ class TestCandidateTable:
         # Two identical stumps give the same candidate row, from their
         # right leaf (path 1).
         trees = (stump(0, 0.0, -1, 1), stump(0, 0.0, -1, 1), stump(1, 5.0, 1, -1))
-        ens = TreeEnsemble(trees, plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         out = tweak(ens, Instance([-1.0, 0.0]), "euclidean", 0.1)
         assert isinstance(out, Found) and out.num_candidates == 2
         assert np.array_equal(out.values[0], out.values[1])
@@ -704,7 +704,7 @@ class TestNonFiniteInstance:
             lambda ens, x: sweep(ens, [Instance([-1.0, 0.0]), x], [0.1], ["cosine"]),
             lambda ens, x: brute_force_tweak(ens, x, "cosine", 0.1),
             lambda ens, x: build_positive_instance(
-                x, extract_paths(ens.trees[0])[1], 0.1, ens.feature_space
+                x, extract_paths(ens, 0)[1], 0.1, ens.feature_space
             ),
         ],
         ids=["tweak", "candidate_set", "sweep", "brute_force_tweak", "build_positive_instance"],
@@ -713,7 +713,7 @@ class TestNonFiniteInstance:
         # A NaN that reaches the costing gives a meaningless cost: with
         # x = [-1, nan] the scalar cosine clamp read it as 1 and reported
         # cost 0.0. Every entry point rejects it before searching.
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(2))
         with pytest.raises(NonFiniteValue):
             entry(ens, Instance([-1.0, bad]))
 
@@ -732,7 +732,7 @@ class TestInstanceLength:
             ),
             predict_ensemble,
             lambda ens, x: build_positive_instance(
-                x, extract_paths(ens.trees[2])[1], 0.1, ens.feature_space
+                x, extract_paths(ens, 2)[1], 0.1, ens.feature_space
             ),
         ],
         ids=["tweak", "candidate_set", "sweep", "brute_force_tweak",
@@ -742,7 +742,7 @@ class TestInstanceLength:
         # A short x used to index past its end, and a long one was routed
         # on its first n values and answered as if it fit the model.
         ens = TreeEnsemble(
-            tuple(stump(f, 0.0, -1, 1) for f in range(3)), plain_space(3)
+            trees_from_nodes([stump(f, 0.0, -1, 1) for f in range(3)]), plain_space(3)
         )
         with pytest.raises(LengthMismatch, match="expected 3 values"):
             entry(ens, Instance([-1.0] * length))
@@ -763,7 +763,7 @@ class TestSearchArguments:
     one fails the same way for a negative and a positive instance."""
 
     def _ensemble(self):
-        return TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        return TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
 
     def _args(self, bad):
         return {"delta": "euclidean", "epsilon": 0.1, "budget": None, **bad}
@@ -819,7 +819,7 @@ class TestSearchArguments:
     def test_a_placement_that_overflows_is_infeasible(self, spec):
         # x = 0 votes -1, and the positive leaf lies beyond +-1.7e308: an
         # epsilon of 1e308 would place its candidate at +-inf.
-        ens = TreeEnsemble((tree(spec),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([tree(spec)]), plain_space(1))
         x = Instance([0.0])
         out = tweak(ens, x, "euclidean", 1e308)
         assert isinstance(out, NotCovered) and "(1 infeasible, 0 rejected)" in out.reason
@@ -848,7 +848,7 @@ class TestNotCoveredReason:
             tree(-1),
             tree(-1),
         )
-        return TreeEnsemble(trees, plain_space(1))
+        return TreeEnsemble(trees_from_nodes(trees), plain_space(1))
 
     REASONS = {
         0: "0 positive paths over 5 negative-voting trees "
@@ -889,8 +889,8 @@ class TestBoxBoundaries:
     @pytest.mark.parametrize("case", CASES)
     def test_every_entry_point_reads_the_box_as_lo_open_hi_closed(self, case):
         spec, adjustable, skip_satisfied, expected = self.CASES[case]
-        ens = TreeEnsemble((tree(spec),), plain_space(2, adjustable))
-        (path,) = [p for p in extract_paths(ens.trees[0]) if p.leaf_label == 1]
+        ens = TreeEnsemble(trees_from_nodes([tree(spec)]), plain_space(2, adjustable))
+        (path,) = [p for p in extract_paths(ens, 0) if p.leaf_label == 1]
         x, epsilon = Instance([0.5, -1.0]), 0.1
         out = tweak(ens, x, "euclidean", epsilon, skip_satisfied)
         oracle = brute_force_tweak(
@@ -913,7 +913,7 @@ class TestBoxBoundaries:
         assert (row.covered, row.micro_avg_cost) == (1, out.best.cost)
         built = build_positive_instance(x, path, epsilon, ens.feature_space, skip_satisfied)
         assert built.values.tolist() == expected
-        assert route(ens.trees[0], built).path_index == path.path_index
+        assert route(ens, 0, built).path_index == path.path_index
 
 
 class TestSweep:
@@ -923,7 +923,7 @@ class TestSweep:
             interval_tree(-1.0, 2.0),
             stump(1, 0.5, 1, -1),
         )
-        ens = TreeEnsemble(trees, plain_space(2))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         rng = np.random.default_rng(29)
         instances = sample_negative_instances(ens, rng, 8)
         assert len(instances) == 8
@@ -939,7 +939,7 @@ class TestSweep:
             assert row.eligible == 8
 
     def test_fully_covered_set(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         instances = [Instance([-v]) for v in (0.5, 1.0, 2.0)]
         (row,) = sweep(ens, instances, [0.1], ["euclidean"])
         assert row.coverage == 1.0
@@ -961,7 +961,7 @@ class TestSweep:
             assert row.coverage == recount / row.eligible
 
     def test_positive_instances_are_not_eligible(self):
-        ens = TreeEnsemble((stump(0, 0.0, -1, 1),), plain_space(1))
+        ens = TreeEnsemble(trees_from_nodes([stump(0, 0.0, -1, 1)]), plain_space(1))
         (row,) = sweep(ens, [Instance([2.0]), Instance([3.0])], [0.1], ["euclidean"])
         assert row.eligible == 0
         assert row.coverage == 0.0
