@@ -431,9 +431,7 @@ def brute_force_tweak(
     scope = range(ens.num_trees)
     if only_negative_trees:
         scope = np.flatnonzero(tree_votes(ens, x_values) == -1).tolist()
-    label, root = ens.nodes.label, ens.nodes.root
-    leaf_tree = np.searchsorted(root, np.flatnonzero(label == 1), side="right") - 1
-    total_paths = int(np.isin(leaf_tree, scope).sum())
+    total_paths = int(np.isin(ens.positive_boxes.tree, scope).sum())
     if total_paths > BRUTE_FORCE_PATH_LIMIT:
         raise SearchSpaceTooLarge(
             f"{total_paths} positive paths exceed the {BRUTE_FORCE_PATH_LIMIT} limit"

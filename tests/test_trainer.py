@@ -521,7 +521,9 @@ class TestFeatureImportances:
         rng = np.random.default_rng(12)
         data = labeled(rng.normal(0, 1, (30, 3)), [1] * 30)
         ens = train_forest(data, TrainConfig(num_trees=3, seed=4), plain_space(3))
-        assert ens.nodes.root.tolist() == [0, 1, 2]  # each tree is one leaf
+        # Each tree is one leaf: three roots and three nodes in all.
+        assert ens.nodes.root.tolist() == [0, 1, 2]
+        assert len(ens.nodes.label) == 3 and (ens.nodes.label != 0).all()
         np.testing.assert_array_equal(ens.importances, np.zeros(3))
 
     def test_informative_feature_ranks_first(self):
