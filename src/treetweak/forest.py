@@ -12,10 +12,11 @@ A forest has one constructor, ``trees_from_nodes(forest)``, which checks
 and orders the JSON ``nodes`` lists of a whole forest in one pass of
 array operations. It returns the one store of the trees' preorder node
 arrays (``ForestNodes``), which an ensemble holds as it is; tree k is the
-slice from ``root[k]`` up to the next root, its child indices counting
-from its root, and every walk over it is a loop over node indices. No
-other module reads those arrays: an ensemble hands out the folded box of
-every positive leaf (``positive_boxes``), built on first use.
+slice from ``root[k]`` up to the next root, a child index is a position
+in the store (only the JSON layout counts from a tree's root), and every
+walk over it is a loop over node indices. No other module reads those
+arrays: an ensemble hands out the folded box of every positive leaf
+(``positive_boxes``), built on first use.
 
 Matrices of rows are routed through a second layout of the trees, also
 built on first use (``routing``): complete binary blocks of
@@ -39,9 +40,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,10 +84,10 @@ class ForestNodes(NamedTuple):
 
     Tree k's nodes run from ``root[k]`` up to the next root, its root
     first and every node right before its left subtree, so its leaves run
-    left to right. ``children[i]`` is (right, left) of node i, counting
-    from its tree's root, so column ``int(v <= t)`` holds the child a
-    value v goes to. A leaf's children are the leaf itself, so routing a
-    row for ``depth[k]`` steps always ends on its leaf in tree k.
+    left to right. ``children[i]`` is (right, left) of node i, as store
+    positions, so column ``int(v <= t)`` holds the child a value v goes to.
+    A leaf's children are the leaf itself, so routing a row for
+    ``depth[k]`` steps always ends on its leaf in tree k.
     ``feature`` and ``threshold`` are 0 at leaves, and ``label`` is 0 at
     internal nodes.
     """
@@ -100,11 +101,13 @@ class ForestNodes(NamedTuple):
 
 
 def _tree_arrays(nodes: ForestNodes, k: int) -> tuple[np.ndarray, ...]:
-    """Tree k's feature, threshold, children and label: its slice of the
-    store, from ``root[k]`` up to the next root."""
+    """Tree k's feature, threshold, children and label, its slice of the
+    store from ``root[k]`` up to the next root, with the child indices of
+    the JSON layout: the one place they count from the tree's root."""
     root = nodes.root
     end = root[k + 1] if k + 1 < len(root) else len(nodes.label)
-    return tuple(a[root[k]:end] for a in nodes[:4])
+    feature, threshold, children, label = (a[root[k]:end] for a in nodes[:4])
+    return feature, threshold, children - root[k], label
 
 
 def _node_error(start: np.ndarray, i: int, what: str) -> ValueError:
@@ -154,14 +157,14 @@ def _column(nodes: list, key: str, dtype, start, ids) -> np.ndarray:
         raise _node_error(start, int(ids[j]), f"has {key} out of range") from None
 
 
-def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
+def trees_from_nodes(forest: Iterable[Sequence[dict]]) -> ForestNodes:
     """Build every tree of a forest from its JSON ``nodes`` list, all at once.
 
     Tree k's nodes may come in any order, node 0 its root; the tree is
     stored in preorder as a left-first walk from its root visits it. Each
     column of all the forest's nodes is pulled out in one pass, and the
     structure is checked and ordered by whole-forest array passes, one per
-    depth level.
+    depth level. ``forest`` is read once: any iterable of lists will do.
 
     Raises ValueError unless the forest has a tree and, naming the tree,
     unless every tree is a non-empty list of objects and every node is
@@ -171,11 +174,12 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
     and ``right`` child indices that are nonnegative integers, and a
     ``threshold`` that is a finite number (bool is neither).
     """
-    sizes = []
+    sizes, flat = [], []
     for k, nodes in enumerate(forest):
         if not isinstance(nodes, (list, tuple)) or not nodes:
             raise ValueError(f"tree {k}: nodes must be a non-empty list")
         sizes.append(len(nodes))
+        flat += nodes
     if not sizes:
         raise ValueError("an ensemble needs at least one tree")
     # Node ids run over the whole forest, tree by tree.
@@ -183,7 +187,6 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
     sizes = np.array(sizes)
     tree_of = np.repeat(np.arange(len(sizes)), sizes)
     count = len(tree_of)
-    flat = list(chain.from_iterable(forest))
     try:
         leaf_mask = list(map(dict.__contains__, flat, repeat("leaf")))
     except TypeError:  # the descriptor refuses anything but a dict
@@ -219,7 +222,7 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
     if (parents != 1).any():
         i = int(np.argmax(parents != 1))
         raise _node_error(start, i, "is unreachable" if parents[i] == 0 else "is reached twice")
-    del parents
+    del parents, inner_tree
     lchild = np.zeros(count, dtype=np.intp)
     rchild = np.zeros(count, dtype=np.intp)
     lchild[inner_ids], rchild[inner_ids] = kids
@@ -253,13 +256,12 @@ def trees_from_nodes(forest: Sequence[Sequence[dict]]) -> ForestNodes:
     del levels, subtree, lchild, rchild
 
     # The preorder arrays of the forest, in which tree k's slots run from
-    # start[k]; child indices count from the tree's own root.
+    # start[k], a child index is the child's slot and a leaf is its own child.
     at = slot[inner_ids]
-    local = np.arange(count) - start[tree_of]
-    children = np.stack([local, local], axis=1)  # a leaf's children are itself
-    children[at, 0] = slot[kids[1]] - start[inner_tree]
-    children[at, 1] = local[at] + 1
-    del kids, local, inner_tree
+    children = np.arange(count, dtype=np.intp).repeat(2).reshape(count, 2)
+    children[at, 0] = slot[kids[1]]
+    children[at, 1] = at + 1
+    del kids
     node_feature = np.zeros(count, dtype=np.intp)
     node_feature[at] = feature
     node_threshold = np.zeros(count)
@@ -327,7 +329,7 @@ def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
     steps = children.ravel()
     node = root
     for _ in range(depth.max()):
-        node = root + steps[2 * node + (vals[feature[node]] <= threshold[node])]
+        node = steps[2 * node + (vals[feature[node]] <= threshold[node])]
     return label[node]
 
 
@@ -443,10 +445,10 @@ def predict_ensemble(ens: "TreeEnsemble", x) -> int:
 def route(ens: "TreeEnsemble", k: int, x) -> Path:
     """The unique path an instance traverses in tree k, with its leaf's
     ordinal."""
-    feature, threshold, children, label = _tree_arrays(ens.nodes, k)
+    feature, threshold, children, label, root, _ = ens.nodes
     vals = _values(x)
     conds: list[Condition] = []
-    node = 0
+    node = first = root[k]
     while not label[node]:
         f, t = int(feature[node]), float(threshold[node])
         go_left = vals[f] <= t
@@ -456,7 +458,7 @@ def route(ens: "TreeEnsemble", k: int, x) -> Path:
         conditions=tuple(conds),
         leaf_label=int(label[node]),
         # Preorder lists the leaves left to right.
-        path_index=int(np.count_nonzero(label[:node])),
+        path_index=int(np.count_nonzero(label[first:node])),
     )
 
 
@@ -522,17 +524,16 @@ class TreeEnsemble:
         """The box of every positive leaf, built on first use by one climb
         over :attr:`nodes`."""
         feature, threshold, children, label, root, _ = self.nodes
-        tree_of = np.repeat(np.arange(len(root)), np.diff(root, append=len(label)))
-        # Child indices count from each tree's root; the climb needs them global.
-        left, right = (children[:, c] + root[tree_of] for c in (1, 0))
+        right, left = children.T
         inner = np.flatnonzero(label == 0)
         parent = np.full(len(label), -1)
         parent[left[inner]] = parent[right[inner]] = inner
         # Preorder lists each tree's leaves left to right, so the positive
         # leaves come out in (tree, leaf ordinal) order.
         leaves = np.flatnonzero(label == 1)
+        tree = np.searchsorted(root, leaves, side="right") - 1
         leaves_before = np.cumsum(label != 0) - (label != 0)
-        ordinal = leaves_before[leaves] - leaves_before[root[tree_of[leaves]]]
+        ordinal = leaves_before[leaves] - leaves_before[root[tree]]
 
         n = self.feature_space.n
         lo = np.full((len(leaves), n), -np.inf)
@@ -555,7 +556,7 @@ class TreeEnsemble:
             at = cell[gt]
             lo_cells[at] = np.maximum(lo_cells[at], t[gt])
             child = par
-        return PositiveBoxes(lo, hi, tree_of[leaves], ordinal)
+        return PositiveBoxes(lo, hi, tree, ordinal)
 
     @cached_property
     def routing(self) -> RoutingBlocks:
@@ -573,9 +574,8 @@ class TreeEnsemble:
         start[inner_root] = 2 + np.arange(np.count_nonzero(inner_root))
         # The blocks rooted at one depth are filled together, their slots in
         # walk order, since the children of slot g are slots 2g and 2g + 1.
-        # A node's children count from its tree's root, carried as ``base``,
-        # and a leaf's children are the leaf itself, so it fills its subtree.
-        node = base = root[inner_root]
+        # A leaf's children are the leaf itself, so it fills its subtree.
+        node = root[inner_root]
         blocks = 2  # numbered so far
         while node.size:
             blocks += node.size
@@ -583,8 +583,7 @@ class TreeEnsemble:
                 leaf_label = label[node]
                 features[l].append(feature[node])
                 thresholds[l].append(np.where(leaf_label != 0, leaf_label, threshold[node]))
-                node = (children[node] + base[:, None]).ravel()
-                base = base.repeat(2)
+                node = children[node].ravel()
             # Below the last level: a block of the next depth, numbered in
             # walk order, or a leaf's block.
             inner = label[node] == 0
@@ -592,7 +591,7 @@ class TreeEnsemble:
             bottom += blocks - 1
             np.copyto(bottom, label[node] > 0, where=~inner)
             exits.append(bottom)
-            node, base = node[inner], base[inner]
+            node = node[inner]
         return RoutingBlocks(
             tuple(map(np.concatenate, features)),
             tuple(map(np.concatenate, thresholds)),

@@ -898,9 +898,48 @@ class TestTreesFromNodes:
             *arrays, depth = preorder_reference(entry["nodes"])
             for want, a, b in zip(arrays, ens.nodes, rebuilt.nodes):
                 assert a.dtype == b.dtype == want.dtype
-                assert np.array_equal(a[a_span], want) and np.array_equal(b[b_span], want)
+                a, b = a[a_span], b[b_span]
+                if want is arrays[2]:  # store positions; the reference counts from the root
+                    a, b = a - ens.nodes.root[k], b - rebuilt.nodes.root[k]
+                assert np.array_equal(a, want) and np.array_equal(b, want)
             assert ens.nodes.depth[k] == rebuilt.nodes.depth[k] == depth
         assert dumps_model(rebuilt) == dumps_model(ens) == reference_dumps(ens)
+
+    @staticmethod
+    def assert_children_are_store_positions(nodes):
+        """In each tree's slice, an inner node's left child is the next
+        node and its right child comes after that, inside the slice; a
+        leaf's children are the leaf itself."""
+        for span in spans(nodes):
+            for i in range(span.start, span.stop):
+                right, left = nodes.children[i].tolist()
+                if nodes.label[i]:
+                    assert (right, left) == (i, i)
+                else:
+                    assert left == i + 1 and i + 1 < right < span.stop
+
+    def test_children_are_store_positions(self):
+        rng = np.random.default_rng(21)
+        space, data = gaussian_instances(3, m=200, n=3)
+        trained = train_forest(data, TrainConfig(num_trees=5, max_depth=4, seed=1), space)
+        forests = [random_ensemble(rng, count, 3, 5) for count in (2, 5, 9)] + [trained]
+        for ens in forests:
+            self.assert_children_are_store_positions(ens.nodes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_ensembles())
+    def test_children_of_edge_ensembles_are_store_positions(self, ens):
+        self.assert_children_are_store_positions(ens.nodes)
+
+    def test_any_iterable_of_trees_is_read_once(self):
+        rng = np.random.default_rng(22)
+        trees = [random_tree(rng, 3, 4) for _ in range(4)] + [[{"leaf": 1}], [{"leaf": -1}]]
+        want = trees_from_nodes(trees)
+        for forest in (tuple(trees), (t for t in trees), iter(trees)):
+            for got, expected in zip(trees_from_nodes(forest), want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        with pytest.raises(ValueError, match="^an ensemble needs at least one tree$"):
+            trees_from_nodes(t for t in [])
 
 
 class TestWriterParity:
