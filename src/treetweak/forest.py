@@ -16,7 +16,9 @@ slice from ``root[k]`` up to the next root, a child index is a position
 in the store (only the JSON layout counts from a tree's root), and every
 walk over it is a loop over node indices. No other module reads those
 arrays: an ensemble hands out the folded box of every positive leaf
-(``positive_boxes``), built on first use.
+(``positive_boxes``), built on first use as one (feature, lo, hi) entry
+per feature the leaf's path tests, so its size follows the depth of the
+trees and not the number of features.
 
 Matrices of rows are routed through a second layout of the trees, also
 built on first use (``routing``): complete binary blocks of
@@ -100,10 +102,18 @@ class ForestNodes(NamedTuple):
     depth: np.ndarray
 
 
+def _check_tree(nodes: ForestNodes, k: int) -> None:
+    """Raise IndexError unless k is the index of one of the store's trees."""
+    if not 0 <= k < len(nodes.root):
+        raise IndexError(f"tree index {k} is out of range for num_trees={len(nodes.root)}")
+
+
 def _tree_arrays(nodes: ForestNodes, k: int) -> tuple[np.ndarray, ...]:
     """Tree k's feature, threshold, children and label, its slice of the
     store from ``root[k]`` up to the next root, with the child indices of
-    the JSON layout: the one place they count from the tree's root."""
+    the JSON layout: the one place they count from the tree's root. Raises
+    IndexError unless ``0 <= k < num_trees``."""
+    _check_tree(nodes, k)
     root = nodes.root
     end = root[k + 1] if k + 1 < len(root) else len(nodes.label)
     feature, threshold, children, label = (a[root[k]:end] for a in nodes[:4])
@@ -272,18 +282,66 @@ def trees_from_nodes(forest: Iterable[Sequence[dict]]) -> ForestNodes:
 
 
 class PositiveBoxes(NamedTuple):
-    """The folded (lo, hi] box of every positive leaf of an ensemble.
+    """The folded (lo, hi] box of every positive leaf of an ensemble, as
+    ``[R, D]`` entries: row r bounds feature ``feature[r, j]`` to
+    ``(lo[r, j], hi[r, j]]``, and every feature without an entry is
+    unbounded.
 
-    Rows run in (tree, leaf ordinal) order. Thresholds are finite, so a
+    Rows run in (tree, leaf ordinal) order. A row has one entry per
     feature some condition on the leaf's path tests (see
-    :func:`extract_paths`) has a finite bound, and an untested one has
-    bounds (-inf, inf).
+    :func:`extract_paths`), in the order the path first tests them from
+    the root; thresholds are finite, so each has a finite bound. A row
+    whose path tests nothing (a tree that is one positive leaf) has the one
+    entry (-inf, inf] on feature 0. D is the most entries any row has, at
+    most the forest's depth (or 1), and a row with fewer repeats its last
+    entry, so a padded row bounds the same box.
     """
 
+    feature: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     tree: np.ndarray
     ordinal: np.ndarray
+
+
+def _box_entries(nodes: ForestNodes) -> tuple[np.ndarray, np.ndarray]:
+    """For every node of the store, its entry in the box rows of the
+    positive leaves below it, and the number of features first tested
+    above it.
+
+    Entries are numbered from the root down: a node's entry is that of the
+    highest node above it testing its feature, or else the number of
+    features first tested above it. Tree k's nodes are in preorder, so a
+    node's subtree runs from it to its rightmost leaf, and a node is the
+    first on its path to test its feature unless an earlier node testing
+    that feature spans it.
+    """
+    feature, _, children, label, _, depth = nodes
+    inner = np.flatnonzero(label == 0)
+    # Follow right children, which a leaf takes to itself, doubling the
+    # steps each time.
+    rightmost = children[:, 0]
+    for _ in range(int(depth.max()).bit_length()):
+        rightmost = rightmost[rightmost]
+    end = rightmost + 1
+    # The internal nodes sorted by key = feature * span + position. The
+    # running maximum of feature * span + end stays below a key unless an
+    # earlier node of the same feature ends past it, which then spans it.
+    span = len(label) + 1
+    key = np.sort(feature[inner] * span + inner)
+    node = key % span
+    reach = np.maximum.accumulate(key - node + end[node])
+    first = np.ones(len(key), dtype=bool)
+    np.less_equal(reach[:-1], key[1:], out=first[1:])
+    firsts = node[first]
+    above = np.cumsum(
+        np.bincount(firsts + 1, minlength=span) - np.bincount(end[firsts], minlength=span)
+    )[:-1]
+    # A node that is not first shares the entry of the last first node of
+    # its feature before it, the one that spans it.
+    entry = np.zeros(len(label), dtype=np.intp)
+    entry[node] = above[node[np.maximum.accumulate(np.where(first, np.arange(len(key)), 0))]]
+    return entry, above
 
 
 BLOCK_HEIGHT = 4  # levels of a routing block
@@ -444,7 +502,8 @@ def predict_ensemble(ens: "TreeEnsemble", x) -> int:
 
 def route(ens: "TreeEnsemble", k: int, x) -> Path:
     """The unique path an instance traverses in tree k, with its leaf's
-    ordinal."""
+    ordinal. Raises IndexError unless ``0 <= k < ens.num_trees``."""
+    _check_tree(ens.nodes, k)
     feature, threshold, children, label, root, _ = ens.nodes
     vals = _values(x)
     conds: list[Condition] = []
@@ -464,7 +523,8 @@ def route(ens: "TreeEnsemble", k: int, x) -> Path:
 
 def extract_paths(ens: "TreeEnsemble", k: int) -> list[Path]:
     """Every root-to-leaf path of tree k, leaves left to right, so a
-    path's ``path_index`` is its place in the list."""
+    path's ``path_index`` is its place in the list. Raises IndexError
+    unless ``0 <= k < ens.num_trees``."""
     feature, threshold, children, label = (a.tolist() for a in _tree_arrays(ens.nodes, k))
     paths: list[Path] = []
     # Left-first: leaves are met in left-to-right order.
@@ -521,8 +581,9 @@ class TreeEnsemble:
 
     @cached_property
     def positive_boxes(self) -> PositiveBoxes:
-        """The box of every positive leaf, built on first use by one climb
-        over :attr:`nodes`."""
+        """The box of every positive leaf, built on first use: the entries
+        are numbered by :func:`_box_entries` and filled by one climb over
+        :attr:`nodes`."""
         feature, threshold, children, label, root, _ = self.nodes
         right, left = children.T
         inner = np.flatnonzero(label == 0)
@@ -535,28 +596,37 @@ class TreeEnsemble:
         leaves_before = np.cumsum(label != 0) - (label != 0)
         ordinal = leaves_before[leaves] - leaves_before[root[tree]]
 
-        n = self.feature_space.n
-        lo = np.full((len(leaves), n), -np.inf)
-        hi = np.full((len(leaves), n), np.inf)
-        lo_cells, hi_cells = lo.reshape(-1), hi.reshape(-1)
-        # Climb from every positive leaf of the forest to its root at once,
-        # folding each edge into its row's cell of the tested feature.
-        row_start = np.arange(len(leaves)) * n
-        child = leaves
+        # Climb from every positive leaf to its root at once, writing each
+        # edge into its row's entry and folding its threshold there. The
+        # bounds are kept as lo and -hi, so that every fold is a maximum.
+        entry, above = _box_entries(self.nodes)
+        count = above[leaves]
+        width = max(count.max(initial=0), 1)
+        feat = np.zeros((len(leaves), width), dtype=np.intp)
+        bound = np.full((2, len(leaves), width), -np.inf)
+        feat_cells, bound_cells = feat.reshape(-1), bound.reshape(-1)
+        row_start, child = np.arange(len(leaves)) * width, leaves
         while child.size:
             par = parent[child]
             up = par >= 0
             row_start, child, par = row_start[up], child[up], par[up]
-            cell = row_start + feature[par]
+            cell = row_start + entry[par]
+            feat_cells[cell] = feature[par]
             t = threshold[par]
             le = left[par] == child
-            at = cell[le]
-            hi_cells[at] = np.minimum(hi_cells[at], t[le])
-            gt = ~le
-            at = cell[gt]
-            lo_cells[at] = np.maximum(lo_cells[at], t[gt])
+            cell += le * feat.size
+            bound_cells[cell] = np.maximum(bound_cells[cell], np.where(le, -t, t))
             child = par
-        return PositiveBoxes(lo, hi, tree, ordinal)
+        lo, hi = bound
+        np.negative(hi, out=hi)
+        # A row with fewer entries repeats its last; one with none (a
+        # one-leaf tree) is (-inf, inf] on feature 0 throughout.
+        pad = np.flatnonzero(np.arange(width) >= count[:, None])
+        row = pad // width
+        last = row * width + np.maximum(count[row], 1) - 1
+        for cells in (feat_cells, lo.reshape(-1), hi.reshape(-1)):
+            cells[pad] = cells[last]
+        return PositiveBoxes(feat, lo, hi, tree, ordinal)
 
     @cached_property
     def routing(self) -> RoutingBlocks:

@@ -16,13 +16,15 @@ at once (:func:`~treetweak.forest.tree_votes`) and rejects an
 ensemble-positive x with NotNegative. It selects the ensemble's
 positive-leaf boxes (:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`,
 built once per model) of x's negative-voting trees and places every
-candidate with array masks for each epsilon of a grid (tweak's grid is
-its one epsilon; :func:`sweep` passes its whole grid once per instance),
-re-validates the feasible candidates of the whole grid against the
-forest in one :func:`~treetweak.forest.positive_rows` call, which stops
-routing a candidate once the trees left cannot change the sign of its
-vote sum, and prices each epsilon's with one row-wise
-call to the cost function. The accepted candidates stay a table:
+candidate for every epsilon of a grid at once (tweak's grid is its one
+epsilon; :func:`sweep` passes its whole grid once per instance). Only a
+box's entries, one per feature its path tests, are placed and checked;
+a feasible candidate is x with those entries written in. The feasible
+candidates of the whole grid are re-validated against the forest in one
+:func:`~treetweak.forest.positive_rows` call, which stops routing a
+candidate once the trees left cannot change the sign of its vote sum,
+and the accepted ones of one instance are priced with one row-wise call
+per cost function for the whole grid. The accepted candidates stay a table:
 :class:`Found` keeps their tree, path, [C, n] values and cost arrays,
 ranks them with one lexsort, and builds a Transformation object only for
 a row it hands out (the best, the top-k a caller shows, or every row when
@@ -59,6 +61,7 @@ from treetweak.forest import (
     GT,
     LE,
     Path,
+    PositiveBoxes,
     TreeEnsemble,
     extract_paths,
     positive_rows,
@@ -159,6 +162,11 @@ class SearchStats:
     rejected: int
     truncated: bool
 
+    @property
+    def accepted(self) -> int:
+        """The candidates that flip the ensemble."""
+        return self.paths_examined - self.infeasible - self.rejected
+
 
 def _check_epsilon(epsilon: float) -> float:
     if not 0 < epsilon < INF:
@@ -258,6 +266,48 @@ def check_search_args(
     return [x.values for x in instances], epsilons, deltas
 
 
+def _place(
+    boxes: PositiveBoxes,
+    rows: np.ndarray,
+    x_values: np.ndarray,
+    adjustable: np.ndarray,
+    epsilons: Sequence[float],
+    skip_satisfied: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vector form of _apply_intervals over the entries of the given box
+    rows, every epsilon at once: ``[E, rows]`` feasibility and the
+    ``[C, n]`` values of the feasible candidates, epsilon by epsilon.
+
+    An entry keeps x's value unless it bounds an adjustable feature (and,
+    with skip_satisfied, x lies outside its bounds); the rest take the
+    epsilon placement. A candidate is feasible iff every entry's value is
+    finite and inside its (lo, hi] bounds: a path is infeasible when, for
+    some feature, no value is both allowed and inside the box. A feature
+    without an entry keeps x's value, which is finite and unbounded, and
+    is never read. Every entry is bounded: the one unbounded entry belongs
+    to a tree that is one positive leaf, which votes +1 for every x and so
+    is never searched.
+    """
+    feature, lo, hi = boxes.feature[rows], boxes.lo[rows], boxes.hi[rows]
+    x_at = x_values[feature]
+    stays = ~adjustable[feature]
+    if skip_satisfied:
+        stays |= (lo < x_at) & (x_at <= hi)
+    epsilon = np.array(epsilons)[:, None, None]
+    # A placement past the float range overflows to inf: infeasible.
+    with np.errstate(over="ignore"):
+        placed = np.where(hi < INF, hi - epsilon, lo + epsilon)
+    np.copyto(placed, x_at, where=stays)
+    feasible = ((lo < placed) & (placed <= hi) & (placed < INF)).all(axis=2)
+    # Each feasible row is x with its entries written in; a padded entry
+    # writes the same value twice.
+    values = np.tile(x_values, (np.count_nonzero(feasible), 1))
+    cells = np.broadcast_to(feature, placed.shape)[feasible]
+    cells += np.arange(0, values.size, len(x_values))[:, None]
+    values.put(cells, placed[feasible])
+    return feasible, values
+
+
 def _generate_candidates(
     ens: TreeEnsemble,
     x_values: np.ndarray,
@@ -265,17 +315,19 @@ def _generate_candidates(
     epsilons: Sequence[float],
     skip_satisfied: bool,
     budget: int | None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]]:
-    """For each epsilon, all ensemble-positive candidates from the
-    negative-voting trees of an ensemble-negative x, in (tree, path)
-    order, plus counters describing the search.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[SearchStats]]:
+    """All ensemble-positive candidates from the negative-voting trees of
+    an ensemble-negative x, epsilon by epsilon and in (tree, path) order
+    within each, plus each epsilon's counters describing the search.
 
-    The candidates come as three arrays: the source tree and path of each
-    and the ``[C, n]`` matrix of their values. ``votes`` are x's per-tree
-    votes; callers pass only an x whose votes sum to <= 0. Every epsilon's
-    candidates are validated in one :func:`~treetweak.forest.positive_rows`
-    call: only the sign of a candidate's vote sum decides, so a candidate
-    is routed through the trees only until the rest cannot change it.
+    The candidates come as three arrays over the whole grid: the source
+    tree and path of each and the ``[C, n]`` matrix of their values;
+    epsilon e's are the next ``stats[e].accepted`` rows. ``votes`` are
+    x's per-tree votes; callers pass only an x whose votes sum to <= 0.
+    The candidates of every epsilon are validated in one
+    :func:`~treetweak.forest.positive_rows` call: only the sign of a
+    candidate's vote sum decides, so a candidate is routed through the
+    trees only until the rest cannot change it.
     """
     boxes = ens.positive_boxes
     rows = np.flatnonzero(votes[boxes.tree] == -1)
@@ -288,41 +340,19 @@ def _generate_candidates(
             "tweak search truncated by budget=%s after %d paths", budget, len(rows)
         )
 
-    # Vector form of _apply_intervals over all examined leaves. A feature
-    # keeps x's value unless it is adjustable and tested (and, with
-    # skip_satisfied, x lies outside its bounds); the rest take the epsilon
-    # placement. A candidate is kept iff every value is finite and inside
-    # its leaf's (lo, hi] box: a path is infeasible when, for some feature,
-    # no value is both allowed and inside the box.
-    lo, hi = boxes.lo[rows], boxes.hi[rows]
-    if skip_satisfied:
-        stays = (lo < x_values) & (x_values <= hi)
-    else:
-        stays = (lo == -INF) & (hi == INF)
-    stays |= ~ens.feature_space.adjustable_mask
-    feasible = np.empty((len(epsilons), len(rows)), dtype=bool)
-    values = np.empty((feasible.size, len(x_values)))
-    end = 0
-    for fit, epsilon in zip(feasible, epsilons):
-        # A placement past the float range overflows to inf: infeasible.
-        with np.errstate(over="ignore"):
-            placed = np.where(hi < INF, hi - epsilon, lo + epsilon)
-        np.copyto(placed, x_values, where=stays)
-        fit[:] = ((lo < placed) & (placed <= hi) & (placed < INF)).all(axis=1)
-        start, end = end, end + int(np.count_nonzero(fit))
-        values[start:end] = placed[fit]
-    values = values[:end]
-
+    feasible, values = _place(
+        boxes, rows, x_values, ens.feature_space.adjustable_mask, epsilons, skip_satisfied
+    )
     accepted = positive_rows(ens, values)
     kept = np.zeros_like(feasible)
     kept[feasible] = accepted
-    blocks = np.split(values[accepted], np.cumsum(np.count_nonzero(kept, axis=1))[:-1])
+    source = rows[np.nonzero(kept)[1]]
     searched, examined = int(np.count_nonzero(votes == -1)), len(rows)
-    return [
-        (boxes.tree[rows[k]], boxes.ordinal[rows[k]], block,
-         SearchStats(searched, examined, examined - f, f - len(block), truncated))
-        for k, f, block in zip(kept, feasible.sum(axis=1).tolist(), blocks)
+    stats = [
+        SearchStats(searched, examined, examined - f, f - a, truncated)
+        for f, a in zip(feasible.sum(axis=1).tolist(), kept.sum(axis=1).tolist())
     ]
+    return boxes.tree[source], boxes.ordinal[source], values[accepted], stats
 
 
 def _row_costs(delta: Callable, x_values, values: np.ndarray) -> np.ndarray:
@@ -391,7 +421,7 @@ def tweak(
     votes = tree_votes(ens, x_values)
     if votes.sum() > 0:
         raise NotNegative("instance is already predicted positive by the ensemble")
-    ((tree, path, values, stats),) = _generate_candidates(
+    tree, path, values, (stats,) = _generate_candidates(
         ens, x_values, votes, [epsilon], skip_satisfied, budget
     )
     if not len(values):
@@ -497,7 +527,9 @@ def sweep(
     candidates, and the median of per-instance mean costs. Each eligible
     instance is routed once; its candidates for the whole epsilon grid are
     generated and validated in one forest call and priced in one call per
-    (epsilon, cost function), and only their counts and costs are kept.
+    cost function, whose costs are then split by epsilon, so a cost
+    function logs undefined costs once per instance. Only the counts and
+    costs are kept.
 
     Every argument is checked by :func:`check_search_args` before any
     instance is routed.
@@ -505,26 +537,27 @@ def sweep(
     values_of, epsilons, delta_fns = check_search_args(
         ens.feature_space.n, instances, epsilon_grid, delta_names, budget
     )
-    priced = [
-        [
-            (len(values), [_row_costs(fn, x, values) for fn in delta_fns])
-            for _, _, values, _ in _generate_candidates(
-                ens, x, votes, epsilons, skip_satisfied, budget
-            )
-        ]
-        for x, votes in ((x, tree_votes(ens, x)) for x in values_of)
-        if votes.sum() <= 0
-    ]
+    priced = []  # each eligible instance's counts and costs, cell by cell
+    for x in values_of:
+        votes = tree_votes(ens, x)
+        if votes.sum() > 0:
+            continue
+        _, _, values, stats = _generate_candidates(
+            ens, x, votes, epsilons, skip_satisfied, budget
+        )
+        counts = [s.accepted for s in stats]
+        ends = np.cumsum(counts)[:-1]
+        priced.append((counts, [np.split(_row_costs(fn, x, values), ends) for fn in delta_fns]))
     rows: list[SweepRow] = []
     for e, epsilon in enumerate(epsilons):
-        counts = np.asarray([cells[e][0] for cells in priced], dtype=float)
+        counts = np.asarray([c[e] for c, _ in priced], dtype=float)
         covered = int(np.count_nonzero(counts > 0))
         coverage = covered / len(priced) if priced else 0.0
         quantiles = (None,) * 5
         if priced:
             quantiles = tuple(np.percentile(counts, [0, 25, 50, 75, 100]).tolist())
         for d, name in enumerate(delta_names):
-            finite = [c[np.isfinite(c)] for c in (cells[e][1][d] for cells in priced)]
+            finite = [c[np.isfinite(c)] for c in (costs[d][e] for _, costs in priced)]
             all_costs = np.concatenate(finite) if finite else np.empty(0)
             instance_means = [float(np.mean(c)) for c in finite if c.size]
             micro_avg = float(np.mean(all_costs)) if all_costs.size else None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,15 @@ def random_tree(rng, n_features, max_depth, p_leaf=0.3):
 def random_ensemble(rng, num_trees, n_features, max_depth, space=None):
     trees = tuple(random_tree(rng, n_features, max_depth) for _ in range(num_trees))
     return TreeEnsemble(trees_from_nodes(trees), space or plain_space(n_features))
+
+
+def box_entries(boxes):
+    """Each row of an ensemble's ``positive_boxes`` as the set of its
+    (feature, lo, hi) entries, with the one entry of a row whose path
+    tests nothing, (-inf, inf] on feature 0, read as no entry."""
+    bare = {(0, -math.inf, math.inf)}
+    rows = zip(boxes.feature.tolist(), boxes.lo.tolist(), boxes.hi.tolist())
+    return [set() if entries == bare else entries for entries in map(set, (zip(*r) for r in rows))]
 
 
 def sample_negative_instances(ens, rng, count, scale=1.5, attempts=400):

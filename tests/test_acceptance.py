@@ -155,11 +155,11 @@ def _tree_specs(n, depth):
 
 @st.composite
 def oracle_cases(draw):
-    """A forest (K 1-7, depth at most 4, n at most 5) over a space with a
-    random non-adjustable mask, up to three instances, an epsilon in
-    (0, 1] and the skip_satisfied flag."""
-    n = draw(st.integers(1, 5))
-    specs = _tree_specs(n, draw(st.integers(1, 4)))
+    """A forest (K 1-7, depth at most 3, n at most 8, so most leaves leave
+    features untested) over a space with a random non-adjustable mask, up
+    to three instances, an epsilon in (0, 1] and the skip_satisfied flag."""
+    n = draw(st.integers(1, 8))
+    specs = _tree_specs(n, draw(st.integers(1, 3)))
     trees = tuple(tree(spec) for spec in draw(st.lists(specs, min_size=1, max_size=7)))
     # Three in four features adjustable, so that most forests can be flipped.
     mask = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))

@@ -30,7 +30,15 @@ from treetweak.forest import (
 )
 from treetweak.trainer import TrainConfig, train_forest
 
-from conftest import gaussian_instances, plain_space, random_ensemble, random_tree, stump, tree
+from conftest import (
+    box_entries,
+    gaussian_instances,
+    plain_space,
+    random_ensemble,
+    random_tree,
+    stump,
+    tree,
+)
 
 
 def alone(nodes, n):
@@ -504,29 +512,41 @@ class TestFlatView:
             assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == (
                 [k for k, _ in found], [p.path_index for _, p in found]
             )
-            paths = [p for _, p in found]
-            for lo, hi, path in zip(boxes.lo, boxes.hi, paths):
-                want_lo, want_hi = np.full(3, -math.inf), np.full(3, math.inf)
+            # Each row's entries are its path's conditions folded per
+            # feature, and nothing else: padding repeats its own entries.
+            want = []
+            for _, path in found:
+                bounds = {}
                 for f, direction, t in path.conditions:
-                    if direction == LE:
-                        want_hi[f] = min(want_hi[f], t)
-                    else:
-                        want_lo[f] = max(want_lo[f], t)
-                assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+                    lo, hi = bounds.get(f, (-math.inf, math.inf))
+                    bounds[f] = (lo, min(hi, t)) if direction == LE else (max(lo, t), hi)
+                want.append({(f, lo, hi) for f, (lo, hi) in bounds.items()})
+            assert box_entries(boxes) == want
+            assert boxes.feature.shape[1] == max([1, *map(len, want)])
 
     def test_positive_boxes_built_once_per_ensemble(self):
-        trees = (stump(0, 0.5, -1, 1), stump(1, -0.5, 1, -1))
-        a = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
-        b = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
+        trees = (
+            stump(0, 0.5, -1, 1),
+            stump(1, -0.5, 1, -1),
+            tree((1, 1.0, (0, 0.0, 1, -1), (1, 0.5, -1, -1))),
+            tree(1),
+        )
+        a = TreeEnsemble(trees_from_nodes(trees), plain_space(3))
+        b = TreeEnsemble(trees_from_nodes(trees), plain_space(3))
         boxes = a.positive_boxes
         assert a.positive_boxes is boxes
         assert b.positive_boxes is not boxes
         for got, want in zip(b.positive_boxes, boxes):
             assert np.array_equal(got, want)
-        # Tree 0 is positive above 0.5 on x0, tree 1 at or below -0.5 on x1.
-        assert boxes.lo.tolist() == [[0.5, -math.inf], [-math.inf, -math.inf]]
-        assert boxes.hi.tolist() == [[math.inf, math.inf], [math.inf, -0.5]]
-        assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == ([0, 1], [1, 0])
+        # Tree 0 is positive above 0.5 on x0, tree 1 at or below -0.5 on
+        # x1, tree 2 at or below 1 on x1 (its root) and 0 on x0, and tree 3
+        # always. The stumps repeat their one entry up to tree 2's two, and
+        # the one-leaf tree has only the unbounded entry on x0.
+        assert boxes.feature.tolist() == [[0, 0], [1, 1], [1, 0], [0, 0]]
+        inf = math.inf
+        assert boxes.lo.tolist() == [[0.5, 0.5], [-inf, -inf], [-inf, -inf], [-inf, -inf]]
+        assert boxes.hi.tolist() == [[inf, inf], [-0.5, -0.5], [1.0, 0.0], [inf, inf]]
+        assert (boxes.tree.tolist(), boxes.ordinal.tolist()) == ([0, 1, 2, 3], [1, 0, 0, 0])
 
 
 class TestExtractPaths:
@@ -574,6 +594,16 @@ class TestRoute:
         path = route(alone(stump(0, 0.5, -1, 1), 1), 0, Instance([0.6]))
         assert path.conditions == ((0, GT, 0.5),)
         assert path.leaf_label == 1
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_a_tree_index_outside_the_ensemble_is_refused(self, k):
+        trees = [stump(0, 0.5, -1, 1), stump(0, 0.0, 1, -1), tree(1)]
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
+        message = re.escape(f"tree index {k} is out of range for num_trees=3")
+        with pytest.raises(IndexError, match=message):
+            route(ens, k, Instance([0.0]))
+        with pytest.raises(IndexError, match=message):
+            extract_paths(ens, k)
 
     def test_route_agrees_with_tree_votes(self):
         rng = np.random.default_rng(9)

@@ -33,6 +33,7 @@ import treetweak.tweaker as tweaker_mod
 from treetweak.tweaker import (
     Found,
     NotCovered,
+    SweepRow,
     Transformation,
     brute_force_tweak,
     build_positive_instance,
@@ -43,6 +44,7 @@ from treetweak.tweaker import (
 )
 
 from conftest import (
+    box_entries,
     plain_space,
     random_ensemble,
     random_tree,
@@ -458,7 +460,8 @@ class TestBatchedSearchEdges:
         trees = (tree(-1), stump(1, 0.0, -1, -1))
         ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
         out = tweak(ens, Instance([0.0, 0.0]), "euclidean", 0.1)
-        assert ens.positive_boxes.lo.shape == (0, 2)
+        boxes = ens.positive_boxes
+        assert [a.shape for a in boxes] == [(0, 1)] * 3 + [(0,)] * 2
         assert out == NotCovered(
             "no candidate flips the ensemble: 0 positive paths over 2 "
             "negative-voting trees (0 infeasible, 0 rejected)"
@@ -503,13 +506,15 @@ class TestBatchedSearchEdges:
                 for path in extract_paths(ens, k)
                 if path.leaf_label == 1
             ]
-            assert boxes.lo.shape == (len(paths), 4)
-            for r, (k, path) in enumerate(paths):
-                assert (boxes.tree[r], boxes.ordinal[r]) == (k, path.path_index)
-                folded = tweaker_mod._fold_conditions(path.conditions)
-                for f in range(4):
-                    lo, hi = folded.get(f, (-math.inf, math.inf))
-                    assert (boxes.lo[r, f], boxes.hi[r, f]) == (lo, hi)
+            assert boxes.tree.tolist() == [k for k, _ in paths]
+            assert boxes.ordinal.tolist() == [path.path_index for _, path in paths]
+            # Every entry folds its feature's conditions, no untested
+            # feature has one, and padding repeats the row's own.
+            folded = [tweaker_mod._fold_conditions(path.conditions) for _, path in paths]
+            assert box_entries(boxes) == [
+                {(f, lo, hi) for f, (lo, hi) in bounds.items()} for bounds in folded
+            ]
+            assert boxes.feature.shape == (len(paths), max([1, *map(len, folded)]))
             rows += len(paths)
         assert rows > 100
 
@@ -1026,6 +1031,35 @@ class TestSweep:
         tweak(ens, instances[0], "euclidean", 0.1)
         assert len(calls) == 1
 
+    def test_undefined_costs_are_logged_once_per_instance_and_cost(self, caplog, tmp_path):
+        # At both x trees 0 and 1 vote -1 and tree 2 +1, so the positive
+        # leaf of either negative tree flips the vote. Epsilon 0.5 places
+        # x0 at 0 and x1 at 2: constant rows [0, 0] and [2, 2] from the
+        # first x, and [0, 0] from the second, which Pearson leaves
+        # undefined. Every row of epsilon 1.0 is defined.
+        trees = (stump(0, 0.5, 1, -1), stump(1, 1.5, -1, 1), tree(1))
+        ens = TreeEnsemble(trees_from_nodes(trees), plain_space(2))
+        xs = [Instance([2.0, 0.0]), Instance([3.0, 0.0])]
+        grid, names = [0.5, 1.0], ["pearson", "euclidean"]
+        with caplog.at_level("WARNING", logger="treetweak.tweaker"):
+            rows = sweep(ens, xs, grid, names)
+        # One cost call per (instance, cost function) over the whole grid.
+        assert caplog.messages == [
+            "cost undefined for 2 of 4 candidates; ranked last",
+            "cost undefined for 1 of 4 candidates; ranked last",
+        ]
+        recounted = []
+        for epsilon, name in itertools.product(grid, names):
+            eligible, covered, quantiles, micro, median = recount_cell(
+                ens, xs, name, epsilon, False, None
+            )
+            recounted.append(SweepRow(epsilon, name, eligible, covered, covered / eligible,
+                                      *quantiles, micro, median))
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        write_sweep_csv(recounted, tmp_path / "recount.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "recount.csv").read_bytes()
+        assert rows[0].micro_avg_cost is not None and rows[0].covered == 2
+
     def test_budget_warning_is_logged_once_per_instance(self, caplog):
         # Every eligible instance has a positive leaf in a negative-voting
         # tree, so a budget of 0 truncates each one's search.
@@ -1059,13 +1093,14 @@ def recount_cell(ens, xs, delta, epsilon, skip, budget):
 
 @st.composite
 def sweep_cases(draw):
-    """A forest of 1-9 random trees (depth at most 4, n at most 4) over a
-    space with a random non-adjustable mask, up to four instances it
-    predicts negative and one drawn instance that may be positive."""
-    n = draw(st.integers(1, 4))
+    """A forest of 1-9 random trees (depth at most 3, n at most 8, so most
+    leaves leave features untested) over a space with a random
+    non-adjustable mask, up to four instances it predicts negative and
+    one drawn instance that may be positive."""
+    n = draw(st.integers(1, 8))
     mask = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    depth = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 3))
     ens = random_ensemble(rng, draw(st.integers(1, 9)), n, depth, plain_space(n, mask))
     xs = sample_negative_instances(ens, rng, draw(st.integers(0, 4)), attempts=50)
     xs.append(Instance(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))))
