@@ -40,8 +40,7 @@ def _info(message: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    schema = load_schema(args.schema) if args.schema else None
-    space, instances = load_table(args.data, schema)
+    # Before any file is read, as in sweep.
     cfg = TrainConfig(
         criterion=args.criterion,
         max_depth=args.max_depth,
@@ -51,6 +50,8 @@ def _cmd_train(args) -> int:
         bootstrap=args.bootstrap,
         seed=args.seed,
     )
+    schema = load_schema(args.schema) if args.schema else None
+    space, instances = load_table(args.data, schema)
     train, test = stratified_split(instances, args.test_fraction, seed=args.seed)
     # Evaluation needs both classes in the holdout; find out before training.
     n_pos = sum(inst.label == 1 for inst in test)

@@ -11,18 +11,20 @@ and feature subsampling draw from per-tree generators spawned
 deterministically from the master seed. All trees grow in lockstep, each
 depth first over its own explicit stack: wave w takes node w, in
 preorder, of every tree still growing, so each tree makes the same draws
-and the same splits as it would alone. A node holds the distinct samples
-that reach it, each weighted by its bootstrap count in its tree, so no
-repeat is ever expanded. The feature columns are sorted once per forest,
-and one segmented search scores every splittable node of a wave, in
-calls of at most COLUMN_CAP distinct sample columns.
+and the same splits as it would alone. Each tree draws its nodes' feature
+subsets a block of nodes ahead and each wave decodes them at once, as one
+``Generator.choice`` call per node would draw them. A node holds the
+distinct samples that reach it, each weighted by its bootstrap count in
+its tree, so no repeat is ever expanded. The feature columns are sorted
+once per forest, and one segmented search scores every splittable node
+of a wave, in calls of at most COLUMN_CAP distinct sample columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,6 +68,8 @@ class TrainConfig:
             raise ValueError("num_trees must be >= 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolve(self, n_features: int) -> tuple[int, int, bool]:
         max_depth = self.max_depth if self.max_depth is not None else n_features
@@ -288,18 +292,58 @@ def _as_arrays(data, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(X.T), pos
 
 
-def _chunks(wave: list) -> Iterator[list]:
-    """Consecutive runs of the wave's nodes holding at most COLUMN_CAP
-    distinct samples in all; a node larger than that forms a run alone."""
-    chunk, width = [], 0
-    for node in wave:
-        if chunk and width + len(node[1]) > COLUMN_CAP:
-            yield chunk
-            chunk, width = [], 0
-        chunk.append(node)
+def _chunks(wave: list) -> Iterator[slice]:
+    """Slices of consecutive nodes of the wave holding at most COLUMN_CAP
+    distinct samples in all; a node larger than that forms a slice alone."""
+    start, width = 0, 0
+    for i, node in enumerate(wave):
+        if i > start and width + len(node[1]) > COLUMN_CAP:
+            yield slice(start, i)
+            start, width = i, 0
         width += len(node[1])
-    if chunk:
-        yield chunk
+    if wave:
+        yield slice(start, len(wave))
+
+
+# Nodes of one tree whose feature subsets one refill draws ahead.
+_DRAW_BLOCK = 64
+
+
+def _subset_drawer(n: int, fps: int, rngs) -> Callable[[list], np.ndarray]:
+    """``draw(trees)``: for each tree k in ``trees``, the ascending feature
+    ids of its next node, ``np.sort(rngs[k].choice(n, fps, replace=False))``.
+
+    Below n, ``choice`` runs Floyd's method (unless n > 10000 and
+    fps > n // 50, where it shuffles instead and is still called): fps
+    draws in [0, j], j = n - fps .. n - 1, then fps - 1 shuffle draws in
+    [0, i], i = fps - 1 .. 1, each the bounded draw that ``integers`` makes
+    with an array ``high``. So one ``integers`` call per tree draws
+    _DRAW_BLOCK nodes ahead, and a wave decodes all its sets at once:
+    draw s joins the set unless already in it, and then n - fps + s does.
+    """
+    if fps >= n:
+        return lambda trees: np.broadcast_to(np.arange(n), (len(trees), n))
+    if n > 10000 and fps > n // 50:
+        return lambda trees: np.sort(np.reshape(
+            [rngs[k].choice(n, fps, replace=False) for k in trees], (-1, fps)), axis=1)
+    highs = np.r_[n - fps + 1 : n + 1, fps : 1 : -1]
+    block = np.empty((len(rngs), _DRAW_BLOCK, fps), np.min_scalar_type(n))
+    used = np.full(len(rngs), _DRAW_BLOCK)
+
+    def draw(trees):
+        trees = np.array(trees, dtype=np.intp)
+        for k in trees[used[trees] == _DRAW_BLOCK].tolist():
+            block[k] = rngs[k].integers(0, highs, size=(_DRAW_BLOCK, highs.size))[:, :fps]
+            used[k] = 0
+        drawn = block[trees, used[trees]]
+        used[trees] += 1
+        rows = np.arange(len(trees))
+        chosen = np.zeros((len(trees), n), dtype=bool)
+        for s, last in enumerate(range(n - fps, n)):
+            chosen[rows, np.where(chosen[rows, drawn[:, s]], last, drawn[:, s])] = True
+        return np.nonzero(chosen)[1].reshape(len(trees), fps)
+
+    return draw
 
 
 def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[ForestNodes, np.ndarray]:
@@ -315,15 +359,19 @@ def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[ForestNodes, np.ndar
     child first, so its nodes (in the JSON layout), its draws from its
     generator and its ``gains`` updates all come in preorder, as if it grew
     alone. Wave w takes node w of every tree still growing; the wave's
-    splittable nodes are then scored together by :func:`_best_splits`, in
-    calls of at most COLUMN_CAP distinct sample columns. Returns the
+    splittable nodes draw their feature subsets through
+    :func:`_subset_drawer` and are then scored together by
+    :func:`_best_splits`, in calls of at most COLUMN_CAP distinct sample
+    columns. The drawer draws up to a block of nodes past a tree's last
+    one; that leaves the model unchanged only because nothing draws from
+    ``rngs[k]`` after tree k's feature subsets. Returns the
     forest's node store and the ``[K, n]`` per-feature impurity decreases,
     each split adding (node weight fraction x gain).
     """
     n_features = Xt.shape[0]
     max_depth, fps, _ = cfg.resolve(n_features)
     cols = _sort_columns(Xt, pos)
-    all_features = np.arange(n_features)
+    draw = _subset_drawer(n_features, fps, rngs)
     gains = np.zeros((len(counts), n_features))
     nodes: list[list[dict]] = [[] for _ in counts]
     totals = [int(c.sum()) for c in counts]
@@ -343,26 +391,25 @@ def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[ForestNodes, np.ndar
             n_neg = size - n_pos
             nodes[k].append({"leaf": 1 if n_pos > n_neg else -1})  # majority, ties to -1
             if n_pos and n_neg and depth < max_depth and size >= cfg.min_samples_split:
-                if fps >= n_features:
-                    feature_ids = all_features
-                else:
-                    feature_ids = np.sort(rngs[k].choice(n_features, size=fps, replace=False))
                 parent_imp = impurity((n_neg, n_pos), cfg.criterion)
-                wave.append((k, idx, size, n_pos, depth, feature_ids, parent_imp))
-        for chunk in _chunks(wave):
-            tree, idx, _, _, _, features, parent_imp = zip(*chunk)
+                wave.append((k, idx, size, n_pos, depth, parent_imp))
+        features = draw([node[0] for node in wave])
+        for part in _chunks(wave):
+            chunk, sampled = wave[part], features[part]
+            tree, idx, _, _, _, parent_imp = zip(*chunk)
             starts = np.cumsum([0] + [len(i) for i in idx[:-1]])
             found = _best_splits(
                 cols, np.concatenate(idx), starts, np.array(tree), counts,
-                np.stack(features), np.array(parent_imp), cfg.criterion,
+                sampled, np.array(parent_imp), cfg.criterion,
             )
             ordered = found.samples
-            for node, start, gain, row, threshold, cut, n_left, pos_left in zip(
-                chunk, starts.tolist(), found.gain.tolist(), found.row.tolist(),
+            winner = sampled[np.arange(len(chunk)), found.row]
+            for node, start, gain, feature, threshold, cut, n_left, pos_left in zip(
+                chunk, starts.tolist(), found.gain.tolist(), winner.tolist(),
                 found.threshold.tolist(), found.cut.tolist(), found.n_left.tolist(),
                 found.pos_left.tolist(),
             ):
-                k, idx, size, n_pos, depth, feature_ids, _ = node
+                k, idx, size, n_pos, depth, _ = node
                 if gain == -math.inf:
                     continue
                 # Positive-gain splits are preferred; an impure node where
@@ -371,7 +418,6 @@ def _grow(Xt, pos, counts, cfg: TrainConfig, rngs) -> tuple[ForestNodes, np.ndar
                 # Terminates regardless: both children are strictly smaller,
                 # unless the midpoint rounds onto the node's largest value
                 # and the right child is empty, which max_depth stops.
-                feature = int(feature_ids[row])
                 gains[k, feature] += (size / totals[k]) * max(gain, 0.0)
                 # The split replaces the node's leaf, still its tree's last
                 # node: a tree gives one node per wave.

@@ -133,9 +133,10 @@ class TestTrainCommand:
             (["--features-per-split", "4"], "features_per_split must be in [1, 3], got 4"),
             (["--test-fraction", "0"], "test_fraction must be in (0, 1)"),
             (["--test-fraction", "1"], "test_fraction must be in (0, 1)"),
+            (["--seed", "-1"], "seed must be >= 0"),
         ],
         ids=["trees-0", "max-depth-0", "min-samples-split-1", "features-per-split-0",
-             "features-per-split-n+1", "test-fraction-0", "test-fraction-1"],
+             "features-per-split-n+1", "test-fraction-0", "test-fraction-1", "seed--1"],
     )
     def test_out_of_range_setting_exits_1_and_writes_no_model(
         self, tmp_path, capsys, flags, message
@@ -143,6 +144,25 @@ class TestTrainCommand:
         data = write_gaussian_csv(tmp_path / "train.csv", m=20, n=3)
         model = tmp_path / "m.json"
         assert main(["train", "--data", str(data), "--model-out", str(model)] + flags) == 1
+        assert assert_one_error_line(capsys) == f"error: {message}"
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trees", "0"], "num_trees must be >= 1"),
+            (["--max-depth", "0"], "max_depth must be >= 1"),
+            (["--min-samples-split", "1"], "min_samples_split must be >= 2"),
+            (["--seed", "-1"], "seed must be >= 0"),
+        ],
+        ids=["trees-0", "max-depth-0", "min-samples-split-1", "seed--1"],
+    )
+    def test_training_settings_checked_before_the_data_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", missing, "--model-out", str(model)] + flags) == 1
         assert assert_one_error_line(capsys) == f"error: {message}"
         assert not model.exists()
 

@@ -87,6 +87,10 @@ class TestImpurity:
         with pytest.raises(ValueError, match="criterion must be 'gini' or 'entropy'"):
             make()
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
 
 def reference_split_on_feature(column, pos_mask, parent_imp, criterion):
     """Scalar oracle: best (gain, threshold) of one feature, or None.
@@ -340,30 +344,129 @@ class TestSegmentedSearch:
 
 
 # SHA-256 of ``dumps_model`` for forests trained on tie-heavy data (values
-# rounded to 0.1). Pinned when split search was a per-feature loop, tree by
-# tree; the lockstep segmented search must reproduce every byte.
+# rounded to 0.1). The first four were pinned when split search was a
+# per-feature loop, tree by tree; the lockstep segmented search must
+# reproduce every byte. The last two were pinned while every node drew its
+# features with one ``Generator.choice`` call: "n20" at the benchmark's
+# draw shape (n=20, 5 features per split), where ``choice`` runs Floyd's
+# method, and "tail_shuffle" at a shape where it shuffles instead
+# (n > 10000 and features_per_split > n // 50).
 GOLDEN_MODEL_SHA256 = {
     "gini": "8fa5f6d27eea7ffaa9e0d24a8a57b6e13bc687c7e4a96586e79064fef40dab63",
     "entropy": "28d6b754272f8c2a594413939dd8837ade7506a1e92cced9d9a0fb39e27c6772",
     "all_features": "1af0b92785f61e55cd65abec3a9d33f653d87bb63c85497e9996b507a9d8fcf9",
     "min_split_5": "6b6b5373bae9a8dddd0644d004a8b65252a96fcc51e8a34dcda7c2b35158ece3",
+    "n20": "c79d61ca8faa48c8fb2342995ab7a0b2d8408fd1e0c0fa852e4722f02c49a1d4",
+    "tail_shuffle": "7c6b75442d6aac13999bd5e07758a380d552e0fbcd90850f4646fdd1797b7cde",
 }
+SIX_FEATURES = dict(seed=60, m=300, n=6)
+# Name: (config, gaussian_instances arguments).
 GOLDEN_CONFIGS = {
-    "gini": TrainConfig(criterion="gini", num_trees=4, seed=11),
-    "entropy": TrainConfig(criterion="entropy", num_trees=4, seed=11),
-    "all_features": TrainConfig(features_per_split=6, num_trees=4, seed=12),
-    "min_split_5": TrainConfig(
-        criterion="entropy", min_samples_split=5, num_trees=4, seed=13
+    "gini": (TrainConfig(criterion="gini", num_trees=4, seed=11), SIX_FEATURES),
+    "entropy": (TrainConfig(criterion="entropy", num_trees=4, seed=11), SIX_FEATURES),
+    "all_features": (TrainConfig(features_per_split=6, num_trees=4, seed=12), SIX_FEATURES),
+    "min_split_5": (
+        TrainConfig(criterion="entropy", min_samples_split=5, num_trees=4, seed=13),
+        SIX_FEATURES,
+    ),
+    "n20": (TrainConfig(num_trees=6, max_depth=8, seed=14), dict(seed=61, m=400, n=20)),
+    "tail_shuffle": (
+        TrainConfig(features_per_split=250, seed=15),
+        dict(seed=62, m=20, n=10001, separation=0.0),
     ),
 }
 
 
+def golden_model_digest(name):
+    cfg, shape = GOLDEN_CONFIGS[name]
+    space, data = gaussian_instances(**shape)
+    data = [Instance(np.round(inst.values, 1), label=inst.label) for inst in data]
+    text = dumps_model(train_forest(data, cfg, space))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_trained_model_bytes_are_pinned(name):
-    space, data = gaussian_instances(seed=60, m=300, n=6)
-    data = [Instance(np.round(inst.values, 1), label=inst.label) for inst in data]
-    text = dumps_model(train_forest(data, GOLDEN_CONFIGS[name], space))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_SHA256[name]
+    assert golden_model_digest(name) == GOLDEN_MODEL_SHA256[name]
+
+
+def choice_twin(seed):
+    """Two generators in one state."""
+    return [np.random.default_rng(seed) for _ in range(2)]
+
+
+def set_state(twins, edit):
+    for rng in twins:
+        state = rng.bit_generator.state
+        edit(state)
+        rng.bit_generator.state = state
+    return twins
+
+
+def buffered_zero(state):
+    """The next 32-bit draw is the buffered 0."""
+    state["has_uint32"], state["uinteger"] = 1, 0
+
+
+def second_output_7(state):
+    """The 32-bit draws go on low(o1), high(o1), 7, 0: the 64-bit output
+    of a PCG64 state whose high half is zero is its low half, unrotated,
+    so step back twice from the state 7 with the inverse multiplier."""
+    inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 1 << 128)
+    s, inc = 7, state["state"]["inc"]
+    for _ in range(2):
+        s = (s - inc) * inverse % (1 << 128)
+    state["state"]["state"], state["has_uint32"] = s, 0
+
+
+class TestSubsetDraws:
+    @pytest.mark.parametrize(
+        "n, fps",
+        [(2, 1), (3, 2), (6, 3), (20, 5), (50, 8), (100, 99), (20000, 400), (20000, 401)],
+    )
+    def test_waves_draw_what_choice_draws_node_by_node(self, monkeypatch, n, fps):
+        # Three trees drawing in staggered waves, so their blocks refill at
+        # different waves; each draws exactly two blocks of nodes, after
+        # which its generator must be where 2 * block choice calls leave it.
+        block = 4
+        monkeypatch.setattr(trainer, "_DRAW_BLOCK", block)
+        pairs = [choice_twin(seed) for seed in (1, 2, 3)]
+        draw = trainer._subset_drawer(n, fps, [ours for ours, _ in pairs])
+        for wave in range(3 * block):
+            trees = [k for k in range(3) if (wave + k) % 3]
+            got = draw(trees)
+            assert got.shape == (len(trees), fps)
+            for row, k in zip(got, trees):
+                want = np.sort(pairs[k][1].choice(n, size=fps, replace=False))
+                np.testing.assert_array_equal(row, want)
+        for ours, theirs in pairs:
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, fps, edit",
+        [
+            # The first draw is over [0, 16]: its Lemire threshold
+            # (2**32 - 17) % 17 is 1, so the buffered 0 is rejected.
+            (21, 5, buffered_zero),
+            # The fourth, the first shuffle draw, is over [0, 2]: its
+            # threshold 2**32 % 3 is 1, so the 0 is rejected there.
+            (4, 3, second_output_7),
+        ],
+        ids=["set-draw", "shuffle-draw"],
+    )
+    def test_a_rejected_bounded_draw_is_drawn_again(self, monkeypatch, n, fps, edit):
+        monkeypatch.setattr(trainer, "_DRAW_BLOCK", 1)
+        ours, theirs = set_state(choice_twin(5), edit)
+        draw = trainer._subset_drawer(n, fps, [ours])
+        for _ in range(3):
+            want = np.sort(theirs.choice(n, size=fps, replace=False))
+            np.testing.assert_array_equal(draw([0])[0], want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 3, 10_000])
+    def test_block_size_does_not_change_the_model(self, monkeypatch, block):
+        monkeypatch.setattr(trainer, "_DRAW_BLOCK", block)
+        assert golden_model_digest("n20") == GOLDEN_MODEL_SHA256["n20"]
 
 
 class TestTrainTree:
