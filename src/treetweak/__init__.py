@@ -19,7 +19,6 @@ from treetweak.feature_space import (
     fit_standardizer,
     load_instances,
     load_table,
-    one_hot_encode,
     standardize,
 )
 from treetweak.forest import (
@@ -32,12 +31,11 @@ from treetweak.forest import (
     save_model,
     trees_from_nodes,
 )
-from treetweak.costs import COST_FUNCTIONS, COST_NAMES, cost_by_name
+from treetweak.costs import COST_NAMES, cost_by_name
 from treetweak.trainer import (
     ClassifierMetrics,
     TrainConfig,
     evaluate_classifier,
-    impurity,
     stratified_split,
     train_forest,
 )
@@ -46,9 +44,6 @@ from treetweak.tweaker import (
     NotCovered,
     Transformation,
     TweakOutcome,
-    brute_force_tweak,
-    build_positive_instance,
-    candidate_set,
     sweep,
     tweak,
 )
@@ -64,7 +59,6 @@ from treetweak.recommend import (
 
 __all__ = [
     "__version__",
-    "COST_FUNCTIONS",
     "COST_NAMES",
     "ClassifierMetrics",
     "ColumnSpec",
@@ -82,9 +76,6 @@ __all__ = [
     "Transformation",
     "TreeEnsemble",
     "TweakOutcome",
-    "brute_force_tweak",
-    "build_positive_instance",
-    "candidate_set",
     "cost_by_name",
     "destandardize",
     "diff_to_recommendations",
@@ -93,11 +84,9 @@ __all__ = [
     "feature_frequency_report",
     "fit_standardizer",
     "helpfulness",
-    "impurity",
     "load_instances",
     "load_model",
     "load_table",
-    "one_hot_encode",
     "predict_ensemble",
     "rank_correlation",
     "route",

@@ -50,6 +50,7 @@ def _cmd_train(args) -> int:
         bootstrap=args.bootstrap,
         seed=args.seed,
     )
+    stratified_split([], args.test_fraction)
     schema = load_schema(args.schema) if args.schema else None
     space, instances = load_table(args.data, schema)
     train, test = stratified_split(instances, args.test_fraction, seed=args.seed)

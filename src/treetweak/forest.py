@@ -720,6 +720,8 @@ def ensemble_from_dict(doc: dict) -> TreeEnsemble:
         importances = doc["importances"]
         if any(type(v) is bool or not isinstance(v, (int, float)) for v in importances):
             raise ValueError("importances must be numbers")
+        if not isinstance(doc["metadata"], dict):
+            raise ValueError("metadata must be a JSON object")
         return TreeEnsemble(nodes, space, importances, dict(doc["metadata"]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, TreeTweakError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc

@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -168,9 +169,9 @@ class SearchStats:
         return self.paths_examined - self.infeasible - self.rejected
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not 0 < epsilon < INF:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+def _check_epsilon(epsilon) -> float:
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, Real) and 0 < epsilon < INF):
+        raise ValueError(f"epsilon must be a finite real number > 0, got {epsilon!r}")
     return float(epsilon)
 
 
@@ -250,9 +251,9 @@ def check_search_args(
 ) -> tuple[list[np.ndarray], list[float], list[Callable]]:
     """Every instance's values, epsilon and cost function, once all pass:
     LengthMismatch unless an instance has n values; NonFiniteValue for a
-    NaN or infinite value; ValueError unless epsilon is finite and > 0,
-    the budget None or >= 0 and a cost name known. Every search calls it
-    before it routes an instance."""
+    NaN or infinite value; ValueError unless epsilon is a finite real > 0,
+    the budget None or an int >= 0 (neither a bool) and a cost name known.
+    Every search calls it before it routes an instance."""
     for x in instances:
         if len(x.values) != n:
             raise LengthMismatch(f"expected {n} values, got {len(x.values)}")
@@ -260,8 +261,10 @@ def check_search_args(
             bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
             raise NonFiniteValue(f"instance has non-finite values at features {bad}")
     epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be None or >= 0, got {budget!r}")
+    if budget is not None and (
+        isinstance(budget, bool) or not (isinstance(budget, Integral) and budget >= 0)
+    ):
+        raise ValueError(f"budget must be None or an int >= 0, got {budget!r}")
     deltas = [cost_by_name(d) if isinstance(d, str) else d for d in deltas]
     return [x.values for x in instances], epsilons, deltas
 

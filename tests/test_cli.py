@@ -154,8 +154,11 @@ class TestTrainCommand:
             (["--max-depth", "0"], "max_depth must be >= 1"),
             (["--min-samples-split", "1"], "min_samples_split must be >= 2"),
             (["--seed", "-1"], "seed must be >= 0"),
+            (["--test-fraction", "0"], "test_fraction must be in (0, 1)"),
+            (["--test-fraction", "1"], "test_fraction must be in (0, 1)"),
         ],
-        ids=["trees-0", "max-depth-0", "min-samples-split-1", "seed--1"],
+        ids=["trees-0", "max-depth-0", "min-samples-split-1", "seed--1",
+             "test-fraction-0", "test-fraction-1"],
     )
     def test_training_settings_checked_before_the_data_is_read(
         self, tmp_path, capsys, flags, message
@@ -343,10 +346,16 @@ class TestTweakCommand:
                 ]},
             )),
              "malformed model document: one-hot group 'layout' repeats category 'x'"),
+            # dict() would read both, and write them back as {"a": 1} and {}.
+            (edited_model(lambda doc: doc.update(metadata=[["a", 1]])),
+             "malformed model document: metadata must be a JSON object"),
+            (edited_model(lambda doc: doc.update(metadata=[])),
+             "malformed model document: metadata must be a JSON object"),
         ],
         ids=["infinite-child", "deep-nesting", "json-array", "no-trees",
              "importances-of-another-length", "negative-importance", "zero-std-dev",
-             "duplicate-feature-name", "no-features", "repeated-category"],
+             "duplicate-feature-name", "no-features", "repeated-category",
+             "metadata-pairs", "metadata-empty-list"],
     )
     def test_corrupt_model_exits_1_with_one_error_line(
         self, tmp_path, capsys, corrupt, message

@@ -758,7 +758,13 @@ BAD_ARGUMENTS = {
     "epsilon-minus-inf": {"epsilon": -math.inf},
     "epsilon-nan": {"epsilon": math.nan},
     "epsilon-zero": {"epsilon": 0.0},
+    # tweak(ens, x, 0.1, "euclidean"): delta and epsilon swapped.
+    "epsilon-str": {"epsilon": "euclidean"},
+    "epsilon-bool": {"epsilon": True},
     "budget-negative": {"budget": -1},
+    "budget-float": {"budget": 2.5},
+    "budget-str": {"budget": "3"},
+    "budget-bool": {"budget": True},
     "unknown-cost": {"delta": "manhattan"},
 }
 
@@ -794,6 +800,15 @@ class TestSearchArguments:
                 self._ensemble(), [Instance([x0])], [0.5, args["epsilon"]],
                 ["cosine", args["delta"]], budget=args["budget"],
             )
+
+    @pytest.mark.parametrize(
+        "bad", [b for b in BAD_ARGUMENTS.values() if "delta" not in b],
+        ids=[k for k, b in BAD_ARGUMENTS.items() if "delta" not in b],
+    )
+    def test_the_error_names_the_argument(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            tweak(self._ensemble(), Instance([-1.0]), **self._args(bad))
 
     @pytest.mark.parametrize(
         "bad", [b for b in BAD_ARGUMENTS.values() if "budget" not in b],
