@@ -18,7 +18,7 @@ from treetweak import __version__
 from treetweak.costs import COST_NAMES
 from treetweak.errors import DegenerateLabels, EmptyDataset, TreeTweakError
 from treetweak.feature_space import load_instances, load_schema, load_table
-from treetweak.forest import load_model, predict_ensemble, save_model
+from treetweak.forest import load_model, save_model, tree_votes
 from treetweak.recommend import (
     categorical_switches,
     diff_to_recommendations,
@@ -145,11 +145,13 @@ def _cmd_tweak(args) -> int:
     check_search_args(0, [], [args.epsilon], [], args.budget)
     ens = load_model(args.model)
     instances = load_instances(args.data, ens.feature_space)
+    X, _, _ = check_search_args(ens.feature_space.n, instances, [], [], None)
+    positive = (tree_votes(ens, X).sum(axis=1) > 0).tolist()
     results = []
     skipped = []
     eligible = covered = 0
     for index, inst in enumerate(instances):
-        if predict_ensemble(ens, inst) == 1:
+        if positive[index]:
             skipped.append(index)
             continue
         eligible += 1

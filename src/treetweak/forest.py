@@ -20,18 +20,18 @@ arrays: an ensemble hands out the folded box of every positive leaf
 per feature the leaf's path tests, so its size follows the depth of the
 trees and not the number of features.
 
-Matrices of rows are routed through a second layout of the trees, also
-built on first use (``routing``): complete binary blocks of
-``BLOCK_HEIGHT`` levels, in which a child's slot is ``2 * slot + (value <=
-threshold)``, so a level takes no gather to find a child. The blocks
-chain through an exit table, and a leaf fills the slots below it in its
-block, so a tree of any depth takes memory linear in its nodes. One
-router takes ``GROUP_TREES`` trees at a time over all rows at once, and
-two functions share it. :func:`vote_sums` gives each row's exact vote
-sum, for the trainer's holdout evaluation. :func:`positive_rows` gives
-only whether it is above 0, for the tweak search's validation of
-candidates: after each group it drops the rows whose sign the trees left
-can no longer change.
+Every exact vote is read from the node store: :func:`tree_votes` walks
+one row, or a matrix of rows, through every tree at once. The tweak
+search's validation of candidates asks only whether each candidate's vote
+sum is above 0, and :func:`positive_rows` answers that through a second
+layout of the trees, also built on first use (``routing``): complete
+binary blocks of ``BLOCK_HEIGHT`` levels, in which a child's slot is
+``2 * slot + (value <= threshold)``, so a level takes no gather to find a
+child. The blocks chain through an exit table, and a leaf fills the slots
+below it in its block, so a tree of any depth takes memory linear in its
+nodes. The router takes ``GROUP_TREES`` trees at a time over all rows at
+once, and after each group it drops the rows whose sign the trees left can
+no longer change.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -345,13 +345,13 @@ def _box_entries(nodes: ForestNodes) -> tuple[np.ndarray, np.ndarray]:
 
 
 BLOCK_HEIGHT = 4  # levels of a routing block
-GROUP_TREES = 5  # trees routed together, between checks for settled rows
+GROUP_TREES = 5  # trees routed together, between checks for decided rows
 
 
 class RoutingBlocks(NamedTuple):
     """An ensemble's trees cut at depths 0, h, 2h, ... into complete binary
-    blocks of height h = ``BLOCK_HEIGHT``, the index :func:`vote_sums` and
-    :func:`positive_rows` route through.
+    blocks of height h = ``BLOCK_HEIGHT``, the index :func:`positive_rows`
+    routes through.
 
     ``feature[l]`` and ``threshold[l]`` hold level l of every block, level
     l of block b in slots ``b * 2**l + q``, so the children of slot g are
@@ -377,29 +377,37 @@ def _values(x) -> np.ndarray:
 
 
 def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
-    """``[route(ens, k, x).leaf_label for k in range(ens.num_trees)]``,
-    routing all trees at once. Raises LengthMismatch unless x is one row of
-    one value per feature."""
+    """Every tree's vote, ``route(ens, k, row).leaf_label``: ``[K]`` for
+    one row of one value per feature, ``[m, K]`` for an ``[m, n]`` matrix
+    of rows. Every (row, tree) pair steps down a level at a time through
+    the node store, and a pair at its leaf steps onto the leaf itself.
+    Raises LengthMismatch unless x is one row or a matrix of rows of one
+    value per feature."""
     vals = _values(x)
-    if vals.shape != (ens.feature_space.n,):
-        raise LengthMismatch(f"expected {ens.feature_space.n} values, got shape {vals.shape}")
+    n = ens.feature_space.n
+    if vals.ndim not in (1, 2) or vals.shape[-1] != n:
+        raise LengthMismatch(f"expected {n} values, got shape {vals.shape}")
     feature, threshold, children, label, root, depth = ens.nodes
+    cells = vals.ravel()
+    count, trees = cells.size // n, len(root)
+    # Pair (row i, tree k) is entry i * K + k, and its row starts at cell i * n.
+    row_start = np.arange(0, cells.size, n).repeat(trees)
     steps = children.ravel()
-    node = root
+    node = np.tile(root, count)
     for _ in range(depth.max()):
-        node = steps[2 * node + (vals[feature[node]] <= threshold[node])]
-    return label[node]
+        value = cells.take(row_start + feature.take(node))
+        node = steps.take(2 * node + (value <= threshold.take(node)))
+    votes = label.take(node).reshape(count, trees)
+    return votes if vals.ndim == 2 else votes[0]
 
 
-def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
-    """Vote sum of every row of a ``[C, n]`` matrix, routed ``GROUP_TREES``
-    trees at a time. Raises LengthMismatch unless X is 2-D with one column
-    per feature.
-
-    With ``settle``, a row stops after the first group that decides its
-    sign: its sum so far is more than the number of trees left (positive
-    whatever they vote), or is at most minus that number (negative). Its
-    partial sum, which has the sign of its full one, is what it returns.
+def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
+    """Which rows of a ``[C, n]`` matrix the ensemble predicts positive:
+    ``tree_votes(ens, X).sum(axis=1) > 0``, routed ``GROUP_TREES`` trees at
+    a time. A row stops after the first group that decides its sign: its
+    sum so far is more than the number of trees left (positive whatever
+    they vote), or is at most minus that number (negative). Raises
+    LengthMismatch unless X is 2-D with one column per feature.
 
     A group of g trees over c live rows is routed as one ``[g, c]`` grid of
     slots through the :attr:`~TreeEnsemble.routing` blocks: a row at slot s
@@ -413,7 +421,7 @@ def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
 
     The levels run through four buffers of ``GROUP_TREES`` slots per row,
     made once per call and cut to each group's slots, so the loops
-    allocate only the group's sums and, as rows settle, the smaller X.
+    allocate only the group's sums and, as rows are decided, the smaller X.
     Every slot starts at its tree's root, so the first level compares
     columns of X with one threshold per tree and gathers nothing. The
     gathers below it use ``mode="clip"``: the default mode checks bounds
@@ -429,7 +437,7 @@ def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
     count, trees = len(X), len(roots)
     depths = np.maximum(ens.nodes.depth, 1)
     row_start = np.arange(count) * n
-    out = np.empty(count)
+    positive = np.empty(count, dtype=bool)
     live = np.arange(count)
     total = np.zeros(count)
     size = min(GROUP_TREES, trees) * count
@@ -463,41 +471,24 @@ def _route_groups(ens: "TreeEnsemble", X, settle: bool) -> np.ndarray:
         threshold[depth % BLOCK_HEIGHT].take(slot, out=th, mode="clip")
         total += th.sum(axis=0)
         rest = trees - first - g
-        if settle and rest:
-            keep = total <= rest
-            keep &= total + rest > 0
-            if not keep.all():
-                out[live] = total  # the rows that go on are written again
-                live, total, X = live[keep], total[keep], X[keep]
-                if not live.size:
-                    break
-    out[live] = total
-    return out
-
-
-def vote_sums(ens: "TreeEnsemble", X) -> np.ndarray:
-    """Vote sum of every row of a ``[C, n]`` matrix, routing <= left.
-
-    Equal to ``tree_votes(ens, row).sum()`` row by row: every row is routed
-    through every tree. Raises LengthMismatch unless X is 2-D with one
-    column per feature.
-    """
-    return _route_groups(ens, X, settle=False).astype(np.intp)
-
-
-def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
-    """Which rows of a ``[C, n]`` matrix the ensemble predicts positive:
-    ``vote_sums(ens, X) > 0``, but a row is routed only until the trees
-    left cannot change the sign of its sum. Raises LengthMismatch unless X
-    is 2-D with one column per feature.
-    """
-    return _route_groups(ens, X, settle=True) > 0
+        keep = total <= rest
+        keep &= total + rest > 0
+        if not keep.all():
+            positive[live] = total > 0  # the rows that go on are written again
+            live, total, X = live[keep], total[keep], X[keep]
+            if not live.size:
+                break
+    positive[live] = total > 0
+    return positive
 
 
 def predict_ensemble(ens: "TreeEnsemble", x) -> int:
-    """Majority vote: -1 iff the vote sum is <= 0, else +1. Raises
-    LengthMismatch unless x has one value per feature."""
-    return -1 if tree_votes(ens, x).sum() <= 0 else 1
+    """Majority vote on one row: -1 iff the vote sum is <= 0, else +1.
+    Raises LengthMismatch unless x is one row of one value per feature."""
+    vals = _values(x)
+    if vals.ndim != 1:
+        raise LengthMismatch(f"expected {ens.feature_space.n} values, got shape {vals.shape}")
+    return -1 if tree_votes(ens, vals).sum() <= 0 else 1
 
 
 def route(ens: "TreeEnsemble", k: int, x) -> Path:

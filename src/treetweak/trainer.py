@@ -36,7 +36,7 @@ from treetweak.errors import (
     NonFiniteValue,
 )
 from treetweak.feature_space import FeatureSpace, Instance
-from treetweak.forest import ForestNodes, TreeEnsemble, trees_from_nodes, vote_sums
+from treetweak.forest import ForestNodes, TreeEnsemble, tree_votes, trees_from_nodes
 
 GINI = "gini"
 ENTROPY = "entropy"
@@ -534,7 +534,7 @@ def evaluate_classifier(ens: TreeEnsemble, test_data: list[Instance]) -> Classif
         raise DegenerateLabels("evaluation set contains a single class")
     labels = np.where(pos == 1, 1, -1)
 
-    sums = vote_sums(ens, Xt.T)
+    sums = tree_votes(ens, Xt.T).sum(axis=1)
     preds = np.where(sums <= 0, -1, 1)
     k = ens.num_trees
     scores = (sums + k) // 2 / k  # positive votes over trees, exactly

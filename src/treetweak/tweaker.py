@@ -17,7 +17,8 @@ ensemble-positive x with NotNegative. It selects the ensemble's
 positive-leaf boxes (:attr:`~treetweak.forest.TreeEnsemble.positive_boxes`,
 built once per model) of x's negative-voting trees and places every
 candidate for every epsilon of a grid at once (tweak's grid is its one
-epsilon; :func:`sweep` passes its whole grid once per instance). Only a
+epsilon; :func:`sweep` routes all its instances in one ``tree_votes``
+call and passes its whole grid once per eligible instance). Only a
 box's entries, one per feature its path tests, are placed and checked;
 a feasible candidate is x with those entries written in. The feasible
 candidates of the whole grid are re-validated against the forest in one
@@ -45,7 +46,7 @@ from functools import cached_property
 from itertools import compress
 from numbers import Integral, Real
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -244,29 +245,33 @@ def build_positive_instance(
 
 def check_search_args(
     n: int,
-    instances: Sequence[Instance],
-    epsilons: Sequence[float],
-    deltas: Sequence[Callable | str],
+    instances: Iterable[Instance],
+    epsilons: Iterable[float],
+    deltas: Iterable[Callable | str],
     budget: int | None,
-) -> tuple[list[np.ndarray], list[float], list[Callable]]:
-    """Every instance's values, epsilon and cost function, once all pass:
-    LengthMismatch unless an instance has n values; NonFiniteValue for a
-    NaN or infinite value; ValueError unless epsilon is a finite real > 0,
-    the budget None or an int >= 0 (neither a bool) and a cost name known.
+) -> tuple[np.ndarray, list[float], list[Callable]]:
+    """The ``[m, n]`` matrix of the instances' values, each epsilon and
+    each cost function, once all pass: LengthMismatch unless an instance
+    has n values; NonFiniteValue for a NaN or infinite value; ValueError
+    unless epsilon is a finite real > 0, the budget None or an int >= 0
+    (neither a bool) and a cost name known. Each argument is read once.
     Every search calls it before it routes an instance."""
-    for x in instances:
-        if len(x.values) != n:
-            raise LengthMismatch(f"expected {n} values, got {len(x.values)}")
-        if not np.isfinite(x.values).all():
-            bad = np.flatnonzero(~np.isfinite(x.values)).tolist()
-            raise NonFiniteValue(f"instance has non-finite values at features {bad}")
+    rows = [x.values for x in instances]
+    for values in rows:
+        if len(values) != n:
+            raise LengthMismatch(f"expected {n} values, got {len(values)}")
+    X = np.array(rows, dtype=float).reshape(len(rows), n)
+    finite = np.isfinite(X)
+    if not finite.all():
+        bad = np.flatnonzero(~finite[np.argmin(finite.all(axis=1))]).tolist()
+        raise NonFiniteValue(f"instance has non-finite values at features {bad}")
     epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
     if budget is not None and (
         isinstance(budget, bool) or not (isinstance(budget, Integral) and budget >= 0)
     ):
         raise ValueError(f"budget must be None or an int >= 0, got {budget!r}")
     deltas = [cost_by_name(d) if isinstance(d, str) else d for d in deltas]
-    return [x.values for x in instances], epsilons, deltas
+    return X, epsilons, deltas
 
 
 def _place(
@@ -516,9 +521,9 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 def sweep(
     ens: TreeEnsemble,
-    instances: Sequence[Instance],
-    epsilon_grid: Sequence[float],
-    delta_names: Sequence[str],
+    instances: Iterable[Instance],
+    epsilon_grid: Iterable[float],
+    delta_names: Iterable[str],
     skip_satisfied: bool = False,
     budget: int | None = None,
 ) -> tuple[SweepRow, ...]:
@@ -527,22 +532,23 @@ def sweep(
     For each (epsilon, delta): the fraction of eligible (model-negative)
     instances with at least one valid transformation, quantiles of the
     per-instance candidate counts, the micro-average cost over all
-    candidates, and the median of per-instance mean costs. Each eligible
-    instance is routed once; its candidates for the whole epsilon grid are
-    generated and validated in one forest call and priced in one call per
-    cost function, whose costs are then split by epsilon, so a cost
-    function logs undefined costs once per instance. Only the counts and
-    costs are kept.
+    candidates, and the median of per-instance mean costs. Every instance
+    is routed in one ``tree_votes`` call; an eligible one's candidates for
+    the whole epsilon grid are generated and validated in one forest call
+    and priced in one call per cost function, whose costs are then split
+    by epsilon, so a cost function logs undefined costs once per instance.
+    Only the counts and costs are kept.
 
     Every argument is checked by :func:`check_search_args` before any
-    instance is routed.
+    instance is routed, and each is read once.
     """
-    values_of, epsilons, delta_fns = check_search_args(
+    delta_names = list(delta_names)
+    X, epsilons, delta_fns = check_search_args(
         ens.feature_space.n, instances, epsilon_grid, delta_names, budget
     )
+    all_votes = tree_votes(ens, X)
     priced = []  # each eligible instance's counts and costs, cell by cell
-    for x in values_of:
-        votes = tree_votes(ens, x)
+    for x, votes in zip(X, all_votes):
         if votes.sum() > 0:
             continue
         _, _, values, stats = _generate_candidates(

@@ -20,7 +20,14 @@ from treetweak.forest import (
     save_model,
     trees_from_nodes,
 )
-from treetweak.feature_space import FeatureMeta, FeatureSpace, Instance, load_instances
+from treetweak.feature_space import (
+    FeatureMeta,
+    FeatureSpace,
+    Instance,
+    destandardize,
+    load_instances,
+    standardize,
+)
 from treetweak.tweaker import Found
 
 from conftest import plain_space, stump, tree
@@ -316,6 +323,40 @@ class TestTweakCommand:
         assert doc["skipped_positive"] == [0, 1]
         assert doc["results"] == []
 
+    @pytest.mark.parametrize("command", ["tweak", "sweep"])
+    def test_a_data_file_without_rows_has_no_eligible_instance(self, tmp_path, command):
+        model = write_stump_model(tmp_path / "model.json")
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n")
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 0
+        if command == "tweak":
+            doc = json.loads(out.read_text())
+            assert (doc["eligible"], doc["skipped_positive"], doc["results"]) == (0, [], [])
+        else:
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(row["eligible"] == "0" for row in rows)
+
+    def test_every_row_is_routed_in_one_call(self, tmp_path, monkeypatch):
+        model = write_stump_model(tmp_path / "model.json")
+        data = tmp_path / "inst.csv"
+        data.write_text("x0\n-1.0\n2.0\n-0.5\n")
+        out = tmp_path / "out.json"
+        calls, tree_votes = [], cli.tree_votes
+
+        def counted(ens, X):
+            calls.append(np.shape(X))
+            return tree_votes(ens, X)
+
+        monkeypatch.setattr(cli, "tree_votes", counted)
+        assert main(["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        assert calls == [(3, 1)]
+        doc = json.loads(out.read_text())
+        assert doc["skipped_positive"] == [1]
+        assert [r["instance_index"] for r in doc["results"]] == [0, 2]
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -594,8 +635,10 @@ class TestSchemaPipeline:
             ["tweak", "--model", str(model), "--data", str(data), "--out", str(out)]
         ) == 0
         ens = load_model(model)
-        rows = load_instances(data, ens.feature_space)
-        frozen = ~ens.feature_space.adjustable_mask
+        space = ens.feature_space
+        rows = load_instances(data, space)
+        frozen = ~space.adjustable_mask
+        names = [f.name for f in space.features]
         for result in json.loads(out.read_text())["results"]:
             x = rows[result["instance_index"]].values
             for trans in result["transformations"]:
@@ -604,6 +647,12 @@ class TestSchemaPipeline:
                 leaf = route(ens, trans["source_tree"], candidate)
                 assert (leaf.path_index, leaf.leaf_label) == (trans["source_path"], 1)
                 assert (candidate.values[frozen] == x[frozen]).all()
+                # The row a user would enter: x in raw units with each
+                # moved feature set to its recommended value.
+                entered = destandardize(x, space)
+                for rec in trans["recommendations"]:
+                    entered[names.index(rec["feature"])] = rec["to_raw"]
+                assert predict_ensemble(ens, standardize(entered, space)) == 1
 
     def test_categorical_and_frozen_columns_end_to_end(self, tmp_path):
         rng = np.random.default_rng(77)

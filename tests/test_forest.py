@@ -26,7 +26,6 @@ from treetweak.forest import (
     save_model,
     tree_votes,
     trees_from_nodes,
-    vote_sums,
 )
 from treetweak.trainer import TrainConfig, train_forest
 
@@ -328,15 +327,15 @@ def routing_bytes(ens):
 
 # Inputs to a forest of 3 features without one value per feature.
 WRONG_WIDTHS = {
-    "vote_sums-narrower": (vote_sums, (4, 2)),
-    "vote_sums-wider": (vote_sums, (4, 4)),
-    "vote_sums-1-D": (vote_sums, (3,)),
-    "vote_sums-3-D": (vote_sums, (2, 4, 3)),
+    "tree_votes-rows-narrower": (tree_votes, (4, 2)),
+    "tree_votes-rows-wider": (tree_votes, (4, 4)),
+    "tree_votes-0-D": (tree_votes, ()),
+    "tree_votes-rows-3-D": (tree_votes, (2, 4, 3)),
     "positive_rows-narrower": (positive_rows, (4, 2)),
     "positive_rows-1-D": (positive_rows, (3,)),
     "tree_votes-narrower": (tree_votes, (2,)),
     "tree_votes-wider": (tree_votes, (4,)),
-    "tree_votes-2-D": (tree_votes, (1, 3)),
+    "predict_ensemble-2-D": (predict_ensemble, (1, 3)),
     "tree_votes-3-D": (tree_votes, (1, 1, 3)),
 }
 
@@ -362,14 +361,17 @@ class TestFlatView:
                     assert left[slot] == entry["left"]
                     assert right[slot] == entry["right"]
 
-    def test_vote_sums_match_scalar_votes(self):
+    def test_batch_votes_match_each_rows_votes(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             ens = random_ensemble(rng, int(rng.integers(1, 6)), 3, 5)
             X = rng.normal(0, 2, (50, 3))
             # put some rows exactly on thresholds
             X[:5, 0] = ens.nodes.threshold[0]  # tree 0's root
-            assert list(vote_sums(ens, X)) == [tree_votes(ens, x).sum() for x in X]
+            votes = tree_votes(ens, X)
+            assert votes.shape == (50, ens.num_trees)
+            assert votes.tolist() == [tree_votes(ens, x).tolist() for x in X]
+            assert tree_votes(ens, X[:1]).tolist() == [tree_votes(ens, X[0]).tolist()]
 
     def test_tree_votes_match_scalar_predictions(self):
         rng = np.random.default_rng(11)
@@ -389,11 +391,11 @@ class TestFlatView:
 
     def test_threshold_ties_route_left(self):
         ens = TreeEnsemble(trees_from_nodes([stump(0, 0.5, 1, -1)]), plain_space(1))
-        assert list(vote_sums(ens, [[0.5], [np.nextafter(0.5, 1.0)]])) == [1, -1]
+        assert tree_votes(ens, [[0.5], [np.nextafter(0.5, 1.0)]]).tolist() == [[1], [-1]]
 
     def test_empty_matrix(self):
         ens = TreeEnsemble(trees_from_nodes([stump(0, 0.5, 1, -1)]), plain_space(2))
-        assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+        assert tree_votes(ens, np.empty((0, 2))).shape == (0, 1)
 
     def test_a_forest_of_single_leaves_votes_its_labels(self):
         # Each root is a leaf's block: every row reads the label, whatever
@@ -401,21 +403,23 @@ class TestFlatView:
         labels = [1, -1, 1, 1, -1, 1]
         ens = TreeEnsemble(trees_from_nodes([tree(v) for v in labels]), plain_space(2))
         X = [[0.0, 0.0], [-1.0, 1.0], [1.0, -1.0], [math.nan, math.inf], [-math.inf, math.nan]]
-        assert vote_sums(ens, X).tolist() == [2] * 5
-        assert vote_sums(ens, np.empty((0, 2))).shape == (0,)
+        assert tree_votes(ens, X).tolist() == [labels] * 5
+        assert positive_rows(ens, X).tolist() == [True] * 5
+        assert tree_votes(ens, np.empty((0, 2))).shape == (0, 6)
         negative = TreeEnsemble(trees_from_nodes([tree(-1)]), plain_space(1))
-        assert vote_sums(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [-1] * 3
+        assert tree_votes(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [[-1]] * 3
+        assert positive_rows(negative, [[-1.0], [1.0], [math.nan]]).tolist() == [False] * 3
 
     @settings(max_examples=200, deadline=None)
     @given(forests_with_rows())
-    def test_vote_sums_equal_the_votes_of_each_row(self, drawn):
+    def test_batch_votes_equal_the_votes_of_each_row(self, drawn):
         ens, X = drawn
         before = X.tobytes()
-        sums = vote_sums(ens, X)
-        assert sums.shape == (len(X),)
-        assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
-        assert sums.tolist() == [
-            sum(route(ens, k, x).leaf_label for k in range(ens.num_trees)) for x in X
+        votes = tree_votes(ens, X)
+        assert votes.shape == (len(X), ens.num_trees)
+        assert votes.tolist() == [tree_votes(ens, x).tolist() for x in X]
+        assert votes.tolist() == [
+            [route(ens, k, x).leaf_label for k in range(ens.num_trees)] for x in X
         ]
         assert X.tobytes() == before
 
@@ -450,10 +454,10 @@ class TestFlatView:
         trees = [stump(0, 0.0, v, -v) for v in labels]
         ens = TreeEnsemble(trees_from_nodes(trees), plain_space(1))
         X = [[-1.0], [0.0], [1.0], [math.nan]]
-        assert vote_sums(ens, X).tolist() == [total, total, -total, -total]
+        assert tree_votes(ens, X).sum(axis=1).tolist() == [total, total, -total, -total]
         assert positive_rows(ens, X).tolist() == [total > 0] * 2 + [-total > 0] * 2
 
-    def test_vote_sums_route_a_tree_far_deeper_than_a_block(self):
+    def test_positive_rows_route_a_tree_far_deeper_than_a_block(self):
         depth = 3000
         ens = TreeEnsemble(trees_from_nodes([chain_nodes(depth)] * 2), plain_space(6))
         # Row j leaves the chain at node 199 * j + 3, at every offset into
@@ -463,8 +467,10 @@ class TestFlatView:
         for j, row in enumerate(X[:-1]):
             i = 199 * j + 3
             row[i % 6] = i / 8 - 0.5 if j % 2 else i / 8  # a tie routes left too
-        assert vote_sums(ens, X).tolist() == [int(tree_votes(ens, x).sum()) for x in X]
-        assert vote_sums(ens, X).tolist() == [-2] * 15 + [2]
+        sums = tree_votes(ens, X).sum(axis=1)
+        assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
+        assert sums.tolist() == [-2] * 15 + [2]
+        assert positive_rows(ens, X).tolist() == [False] * 15 + [True]
 
     @pytest.mark.parametrize("max_depth, n", [(10, 10), (None, 20)], ids=["depth-10", "no-limit"])
     def test_routing_blocks_stay_near_the_size_of_the_node_store(self, max_depth, n):

@@ -23,8 +23,8 @@ from treetweak.forest import (
     predict_ensemble,
     route,
     save_model,
+    tree_votes,
     trees_from_nodes,
-    vote_sums,
 )
 from treetweak.trainer import (
     ClassifierMetrics,
@@ -685,6 +685,16 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch, match=f"expected 3 values, got {widths[-1]}"):
             evaluate_classifier(ens, data)
 
+    def test_scores_the_holdout_without_building_the_routing_blocks(self):
+        # The block tables serve only the search's validation of candidates.
+        rng = np.random.default_rng(17)
+        ens = random_ensemble(rng, 6, 4, 4)
+        data = [
+            Instance(rng.normal(0, 1.5, 4), label=lab) for lab in (-1, 1) * 20
+        ]
+        evaluate_classifier(ens, data)
+        assert "routing" not in vars(ens)
+
     def test_matches_per_instance_votes(self):
         # Oracle: one predict_ensemble and one vote count per instance.
         rng = np.random.default_rng(16)
@@ -714,7 +724,7 @@ class TestEvaluate:
             )
             assert evaluate_classifier(ens, data) == expected
             if num_trees == 4:
-                sums = vote_sums(ens, np.stack([inst.values for inst in data]))
+                sums = tree_votes(ens, np.stack([inst.values for inst in data])).sum(axis=1)
                 assert np.any(sums == 0)  # vote ties were exercised
 
     def test_random_scores_auc_near_half(self):

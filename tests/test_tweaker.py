@@ -1046,6 +1046,29 @@ class TestSweep:
         tweak(ens, instances[0], "euclidean", 0.1)
         assert len(calls) == 1
 
+    def test_every_instance_is_routed_in_one_call(self, monkeypatch):
+        ens, instances = self._fixture()
+        calls, tree_votes = [], tweaker_mod.tree_votes
+
+        def counted(ens, X):
+            calls.append(np.shape(X))
+            return tree_votes(ens, X)
+
+        monkeypatch.setattr(tweaker_mod, "tree_votes", counted)
+        positive = Instance([5.0, 0.0])
+        rows = sweep(ens, instances + [positive], [0.1, 1.0], ["euclidean"])
+        assert rows[0].eligible == len(instances)
+        assert calls == [(len(instances) + 1, 2)]
+
+    def test_iterators_give_the_same_rows_as_lists(self):
+        # Each argument is read once: a second pass over an iterator used
+        # to find it empty and drop every instance, or every row.
+        ens, instances = self._fixture()
+        grid, names = [0.05, 0.5], ["euclidean", "cosine"]
+        rows = sweep(ens, instances, grid, names)
+        assert len(rows) == 4 and rows[0].eligible == len(instances)
+        assert sweep(ens, iter(instances), iter(grid), iter(names)) == rows
+
     def test_undefined_costs_are_logged_once_per_instance_and_cost(self, caplog, tmp_path):
         # At both x trees 0 and 1 vote -1 and tree 2 +1, so the positive
         # leaf of either negative tree flips the vote. Epsilon 0.5 places
