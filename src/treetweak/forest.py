@@ -30,8 +30,9 @@ binary blocks of ``BLOCK_HEIGHT`` levels, in which a child's slot is
 child. The blocks chain through an exit table, and a leaf fills the slots
 below it in its block, so a tree of any depth takes memory linear in its
 nodes. The router takes ``GROUP_TREES`` trees at a time over all rows at
-once, and after each group it drops the rows whose sign the trees left can
-no longer change.
+once, and after each group it retires the rows whose sign the trees left
+can no longer change: they leave its per-row offsets into one C-contiguous
+matrix of the rows' values, and no row is copied.
 
 Trees and ensembles are immutable after construction; every read operation
 (predict, path extraction, routing) is safe for unrestricted concurrent use.
@@ -346,6 +347,10 @@ def _box_entries(nodes: ForestNodes) -> tuple[np.ndarray, np.ndarray]:
 
 BLOCK_HEIGHT = 4  # levels of a routing block
 GROUP_TREES = 5  # trees routed together, between checks for decided rows
+# The most (row, tree) pairs one pass of tree_votes walks. A pass holds
+# about 41 bytes per pair at once, some 5 MB at this cap; more rows take
+# more passes. An 800-row holdout of a 100-tree forest still takes one.
+VOTE_PAIR_CAP = 1 << 17
 
 
 class RoutingBlocks(NamedTuple):
@@ -381,23 +386,29 @@ def tree_votes(ens: "TreeEnsemble", x) -> np.ndarray:
     one row of one value per feature, ``[m, K]`` for an ``[m, n]`` matrix
     of rows. Every (row, tree) pair steps down a level at a time through
     the node store, and a pair at its leaf steps onto the leaf itself.
-    Raises LengthMismatch unless x is one row or a matrix of rows of one
-    value per feature."""
+    The rows are walked in passes of at most ``VOTE_PAIR_CAP`` pairs (at
+    least one row), each writing its rows of the one ``[m, K]`` output, so
+    the walk's arrays do not grow with m. Raises LengthMismatch unless x
+    is one row or a matrix of rows of one value per feature."""
     vals = _values(x)
     n = ens.feature_space.n
     if vals.ndim not in (1, 2) or vals.shape[-1] != n:
         raise LengthMismatch(f"expected {n} values, got shape {vals.shape}")
     feature, threshold, children, label, root, depth = ens.nodes
-    cells = vals.ravel()
-    count, trees = cells.size // n, len(root)
-    # Pair (row i, tree k) is entry i * K + k, and its row starts at cell i * n.
-    row_start = np.arange(0, cells.size, n).repeat(trees)
+    rows = vals.reshape(-1, n)
+    trees = len(root)
+    votes = np.empty((len(rows), trees), dtype=label.dtype)
     steps = children.ravel()
-    node = np.tile(root, count)
-    for _ in range(depth.max()):
-        value = cells.take(row_start + feature.take(node))
-        node = steps.take(2 * node + (value <= threshold.take(node)))
-    votes = label.take(node).reshape(count, trees)
+    step_rows = max(VOTE_PAIR_CAP // trees, 1)
+    for first in range(0, len(rows), step_rows):
+        cells = rows[first:first + step_rows].ravel()
+        # Pair (row i, tree k) is entry i * K + k, and its row starts at cell i * n.
+        row_start = np.arange(0, cells.size, n).repeat(trees)
+        node = np.tile(root, cells.size // n)
+        for _ in range(depth.max()):
+            value = cells.take(row_start + feature.take(node))
+            node = steps.take(2 * node + (value <= threshold.take(node)))
+        label.take(node, out=votes[first:first + step_rows].reshape(-1), mode="clip")
     return votes if vals.ndim == 2 else votes[0]
 
 
@@ -419,26 +430,31 @@ def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
     in the self-looping block of its label, so the threshold of the slot
     it stops on is its vote.
 
-    The levels run through four buffers of ``GROUP_TREES`` slots per row,
-    made once per call and cut to each group's slots, so the loops
-    allocate only the group's sums and, as rows are decided, the smaller X.
-    Every slot starts at its tree's root, so the first level compares
-    columns of X with one threshold per tree and gathers nothing. The
-    gathers below it use ``mode="clip"``: the default mode checks bounds
-    and copies through a buffer whenever ``out`` is given, and here every
-    index is in range by construction.
+    X stays one C-contiguous matrix for the whole call (copied once only
+    if it comes in another layout), and every level gathers a row's value
+    through the row's offset ``row * n`` into it. A decided row retires
+    from three per-row arrays, its index, its sum so far and its offset,
+    and its values stay where they are. The levels run through four
+    buffers of ``GROUP_TREES`` slots per row, made once per call and cut
+    to each group's slots, so the loops allocate only the group's sums
+    and, as rows are decided, the three smaller per-row arrays. Every slot
+    starts at its tree's root, so the first level adds one feature per
+    tree to the offsets and compares with one threshold per tree. The
+    gathers use ``mode="clip"``: the default mode checks bounds and copies
+    through a buffer whenever ``out`` is given, and here every index is in
+    range by construction.
     """
     X = np.asarray(X, dtype=float)
     n = ens.feature_space.n
     if X.ndim != 2 or X.shape[1] != n:
         raise LengthMismatch(f"expected rows of {n} values, got shape {X.shape}")
-    X = np.ascontiguousarray(X)
+    cells = np.ascontiguousarray(X).ravel()
     feature, threshold, exits, roots = ens.routing
     count, trees = len(X), len(roots)
     depths = np.maximum(ens.nodes.depth, 1)
-    row_start = np.arange(count) * n
     positive = np.empty(count, dtype=bool)
     live = np.arange(count)
+    starts = live * n  # where each live row's values begin in cells
     total = np.zeros(count)
     size = min(GROUP_TREES, trees) * count
     buffers = [np.empty(size, dtype=np.intp) for _ in range(2)]
@@ -446,12 +462,12 @@ def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
     for first in range(0, trees, GROUP_TREES):
         blocks = roots[first:first + GROUP_TREES]
         depth = int(depths[first:first + GROUP_TREES].max())
-        c, g = len(X), len(blocks)
+        c, g = len(live), len(blocks)
         slot, idx = (b[:g * c].reshape(g, c) for b in buffers)
         v, th = (b[:g * c].reshape(g, c) for b in (values, thresholds))
-        cells, starts = X.ravel(), row_start[:c]
-        np.less_equal(X[:, feature[0][blocks]].T, threshold[0][blocks, None],
-                      out=slot, casting="unsafe")
+        np.add(starts, feature[0][blocks, None], out=idx)
+        cells.take(idx, out=v, mode="clip")
+        np.less_equal(v, threshold[0][blocks, None], out=slot, casting="unsafe")
         slot += 2 * blocks[:, None]
         for level in range(1, depth):
             at = level % BLOCK_HEIGHT
@@ -475,7 +491,7 @@ def positive_rows(ens: "TreeEnsemble", X) -> np.ndarray:
         keep &= total + rest > 0
         if not keep.all():
             positive[live] = total > 0  # the rows that go on are written again
-            live, total, X = live[keep], total[keep], X[keep]
+            live, total, starts = live[keep], total[keep], starts[keep]
             if not live.size:
                 break
     positive[live] = total > 0

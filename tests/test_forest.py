@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from treetweak.forest import (
     GROUP_TREES,
     GT,
     LE,
+    VOTE_PAIR_CAP,
     TreeEnsemble,
     dumps_model,
     ensemble_from_dict,
@@ -471,6 +473,87 @@ class TestFlatView:
         assert sums.tolist() == [int(tree_votes(ens, x).sum()) for x in X]
         assert sums.tolist() == [-2] * 15 + [2]
         assert positive_rows(ens, X).tolist() == [False] * 15 + [True]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "no-rows"])
+    def test_positive_rows_take_any_layout_and_leave_it_unchanged(self, layout):
+        rng = np.random.default_rng(21)
+        ens = random_ensemble(rng, 3 * GROUP_TREES + 2, 4, 6)
+        rows = rng.normal(0, 1.5, (300, 4))
+        both = np.hstack([rows, rows])
+        X = {
+            "fortran": np.asfortranarray(rows),
+            "strided": both[:, ::2],
+            "no-rows": rows[:0],
+        }[layout]
+        before = [a.tobytes() for a in (X, rows, both)]
+        expected = tree_votes(ens, X).sum(axis=1) > 0
+        positive = positive_rows(ens, X)
+        assert positive.dtype == bool and positive.shape == (len(X),)
+        assert positive.tolist() == expected.tolist()
+        assert [a.tobytes() for a in (X, rows, both)] == before
+
+    def test_positive_rows_retire_rows_after_every_group_that_can_decide_them(self):
+        # Tree k is a stump on feature k voting +1 at or below 0 and -1
+        # above, so a row's values spell its votes. Of 6 groups, the 3rd is
+        # the first that can decide a row: all -1 gives -15 with 15 trees left.
+        groups = 6
+        trees = groups * GROUP_TREES
+        ens = TreeEnsemble(
+            trees_from_nodes([stump(k, 0.0, 1, -1) for k in range(trees)]), plain_space(trees)
+        )
+        rng = np.random.default_rng(4)
+        # Rows leaning towards +1 or -1 by different amounts, in no order,
+        # so that rows retired after one group sit between rows routed on.
+        lean = rng.uniform(0.0, 1.0, 400)
+        votes = np.where(rng.random((400, trees)) < lean[:, None], 1, -1)
+        X = -votes.astype(float)
+        before = X.tobytes()
+        sums = votes.cumsum(axis=1)[:, GROUP_TREES - 1::GROUP_TREES]
+        left = trees - GROUP_TREES * np.arange(1, groups + 1)
+        decided_after = ((sums > left) | (sums <= -left)).argmax(axis=1) + 1
+        assert set(decided_after.tolist()) == set(range(3, groups + 1))
+        assert tree_votes(ens, X).tolist() == votes.tolist()
+        assert positive_rows(ens, X).tolist() == (votes.sum(axis=1) > 0).tolist()
+        assert X.tobytes() == before
+
+    def test_positive_rows_copy_no_row_of_x(self):
+        # Two groups of stumps over 256 features: the rows whose first
+        # group votes all -1 are decided after it and the rest go on, so a
+        # router that compacted X would copy half of it.
+        trees = 2 * GROUP_TREES
+        ens = TreeEnsemble(
+            trees_from_nodes([stump(k, 0.0, 1, -1) for k in range(trees)]), plain_space(256)
+        )
+        rng = np.random.default_rng(6)
+        X = rng.normal(0, 1, (2000, 256))
+        X[::2, :GROUP_TREES] = 1.0
+        expected = tree_votes(ens, X).sum(axis=1) > 0
+        positive_rows(ens, X[:1])  # the routing blocks are built on first use
+        tracemalloc.start()
+        try:
+            positive = positive_rows(ens, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert positive.tolist() == expected.tolist()
+        # The router's buffers and per-row arrays take about 250 bytes a
+        # row, X 2,048.
+        assert peak < X.nbytes / 4
+
+    def test_tree_votes_walk_passes_of_bounded_memory(self):
+        rng = np.random.default_rng(12)
+        ens = random_ensemble(rng, 100, 10, 8)
+        X = rng.normal(0, 1, (10_000, 10))
+        assert X.size // 10 * ens.num_trees > VOTE_PAIR_CAP  # more than one pass
+        tracemalloc.start()
+        try:
+            votes = tree_votes(ens, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A pass holds about 41 bytes per (row, tree) pair at once.
+        assert peak < votes.nbytes + 64 * VOTE_PAIR_CAP
+        assert votes.tolist() == [tree_votes(ens, x).tolist() for x in X]
 
     @pytest.mark.parametrize("max_depth, n", [(10, 10), (None, 20)], ids=["depth-10", "no-limit"])
     def test_routing_blocks_stay_near_the_size_of_the_node_store(self, max_depth, n):
